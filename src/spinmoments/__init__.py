@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 
 from .spin_algebra import (
     BoundSource,
-    ConvergenceError,
     SpinMatrices,
     SpinQuantum,
     UncertaintyBound,
@@ -60,7 +59,6 @@ from .optimizer import (
 __all__ = [
     "__version__",
     "BoundSource",
-    "ConvergenceError",
     "SpinMatrices",
     "SpinQuantum",
     "UncertaintyBound",

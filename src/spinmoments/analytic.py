@@ -31,7 +31,7 @@ from scipy.special import logsumexp
 
 from . import kinds
 from .spin_algebra import SpinQuantum, cj_bound
-from .states import SpinOneR, SymmetricCorrelatedState, make_state
+from .states import SymmetricCorrelatedState
 
 _LOG_ZERO = -math.inf
 
@@ -228,8 +228,3 @@ def b_spin1_closed_forms(kind: kinds.CriterionKind, r: float, n_sites: int) -> f
     else:
         raise ValueError(f"no printed spin-1 closed form for kind {kind!r}")
     return num / math.sqrt(den_sq)
-
-
-def spin1_state(r: float, n_sites: int) -> SymmetricCorrelatedState:
-    """Convenience constructor for the spin-1 (1, r, 1) family."""
-    return make_state(SpinOneR(r), SpinQuantum(2), n_sites)

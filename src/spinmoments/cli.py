@@ -8,9 +8,11 @@ Subcommands
     cj-table   uncertainty bound C_J per spin
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 infeasible
-(oracle cap).  Output is CSV (default) or JSON with identical values;
-floats carry 12 significant digits and rows are emitted in a fixed order,
-so output bytes are reproducible for a fixed config and seed.
+(oracle cap or exhaustive-search bound), 4 internal error (any other
+exception, reported on one stderr line).  Output is CSV (default) or JSON
+with identical values; floats carry 12 significant digits and rows are
+emitted in a fixed order, so output bytes are reproducible for a fixed
+config and seed.
 
 Spin is given as --j 1/2 style rationals or --twice-j integers.  The env
 vars SPINMOMENTS_CAP and SPINMOMENTS_SEED override the defaults; explicit
@@ -26,6 +28,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import asdict, dataclass, field
 
 from . import __version__, analytic, criteria, kinds, optimizer, oracle
@@ -514,6 +517,11 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, TypeError) as exc:
         print(f"spinmoments: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # keep exit 1 for "verification failed" only
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+        print(f"spinmoments: internal error: {type(exc).__name__}: {exc} ({where})", file=sys.stderr)
+        return 4
 
 
 def console_main() -> None:

@@ -87,12 +87,6 @@ class CriterionResult:
     backend: Backend
 
 
-def _result(kind, lhs, rhs, b, violated, signs, backend) -> CriterionResult:
-    return CriterionResult(
-        kind=kind, lhs=lhs, rhs=rhs, b=b, violated=violated, signs=signs, backend=backend
-    )
-
-
 def evaluate(
     state: SymmetricCorrelatedState,
     kind: kinds.CriterionKind,
@@ -117,7 +111,7 @@ def evaluate(
         if backend is Backend.ANALYTIC:
             log_l, log_r = analytic.log_lhs_rhs(state, kind, c_j=c_j, l_signs=signs.l or None)
             b = analytic.b_from_logs(log_l, log_r)
-            return _result(
+            return CriterionResult(
                 kind,
                 analytic.exp_or_inf(log_l),
                 analytic.exp_or_inf(log_r),
@@ -128,7 +122,7 @@ def evaluate(
             )
         lhs = oracle.lhs_moment(state, signs.s, cap=cap)
         rhs = oracle.rhs_moment(state, kind, l_signs=signs.l or None, cap=cap, c_j=c_j)
-        return _result(
+        return CriterionResult(
             kind, lhs, rhs, oracle.b_from_moments(lhs, rhs), _violated_linear(lhs, rhs), signs, backend
         )
     if strategy == "exhaustive":
@@ -167,7 +161,7 @@ def _exhaustive(state, kind, *, cap=None, c_j=None) -> CriterionResult:
 
     signs = SignChoice(s=best_s, l=tuple(best_l))
     b = oracle.b_from_moments(best_lhs, best_rhs)
-    return _result(
+    return CriterionResult(
         kind, best_lhs, best_rhs, b, _violated_linear(best_lhs, best_rhs), signs, Backend.ORACLE
     )
 

@@ -104,8 +104,7 @@ def optimize_amplitudes(
     n_free = (d + 1) // 2 if symmetric else d
     objective = _objective(j, n_sites, kind, symmetric, c_j)
 
-    bosonic = make_state(Bosonic(), j, n_sites)
-    bos = np.exp(bosonic.log_amplitudes - 0.5 * bosonic.log_norm_sq)
+    bos = make_state(Bosonic(), j, n_sites).unit_amplitudes
     bos_free = bos[:n_free] if symmetric else bos
     starts = [np.full(n_free, 1.0 / math.sqrt(n_free)), bos_free]
     for i in range(restarts):
@@ -229,7 +228,7 @@ def scan_curve(
             else:
                 state = make_state(state_source, j, n)
                 source = family_label(state_source)
-                r_vec = state.amplitudes
+                r_vec = state.unit_amplitudes
             result = criteria.evaluate(state, kind)
             rows.append(
                 {

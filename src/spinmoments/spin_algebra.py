@@ -6,9 +6,11 @@ interface).  All operators are dimensionless (hbar = 1): the spin-1/2
 matrices are the Pauli matrices divided by two.
 
 C_J is the minimum of Var(Jx) + Var(Jy) over pure spin-J states.  It is
-strictly positive because Jx and Jy have no common eigenstate.  Values for
-J <= 4 are tabulated; beyond that a multi-start simplex minimisation over
-normalised state vectors supplies a best-found bound.
+strictly positive because Jx and Jy have no common eigenstate.  The exact
+values 1/4 and 7/16 serve J = 1/2 and 1; every larger J gets a certified
+lower bound from a 1-D minimisation of the lowest eigenvalue of a
+tridiagonal matrix (see ``compute_cj``).  The quoted literature values are
+kept in ``_CJ_TABLE`` as a reference only.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.optimize import minimize_scalar
 
 
 @dataclass(frozen=True)
@@ -102,8 +105,10 @@ class UncertaintyBound:
     source: BoundSource
 
 
-# Known C_J values, keyed by twice_j.  1/4 and 7/16 are exact; the rest are
-# quoted to the available precision.
+# C_J as quoted in the literature, keyed by twice_j, kept as the reference
+# the computed floor is checked against.  1/4 and 7/16 are exact; the rest
+# are quoted to the available precision and may sit above the true floor
+# (2J = 4 by 4.7e-5), so only the exact entries are ever used as bounds.
 _CJ_TABLE = {
     1: 1 / 4,
     2: 7 / 16,
@@ -115,92 +120,74 @@ _CJ_TABLE = {
     8: 1.26,
 }
 
-MAX_TABULATED_TWICE_J = max(_CJ_TABLE)
+_EXACT_TWICE_J = (1, 2)
 
-
-class ConvergenceError(RuntimeError):
-    """Raised when no minimisation restart converged; carries the best value."""
-
-    def __init__(self, message: str, best_value: float):
-        super().__init__(message)
-        self.best_value = best_value
+# Grid over the shift a in [0, J] that brackets the single basin of
+# lambda_min(H(a)) before the bounded scalar search polishes it.
+_CJ_GRID_POINTS = 65
 
 
 @lru_cache(maxsize=None)
 def cj_bound(j: SpinQuantum) -> UncertaintyBound:
-    """Return C_J: tabulated for J <= 4, otherwise computed (best-found)."""
-    if j.twice_j in _CJ_TABLE:
+    """Return C_J: exact for J <= 1, otherwise the computed lower bound."""
+    if j.twice_j in _EXACT_TWICE_J:
         return UncertaintyBound(j=j, c_j=_CJ_TABLE[j.twice_j], source=BoundSource.TABULATED)
     return compute_cj(j)
 
 
-def _variance_sum_objective(mats: SpinMatrices):
-    """Objective x -> Var(Jx) + Var(Jy) for psi = x[:d] + i x[d:], normalised."""
-    jx, jy = mats.jx, mats.jy
-    d = mats.j.dim
+def _cj_allowance(j: SpinQuantum) -> float:
+    """Margin subtracted from the located minimum to make it a lower bound.
 
-    def objective(x: np.ndarray) -> float:
-        psi = x[:d] + 1j * x[d:]
-        nrm = np.linalg.norm(psi)
-        if nrm < 1e-12:
-            return float(d * d)  # off-simplex penalty, far above any variance
-        psi = psi / nrm
-        jx_psi = jx @ psi
-        jy_psi = jy @ psi
-        ex = np.vdot(psi, jx_psi).real
-        ey = np.vdot(psi, jy_psi).real
-        ex2 = np.vdot(jx_psi, jx_psi).real
-        ey2 = np.vdot(jy_psi, jy_psi).real
-        return ex2 + ey2 - ex * ex - ey * ey
-
-    return objective
-
-
-def _local_min(objective, x0: np.ndarray, tol: float):
-    # Simplex descent stalls on its shrunken simplex in higher dimensions;
-    # re-seeding from the endpoint is the usual cure, so polish a few rounds.
-    x, value, ok = x0, math.inf, False
-    for _ in range(3):
-        res = minimize(
-            objective,
-            x,
-            method="Nelder-Mead",
-            options={"fatol": tol, "xatol": 1e-6, "adaptive": True},
-        )
-        x, value, ok = res.x, float(res.fun), bool(res.success)
-        if ok:
-            break
-    return value, ok
+    It covers the eigenvalue rounding, a few ulps of ||H|| ~ J(J+1), and
+    the error of the located minimum: H'' = 2, so d^2 lambda_min / da^2 <= 2
+    and a minimiser off by delta <= 3e-8 J (the bounded search's relative
+    x tolerance) is high by at most delta^2 ~ 1e-15 J^2.  Both sit three
+    orders of magnitude below the allowance, which stays at or below 1e-9
+    while J(J+1) <= 1000 (2J <= 62).
+    """
+    return 1e-12 * max(1.0, j.j * (j.j + 1))
 
 
 @lru_cache(maxsize=None)
 def compute_cj(j: SpinQuantum, restarts: int = 50, tol: float = 1e-9, seed: int = 0) -> UncertaintyBound:
-    """Minimise Var(Jx) + Var(Jy) over normalised complex d-vectors.
+    """Certified lower bound on C_J = min over states of Var(Jx) + Var(Jy).
 
-    Multi-start Nelder-Mead over 2d real parameters (real and imaginary
-    parts); the state is renormalised inside the objective so the search is
-    unconstrained.  The result is an upper bound on the true C_J; it
-    reproduces the tabulated values to better than 1e-3 for J <= 4.
+    Var(Jx) + Var(Jy) = min over (a, b) of <(Jx - a)^2 + (Jy - b)^2>, and a
+    rotation about z sets b = 0 and a >= 0, so (Hofmann and Takeuchi, PRA
+    68, 032103)
+
+        C_J = min over a in [0, J] of lambda_min(H(a)),
+        H(a) = (Jx - a)^2 + Jy^2 = J(J+1) - Jz^2 - 2a Jx + a^2,
+
+    a real symmetric tridiagonal matrix in the |J,m> basis.  A grid over a
+    brackets the single basin and a bounded scalar search polishes it; the
+    returned value is that minimum less ``_cj_allowance``, so it never
+    exceeds the true floor.
+
+    ``restarts``, ``tol`` and ``seed`` are ignored (the route is exact and
+    deterministic); they are still validated so old call sites keep their
+    meaning.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    mats = build_spin_matrices(j)
-    objective = _variance_sum_objective(mats)
-    best = math.inf
-    any_converged = False
-    for i in range(restarts):
-        rng = np.random.default_rng((seed, j.twice_j, i))
-        x0 = rng.uniform(-1.0, 1.0, size=2 * j.dim)
-        value, ok = _local_min(objective, x0, tol)
-        any_converged = any_converged or ok
-        if value < best:
-            best = value
-    if not any_converged or not math.isfinite(best):
-        raise ConvergenceError(
-            f"C_J minimisation failed to converge for twice_j={j.twice_j} "
-            f"after {restarts} restarts (best value {best})",
-            best_value=best,
+    jv = j.j
+    m = j.m_values()
+    casimir_less_jz2 = jv * (jv + 1) - m * m
+    lowering = np.sqrt((jv + m[1:]) * (jv - m[1:] + 1))  # <m-1|J-|m> = 2 <m-1|Jx|m>
+
+    def lowest(a: float) -> float:
+        return float(
+            eigvalsh_tridiagonal(
+                casimir_less_jz2 + a * a, -a * lowering, select="i", select_range=(0, 0)
+            )[0]
         )
-    return UncertaintyBound(j=j, c_j=best, source=BoundSource.COMPUTED)
+
+    grid = np.linspace(0.0, jv, _CJ_GRID_POINTS)
+    values = [lowest(a) for a in grid]
+    k = int(np.argmin(values))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+    res = minimize_scalar(lowest, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
+    floor = min(float(res.fun), values[k])
+    return UncertaintyBound(j=j, c_j=floor - _cj_allowance(j), source=BoundSource.COMPUTED)

@@ -109,6 +109,11 @@ class SymmetricCorrelatedState:
     def signs(self) -> np.ndarray:
         return np.sign(self.amplitudes)
 
+    @property
+    def unit_amplitudes(self) -> np.ndarray:
+        """r / sqrt(n), through the log domain: finite even where r overflows."""
+        return self.signs * np.exp(self.log_amplitudes - 0.5 * self.log_norm_sq)
+
     def is_symmetric(self) -> bool:
         """True when r_m = r_{-m} exactly."""
         return bool(np.array_equal(self.amplitudes, self.amplitudes[::-1]))
@@ -195,9 +200,8 @@ def dense_vector(state: SymmetricCorrelatedState, cap: int | None = None) -> np.
     size = d**n
     if size > cap:
         raise CapExceededError(d, n, cap)
-    normalized = state.signs * np.exp(state.log_amplitudes - 0.5 * state.log_norm_sq)
     vec = np.zeros(size, dtype=complex)
     stride = (size - 1) // (d - 1)  # sum of d^i over sites: all-equal-digit index step
-    vec[np.arange(d) * stride] = normalized
+    vec[np.arange(d) * stride] = state.unit_amplitudes
     vec.setflags(write=False)
     return vec

@@ -126,6 +126,22 @@ def test_scan_ghz_geometric_columns(capsys):
     assert out.splitlines()[1].count('"') == 2
 
 
+def test_scan_family_r_vector_is_finite_unit_norm(capsys):
+    # raw bosonic amplitudes at 2J = 9 overflow past N ~ 150
+    rc, out, _ = run_cli(
+        capsys, "scan", "--axis", "n", "--twice-j", "9", "--family", "bosonic",
+        "--kinds", "bell", "--n", "150..151",
+    )
+    assert rc == 0
+    rows = parse_csv(out)
+    assert len(rows) == 2
+    for row in rows:
+        r = [float(v) for v in row["r_vector"].split(",")]
+        assert len(r) == 10
+        assert all(math.isfinite(v) and v >= 0 for v in r)
+        assert sum(v * v for v in r) == pytest.approx(1.0, abs=1e-10)
+
+
 def test_scan_axis_d(capsys):
     rc, out, _ = run_cli(
         capsys, "scan", "--axis", "d", "--d", "2..4", "--n", "3",
@@ -163,11 +179,12 @@ def test_cj_table(capsys):
     assert rc == 0
     rows = parse_csv(out)
     assert len(rows) == 8
-    assert [r["source"] for r in rows] == ["tabulated"] * 8
+    assert [r["source"] for r in rows] == ["tabulated"] * 2 + ["computed"] * 6
     values = {int(r["twice_j"]): float(r["c_j"]) for r in rows}
     assert values[1] == 0.25
     assert values[2] == 0.4375
-    assert values[8] == 1.26
+    assert values[4] == pytest.approx(0.7496, abs=5e-5)
+    assert values[8] == pytest.approx(1.26, abs=5e-3)
 
 
 def test_verify_ok_and_corrupted(capsys):
@@ -216,6 +233,22 @@ def test_infeasible_oracle_exits_3(capsys):
     )
     assert rc == 3
     assert "capped" in err
+
+
+@pytest.mark.parametrize("error", [RuntimeError("optimiser diverged"), ZeroDivisionError("0/0")])
+def test_internal_error_exits_4(capsys, monkeypatch, error):
+    from spinmoments import cli
+
+    def fail(cfg):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "cj-table", fail)
+    rc, out, err = run_cli(capsys, "cj-table", "--max-twice-j", "2")
+    assert rc == 4
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"spinmoments: internal error: {type(error).__name__}: {error}")
 
 
 def test_env_overrides(capsys, monkeypatch):
