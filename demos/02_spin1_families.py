@@ -38,7 +38,7 @@ print(f"{'N':>3} {'B_BELL bosonic':>15} {'B_BELL optimal':>15} {'r_mid/r_out':>1
       f" {'B_EPR':>9} {'B_ENT':>9}")
 for n in (2, 3, 4, 6, 8, 12, 20, 30):
     boson = make_state(Bosonic(), one, n)
-    report = optimize_amplitudes(one, n, Bell(), restarts=12, seed=0)
+    report = optimize_amplitudes(one, n, Bell())
     r_mid = report.best_r[1] / report.best_r[0]
     print(
         f"{n:>3} {b_bell(boson):>15.6f} {report.best_b:>15.6f} {r_mid:>12.5f}"

@@ -16,7 +16,7 @@ from spinmoments.kinds import Bell, EntanglementCJ, Steering
 print("Minimum sites for a Bell violation (optimised amplitudes, n_max = 30)")
 print(f"{'d':>3} {'min N':>6} {'B at min N':>12}")
 for d in range(2, 7):
-    res = min_sites_for_violation(SpinQuantum(d - 1), Bell(), 30, restarts=12, seed=0)
+    res = min_sites_for_violation(SpinQuantum(d - 1), Bell(), 30)
     shown = res.min_n if res.min_n is not None else f">{res.n_max_searched}"
     print(f"{d:>3} {shown:>6} {res.b_at_min_n:>12.6f}")
 
@@ -26,7 +26,7 @@ print(f"{'d':>3} {'B_BELL':>10} {'B_EPR':>10} {'B_ENT':>10}")
 for d in range(2, 10):
     j = SpinQuantum(d - 1)
     row = [
-        optimize_amplitudes(j, 10, kind, restarts=12, seed=0).best_b
+        optimize_amplitudes(j, 10, kind).best_b
         for kind in (Bell(), Steering(1), EntanglementCJ())
     ]
     print(f"{d:>3} {row[0]:>10.4g} {row[1]:>10.4g} {row[2]:>10.4g}")

@@ -55,27 +55,66 @@ def _log(x: np.ndarray) -> np.ndarray:
         return np.log(x)
 
 
+def log_ladder_weights(j: SpinQuantum, n_sites: int) -> np.ndarray:
+    """log of the ladder weights g_m^(N/2), g_m = (J-m)(J+m+1), m = -J..J-1.
+
+    L = (sum_m r_m r_(m+1) g_m^(N/2))^2 / n^2; every g_m is positive.
+    """
+    return 0.5 * n_sites * np.log(_eigenvalue_factors(j)["f-"][:-1])
+
+
 def log_ladder_moment(state: SymmetricCorrelatedState) -> float:
     """log L for the all-minus (equivalently all-plus) ladder product.
 
     The nonzero contributions pair adjacent amplitudes: the base between
     m and m+1 is (J-m)(J+m+1), raised to the power N/2.
     """
-    fac = _eigenvalue_factors(state.j)
-    g = fac["f-"][:-1]  # strictly positive for m = -J..J-1
     log_r = state.log_amplitudes
     signs = state.signs
-    log_terms = log_r[:-1] + log_r[1:] + 0.5 * state.n_sites * _log(g)
+    log_terms = log_r[:-1] + log_r[1:] + log_ladder_weights(state.j, state.n_sites)
     pair_signs = signs[:-1] * signs[1:]
     log_abs_sum, _ = logsumexp(log_terms, b=pair_signs, return_sign=True)
     return float(2 * (log_abs_sum - state.log_norm_sq))
 
 
-def _canonical_l_signs(t_sites: int) -> tuple[int, ...]:
-    """Plus on the first quantum site, minus on the rest."""
-    if t_sites == 0:
-        return ()
-    return (1,) + (-1,) * (t_sites - 1)
+def log_bound_weights(
+    j: SpinQuantum,
+    n_sites: int,
+    kind: kinds.CriterionKind,
+    *,
+    c_j: float | None = None,
+    l_signs: Sequence[int] | None = None,
+) -> np.ndarray:
+    """log of the per-m bound weights D_m, R = sum_m r_m^2 D_m / n (-inf where
+    an HZ ladder factor vanishes).  HZ-type bounds take their per-site signs
+    from l_signs (default: canonical); only the number of plus signs matters.
+    """
+    t = kinds.quantum_sites(kind, n_sites)
+    fac = _eigenvalue_factors(j)
+    factors = [(_log(fac["q"]), n_sites - t)]
+    if t > 0:
+        if kinds.uses_cj_bound(kind):
+            cj = _resolve_cj(j, c_j)
+            shifted = fac["q"] - cj
+            if np.any(shifted <= 0):
+                raise ValueError(
+                    f"C_J = {cj} is not below the Jx^2 + Jy^2 spectrum floor "
+                    f"{fac['q'].min()} for twice_j = {j.twice_j}"
+                )
+            factors.append((_log(shifted), t))
+        else:
+            if l_signs is None:
+                l_signs = kinds.canonical_l_signs(t)
+            if len(l_signs) != t:
+                raise ValueError(f"l_signs must have length {t}, got {len(l_signs)}")
+            n_plus = sum(1 for s in l_signs if s > 0)
+            factors += [(_log(fac["f+"]), n_plus), (_log(fac["f-"]), t - n_plus)]
+
+    log_d = np.zeros(j.dim)
+    for log_base, power in factors:
+        if power > 0:  # a zero power must not meet a log of zero
+            log_d = log_d + power * log_base
+    return log_d
 
 
 def log_bound_moment(
@@ -85,45 +124,9 @@ def log_bound_moment(
     c_j: float | None = None,
     l_signs: Sequence[int] | None = None,
 ) -> float:
-    """log R for the requested criterion kind.
-
-    HZ-type bounds take their per-quantum-site ladder-product signs from
-    l_signs (default: the canonical one-plus pattern); only the number of
-    plus choices matters for correlated states.
-    """
-    n = state.n_sites
-    t = kinds.quantum_sites(kind, n)
-    fac = _eigenvalue_factors(state.j)
-    log_q = _log(fac["q"])
-
-    factors: list[tuple[np.ndarray, float]] = []
-    if n - t > 0:
-        factors.append((log_q, n - t))
-    if t > 0:
-        if kinds.uses_cj_bound(kind):
-            cj = _resolve_cj(state.j, c_j)
-            shifted = fac["q"] - cj
-            if np.any(shifted <= 0):
-                raise ValueError(
-                    f"C_J = {cj} is not below the Jx^2 + Jy^2 spectrum floor "
-                    f"{fac['q'].min()} for twice_j = {state.j.twice_j}"
-                )
-            factors.append((_log(shifted), t))
-        else:
-            if l_signs is None:
-                l_signs = _canonical_l_signs(t)
-            if len(l_signs) != t:
-                raise ValueError(f"l_signs must have length {t}, got {len(l_signs)}")
-            n_plus = sum(1 for s in l_signs if s > 0)
-            if n_plus > 0:
-                factors.append((_log(fac["f+"]), n_plus))
-            if t - n_plus > 0:
-                factors.append((_log(fac["f-"]), t - n_plus))
-
-    log_terms = 2 * state.log_amplitudes
-    for log_base, power in factors:
-        log_terms = log_terms + power * log_base
-    return float(logsumexp(log_terms) - state.log_norm_sq)
+    """log R for the requested criterion kind (see ``log_bound_weights``)."""
+    log_d = log_bound_weights(state.j, state.n_sites, kind, c_j=c_j, l_signs=l_signs)
+    return float(logsumexp(2 * state.log_amplitudes + log_d) - state.log_norm_sq)
 
 
 def log_lhs_rhs(

@@ -12,7 +12,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 infeasible
 exception, reported on one stderr line).  Output is CSV (default) or JSON
 with identical values; floats carry 12 significant digits and rows are
 emitted in a fixed order, so output bytes are reproducible for a fixed
-config and seed.
+config.  The amplitude optimiser is an exact eigenvalue search, so rows
+do not depend on --seed or --restarts: both are accepted (JSON echoes them
+in its config) and otherwise ignored.
 
 Spin is given as --j 1/2 style rationals or --twice-j integers.  The env
 vars SPINMOMENTS_CAP and SPINMOMENTS_SEED override the defaults; explicit
@@ -138,8 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--output", default="-", help="output path, - for stdout")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--restarts", type=int, default=optimizer.DEFAULT_RESTARTS)
+    ignored = "ignored (the optimiser is exact); kept for old command lines"
+    common.add_argument("--seed", type=int, default=None, help=ignored)
+    common.add_argument("--restarts", type=int, default=optimizer.DEFAULT_RESTARTS, help=ignored)
     common.add_argument("--cap", type=int, default=None, help="oracle amplitude cap (d^N)")
 
     spin = argparse.ArgumentParser(add_help=False)

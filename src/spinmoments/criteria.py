@@ -41,16 +41,16 @@ class ExhaustiveSearchError(ValueError):
     """Exhaustive sign search asked for beyond its site bound."""
 
 
-def _violated_linear(lhs: float, rhs: float) -> bool:
-    if rhs == 0.0:
-        return lhs > 0.0
-    return lhs > rhs * (1.0 + VERDICT_BAND)
+def _violated(log_l: float, log_r: float) -> bool:
+    """The verdict rule: L > R beyond the relative band, on log L and log R.
 
-
-def _violated_logs(log_l: float, log_r: float) -> bool:
-    if log_r == -math.inf:
-        return log_l > -math.inf
+    R = 0 < L is a violation (-inf + band stays -inf); L = R = 0 is not.
+    """
     return log_l > log_r + VERDICT_BAND
+
+
+def _log(x: float) -> float:
+    return math.log(x) if x > 0 else -math.inf
 
 
 class Backend(Enum):
@@ -66,7 +66,7 @@ class SignChoice:
     @staticmethod
     def canonical(kind: kinds.CriterionKind, n_sites: int) -> "SignChoice":
         t = kinds.quantum_sites(kind, n_sites)
-        l = ((1,) + (-1,) * (t - 1)) if (kinds.uses_hz_bound(kind) and t > 0) else ()
+        l = kinds.canonical_l_signs(t if kinds.uses_hz_bound(kind) else 0)
         return SignChoice(s=(-1,) * n_sites, l=l)
 
     def s_token(self) -> str:
@@ -110,21 +110,13 @@ def evaluate(
             backend = Backend.ANALYTIC
         if backend is Backend.ANALYTIC:
             log_l, log_r = analytic.log_lhs_rhs(state, kind, c_j=c_j, l_signs=signs.l or None)
+            lhs, rhs = analytic.exp_or_inf(log_l), analytic.exp_or_inf(log_r)
             b = analytic.b_from_logs(log_l, log_r)
-            return CriterionResult(
-                kind,
-                analytic.exp_or_inf(log_l),
-                analytic.exp_or_inf(log_r),
-                b,
-                _violated_logs(log_l, log_r),
-                signs,
-                backend,
-            )
-        lhs = oracle.lhs_moment(state, signs.s, cap=cap)
-        rhs = oracle.rhs_moment(state, kind, l_signs=signs.l or None, cap=cap, c_j=c_j)
-        return CriterionResult(
-            kind, lhs, rhs, oracle.b_from_moments(lhs, rhs), _violated_linear(lhs, rhs), signs, backend
-        )
+        else:
+            lhs = oracle.lhs_moment(state, signs.s, cap=cap)
+            rhs = oracle.rhs_moment(state, kind, l_signs=signs.l or None, cap=cap, c_j=c_j)
+            log_l, log_r, b = _log(lhs), _log(rhs), oracle.b_from_moments(lhs, rhs)
+        return CriterionResult(kind, lhs, rhs, b, _violated(log_l, log_r), signs, backend)
     if strategy == "exhaustive":
         if backend is Backend.ANALYTIC:
             raise ValueError("exhaustive search runs on the oracle backend only")
@@ -161,9 +153,8 @@ def _exhaustive(state, kind, *, cap=None, c_j=None) -> CriterionResult:
 
     signs = SignChoice(s=best_s, l=tuple(best_l))
     b = oracle.b_from_moments(best_lhs, best_rhs)
-    return CriterionResult(
-        kind, best_lhs, best_rhs, b, _violated_linear(best_lhs, best_rhs), signs, Backend.ORACLE
-    )
+    violated = _violated(_log(best_lhs), _log(best_rhs))
+    return CriterionResult(kind, best_lhs, best_rhs, b, violated, signs, Backend.ORACLE)
 
 
 def nested_verdicts(

@@ -62,6 +62,11 @@ def quantum_sites(kind: CriterionKind, n_sites: int) -> int:
     raise TypeError(f"unknown criterion kind: {kind!r}")
 
 
+def canonical_l_signs(t_sites: int) -> tuple[int, ...]:
+    """Canonical HZ bound signs: plus on the first quantum site, minus on the rest."""
+    return (1,) + (-1,) * (t_sites - 1) if t_sites > 0 else ()
+
+
 def uses_hz_bound(kind: CriterionKind) -> bool:
     return isinstance(kind, EntanglementHZ) or (isinstance(kind, Steering) and kind.bound == "hz")
 

@@ -1,16 +1,21 @@
 """Amplitude optimisation: maximise B over the correlated-state amplitudes.
 
-The search space is tiny (ceil(d/2) free amplitudes once the m <-> -m
-symmetry is folded in), so a multi-start Nelder-Mead is plenty.
-Non-negativity comes from an absolute-value reparameterisation and the
-objective normalises sum r_m^2 = 1 before evaluating -- B is scale-free in
-r, the normalisation is just a gauge choice.
+With A tridiagonal (off-diagonal g_m^(N/2) / 2, ``analytic.log_ladder_weights``)
+and D diagonal (``analytic.log_bound_weights``), B^2 = (r^T A r)^2 /
+(r^T r . r^T D r).  Since sqrt(xy) = min_c (c x + y/c) / 2,
 
-Each run starts from two deterministic points (the uniform and bosonic
-amplitude vectors) plus `restarts` seeded draws from the uniform simplex,
-so the optimum can never fall below either reference family.  Random
-generators are split per restart index, making reports reproducible no
-matter how the restarts are scheduled.
+    max_r B = max_(c > 0) 2 lambda_max(A, c I + D / c),
+
+a 1-D search in log c (the optimum has c^2 = r^T D r / r^T r, so the spread
+of log D brackets it) over generalized eigenproblems whose metric
+M = c I + D / c is diagonal: each is the tridiagonal M^(-1/2) A M^(-1/2),
+assembled in the log domain so that N in the thousands cannot overflow.
+Its entries are non-negative, so the top eigenvector has one sign and is
+the optimal r.  The r_m = r_-m restriction folds A and D by r = P x (the
+HZ bound weights are not symmetric in m).  The reported B is
+``analytic.b_ratio`` of the reported r; two adjacent zero bound weights
+make B unbounded (inf).  No random starts: ``restarts`` and ``seed`` are
+validated and ignored, as in ``spin_algebra.compute_cj``.
 """
 
 from __future__ import annotations
@@ -19,14 +24,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.linalg import eigh_tridiagonal
 
 from . import analytic, kinds
-from .spin_algebra import SpinQuantum
-from .states import Bosonic, SymmetricCorrelatedState, make_state, _from_amplitudes
+from .spin_algebra import SpinQuantum, minimize_on_interval
+from .states import SymmetricCorrelatedState, make_state, _from_amplitudes
 
 DEFAULT_RESTARTS = 20
 VIOLATION_MARGIN = 1e-9
+
+# Bracket padding in log c: a supremum approached only as c -> 0 (a zero HZ
+# bound weight) is missed by ~e^-40 relative at the lower end.
+_LOG_C_PAD = 20.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,10 +44,7 @@ class OptimizationReport:
     n_sites: int
     kind: kinds.CriterionKind
     best_r: np.ndarray  # full d-vector, normalised to sum r^2 = 1
-    best_b: float
-    restarts_run: int
-    converged: bool
-    trace: tuple[tuple[int, float], ...]  # (start index, final B)
+    best_b: float  # analytic.b_ratio of best_state()
 
     def best_state(self) -> SymmetricCorrelatedState:
         return _from_amplitudes(self.j, self.n_sites, self.best_r)
@@ -53,33 +59,33 @@ class MinSitesResult:
     n_max_searched: int
 
 
-def _expand_symmetric(x: np.ndarray, d: int) -> np.ndarray:
-    """Map free parameters to the full |m| <-> -|m| symmetric d-vector."""
-    r = np.empty(d)
-    half = d // 2
-    outer = np.abs(x[:half])
-    r[:half] = outer
-    r[d - half:] = outer[::-1]
-    if d % 2:
-        r[half] = abs(x[half])
-    return r
+def _fold(log_a: np.ndarray, log_d: np.ndarray, symmetric: bool):
+    """Fold map k -> i, pair counts, and log D, log diag and log off-diagonal
+    of the folded tridiagonal P^T A P, all summed in the log domain."""
+    k = np.arange(log_d.size)
+    fold = np.minimum(k, k[::-1]) if symmetric else k
+    size = int(fold.max()) + 1
+    log_fd = np.full(size, -np.inf)
+    np.logaddexp.at(log_fd, fold, log_d)
+    lo, hi = fold[:-1], fold[1:]
+    within = lo == hi  # the middle link of an even d folds onto one amplitude
+    log_diag = np.full(size, -np.inf)
+    np.logaddexp.at(log_diag, lo[within], log_a[within] + math.log(2))
+    log_off = np.full(size - 1, -np.inf)
+    np.logaddexp.at(log_off, np.minimum(lo, hi)[~within], log_a[~within])
+    return fold, np.bincount(fold), log_fd, log_diag, log_off
 
 
-def _objective(j, n_sites, kind, symmetric, c_j):
-    d = j.dim
-
-    def negative_b(x: np.ndarray) -> float:
-        r = _expand_symmetric(x, d) if symmetric else np.abs(x)
-        total = math.sqrt(np.sum(r * r))
-        if total < 1e-12:
-            return 1.0  # all-zero is invalid; any real B beats this
-        state = _from_amplitudes(j, n_sites, r / total)
-        b = analytic.b_ratio(state, kind, c_j=c_j)
-        if math.isnan(b):
-            return 1.0
-        return -b
-
-    return negative_b
+def _log_top_eigenpair(log_diag, log_off, log_metric):
+    """(log lambda_max, |eigenvector|) of M^(-1/2) T M^(-1/2), M diagonal."""
+    diag = log_diag - log_metric
+    off = log_off - 0.5 * (log_metric[:-1] + log_metric[1:])
+    shift = max(diag.max(), off.max(initial=-np.inf))
+    top = diag.size - 1
+    w, v = eigh_tridiagonal(
+        np.exp(diag - shift), np.exp(off - shift), select="i", select_range=(top, top)
+    )
+    return shift + math.log(w[0]), np.abs(v[:, 0])
 
 
 def optimize_amplitudes(
@@ -97,55 +103,38 @@ def optimize_amplitudes(
     The symmetric flag (default on, matching the r_m = r_{-m} restriction
     of the built-in families) folds the search space to ceil(d/2)
     dimensions; pass symmetric=False to probe the full d-vector.
+    ``restarts`` (>= 1) and ``seed`` are ignored: the route is exact.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    d = j.dim
-    n_free = (d + 1) // 2 if symmetric else d
-    objective = _objective(j, n_sites, kind, symmetric, c_j)
+    log_a = analytic.log_ladder_weights(j, n_sites) - math.log(2)
+    log_d = analytic.log_bound_weights(j, n_sites, kind, c_j=c_j)
+    zero_pair = np.isneginf(log_d[:-1]) & np.isneginf(log_d[1:])
+    if zero_pair.any():  # R = 0 < L on that pair
+        r = np.zeros(j.dim)
+        k = int(np.argmax(zero_pair))
+        r[k : k + 2] = 1.0
+        r = np.maximum(r, r[::-1]) if symmetric else r
+    else:
+        fold, counts, log_fd, log_diag, log_off = _fold(log_a, log_d, symmetric)
 
-    bos = make_state(Bosonic(), j, n_sites).unit_amplitudes
-    bos_free = bos[:n_free] if symmetric else bos
-    starts = [np.full(n_free, 1.0 / math.sqrt(n_free)), bos_free]
-    for i in range(restarts):
-        rng = np.random.default_rng((seed, j.twice_j, n_sites, i))
-        starts.append(np.sqrt(rng.dirichlet(np.ones(n_free))))
+        def log_metric(log_c: float) -> np.ndarray:  # log(n_i c + D_i / c)
+            return np.logaddexp(np.log(counts) + log_c, log_fd - log_c)
 
-    trace = []
-    best_x, best_fun = None, math.inf
-    converged = False
-    for idx, x0 in enumerate(starts):
-        with np.errstate(invalid="ignore"):  # simplex may hold inf B (HZ bounds)
-            res = minimize(
-                objective,
-                x0,
-                method="Nelder-Mead",
-                options={"fatol": 1e-10, "xatol": 1e-8, "maxiter": 2000, "maxfev": 4000},
-            )
-        converged = converged or bool(res.success)
-        trace.append((idx, -float(res.fun)))
-        if res.fun < best_fun:
-            best_x, best_fun = np.asarray(res.x), float(res.fun)
-
-    best_b = -best_fun
-    if math.isnan(best_b) or best_b < 0:
-        raise RuntimeError(
-            f"no restart produced a finite B for twice_j={j.twice_j}, N={n_sites}, "
-            f"kind={kinds.kind_token(kind)}; trace={trace}"
+        finite = 0.5 * log_d[np.isfinite(log_d)]
+        log_c, _ = minimize_on_interval(
+            lambda u: -_log_top_eigenpair(log_diag, log_off, log_metric(u))[0],
+            finite.min() - _LOG_C_PAD,
+            finite.max() + _LOG_C_PAD,
         )
-    r = _expand_symmetric(best_x, d) if symmetric else np.abs(best_x)
+        _, x = _log_top_eigenpair(log_diag, log_off, log_metric(log_c))
+        with np.errstate(divide="ignore"):
+            log_r = (np.log(x) - 0.5 * log_metric(log_c))[fold]
+        r = np.exp(log_r - log_r.max())
     r = r / math.sqrt(np.sum(r * r))
     r.setflags(write=False)
-    return OptimizationReport(
-        j=j,
-        n_sites=n_sites,
-        kind=kind,
-        best_r=r,
-        best_b=best_b,
-        restarts_run=len(starts),
-        converged=converged,
-        trace=tuple(trace),
-    )
+    best_b = analytic.b_ratio(_from_amplitudes(j, n_sites, r), kind, c_j=c_j)
+    return OptimizationReport(j=j, n_sites=n_sites, kind=kind, best_r=r, best_b=best_b)
 
 
 def min_sites_for_violation(
@@ -161,15 +150,14 @@ def min_sites_for_violation(
     """Smallest N <= n_max whose optimised state violates the criterion.
 
     A violation requires best_b > 1 + margin, guarding the decision against
-    optimiser noise exactly at the boundary.
+    rounding exactly at the boundary.  ``restarts`` and ``seed`` are
+    ignored, as in ``optimize_amplitudes``.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     best_seen = -math.inf
     for n in range(2, n_max + 1):
-        report = optimize_amplitudes(
-            j, n, kind, symmetric=symmetric, restarts=restarts, seed=seed
-        )
+        report = optimize_amplitudes(j, n, kind, symmetric=symmetric, restarts=restarts, seed=seed)
         best_seen = max(best_seen, report.best_b)
         if report.best_b > 1.0 + margin:
             return MinSitesResult(
@@ -196,7 +184,8 @@ def scan_curve(
     axis "n": values are site counts, twice_j is fixed.
     axis "d": values are twice_j entries, n_sites is fixed.
     state_source is a states family instance, or the string "optimized" to
-    re-optimise the amplitudes at every grid point and kind.
+    re-optimise the amplitudes at every grid point and kind (``restarts``
+    and ``seed`` are ignored, as in ``optimize_amplitudes``).
     """
     from . import criteria
     from .states import family_label

@@ -126,7 +126,7 @@ def bound_tags(
     if kinds.uses_cj_bound(kind):
         return [SiteOp.CJ_SHIFTED] * t + free
     if l_signs is None:
-        l_signs = (1,) + (-1,) * (t - 1)
+        l_signs = kinds.canonical_l_signs(t)
     if len(l_signs) != t:
         raise ValueError(f"l_signs must have length {t}, got {len(l_signs)}")
     quantum = [SiteOp.PLUS_MINUS if s > 0 else SiteOp.MINUS_PLUS for s in l_signs]

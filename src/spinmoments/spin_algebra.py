@@ -122,9 +122,21 @@ _CJ_TABLE = {
 
 _EXACT_TWICE_J = (1, 2)
 
-# Grid over the shift a in [0, J] that brackets the single basin of
-# lambda_min(H(a)) before the bounded scalar search polishes it.
-_CJ_GRID_POINTS = 65
+_GRID_POINTS = 65  # grid of minimize_on_interval
+
+
+def minimize_on_interval(f, lo: float, hi: float) -> tuple[float, float]:
+    """(x, f(x)) at the minimum of a unimodal f on [lo, hi]: a grid locates
+    the basin, a bounded scalar search polishes it within the two
+    neighbouring cells, and the better of the two points is returned."""
+    grid = np.linspace(lo, hi, _GRID_POINTS)
+    values = [f(x) for x in grid]
+    k = int(np.argmin(values))
+    bounds = (grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)])
+    res = minimize_scalar(f, bounds=bounds, method="bounded", options={"xatol": 1e-12})
+    if res.fun < values[k]:
+        return float(res.x), float(res.fun)
+    return float(grid[k]), float(values[k])
 
 
 @lru_cache(maxsize=None)
@@ -159,10 +171,10 @@ def compute_cj(j: SpinQuantum, restarts: int = 50, tol: float = 1e-9, seed: int 
         C_J = min over a in [0, J] of lambda_min(H(a)),
         H(a) = (Jx - a)^2 + Jy^2 = J(J+1) - Jz^2 - 2a Jx + a^2,
 
-    a real symmetric tridiagonal matrix in the |J,m> basis.  A grid over a
-    brackets the single basin and a bounded scalar search polishes it; the
-    returned value is that minimum less ``_cj_allowance``, so it never
-    exceeds the true floor.
+    a real symmetric tridiagonal matrix in the |J,m> basis.
+    ``minimize_on_interval`` locates its single basin in a; the returned
+    value is that minimum less ``_cj_allowance``, so it never exceeds the
+    true floor.
 
     ``restarts``, ``tol`` and ``seed`` are ignored (the route is exact and
     deterministic); they are still validated so old call sites keep their
@@ -184,10 +196,5 @@ def compute_cj(j: SpinQuantum, restarts: int = 50, tol: float = 1e-9, seed: int 
             )[0]
         )
 
-    grid = np.linspace(0.0, jv, _CJ_GRID_POINTS)
-    values = [lowest(a) for a in grid]
-    k = int(np.argmin(values))
-    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
-    res = minimize_scalar(lowest, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
-    floor = min(float(res.fun), values[k])
+    _, floor = minimize_on_interval(lowest, 0.0, jv)
     return UncertaintyBound(j=j, c_j=floor - _cj_allowance(j), source=BoundSource.COMPUTED)

@@ -174,6 +174,16 @@ def test_min_sites_not_found_is_blank(capsys):
     assert rows[-1]["min_n"] == ""
 
 
+def test_min_sites_output_ignores_seed_and_restarts(capsys):
+    argv = ("min-sites", "--kind", "bell", "--max-d", "4", "--n-max", "30")
+    outputs = [
+        run_cli(capsys, *argv, "--seed", seed, "--restarts", restarts)[1]
+        for seed, restarts in (("0", "20"), ("7", "20"), ("7", "1"))
+    ]
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert [r["min_n"] for r in parse_csv(outputs[0])] == ["3", "3", "8"]
+
+
 def test_cj_table(capsys):
     rc, out, _ = run_cli(capsys, "cj-table", "--max-twice-j", "8")
     assert rc == 0

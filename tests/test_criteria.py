@@ -29,6 +29,21 @@ def test_equality_is_not_violation():
     assert not res.violated
 
 
+@pytest.mark.parametrize(
+    "st,kind",
+    [
+        (GHZ(2), Bell()),  # B exactly 1
+        (GHZ(3), EntanglementHZ()),  # R = 0 < L
+        (GHZ(3, 0.0), EntanglementHZ()),  # L = R = 0
+    ],
+    ids=["b-one", "r-zero", "l-r-zero"],
+)
+def test_backends_share_the_verdict_rule_at_boundaries(st, kind):
+    an = evaluate(st, kind, backend=Backend.ANALYTIC)
+    orc = evaluate(st, kind, backend=Backend.ORACLE)
+    assert an.violated == orc.violated == (an.rhs == 0.0 < an.lhs)
+
+
 def test_uniform_spin1_two_sites_no_bell_violation():
     res = evaluate(make_state(UniformMax(), ONE, 2), Bell())
     assert res.b == pytest.approx(2 * math.sqrt(2) / 3, rel=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinmoments import analytic
-from spinmoments.kinds import Bell, EntanglementCJ, Steering
+from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, Steering
 from spinmoments.optimizer import min_sites_for_violation, optimize_amplitudes, scan_curve
 from spinmoments.spin_algebra import SpinQuantum
 from spinmoments.states import Bosonic, Custom, UniformMax, make_state
@@ -33,21 +33,41 @@ def test_best_beats_deterministic_starts():
 
 
 def test_report_is_self_consistent():
-    report = optimize_amplitudes(ONE, 5, Bell(), restarts=6, seed=3)
-    assert np.sum(report.best_r**2) == pytest.approx(1.0, abs=1e-12)
-    again = analytic.b_bell(report.best_state())
-    assert report.best_b == pytest.approx(again, abs=1e-10)
-    assert report.restarts_run == 8  # 6 seeded + uniform + bosonic
-    assert len(report.trace) == 8
-    assert report.converged
+    # the reported B is exactly the B of the reported state
+    for tj, n, kind in ((2, 5, Bell()), (3, 6, EntanglementHZ()), (4, 7, Steering(2, "hz"))):
+        for symmetric in (True, False):
+            report = optimize_amplitudes(SpinQuantum(tj), n, kind, symmetric=symmetric)
+            assert np.sum(report.best_r**2) == pytest.approx(1.0, abs=1e-12)
+            assert np.all(report.best_r >= 0)
+            assert report.best_b == analytic.b_ratio(report.best_state(), kind)
 
 
 def test_seed_reproducibility():
-    a = optimize_amplitudes(SpinQuantum(3), 4, Bell(), restarts=8, seed=42)
-    b = optimize_amplitudes(SpinQuantum(3), 4, Bell(), restarts=8, seed=42)
-    assert a.best_b == b.best_b
-    assert np.array_equal(a.best_r, b.best_r)
-    assert a.trace == b.trace
+    # the route is exact: seed and restarts are accepted and ignored
+    reports = [
+        optimize_amplitudes(SpinQuantum(3), 4, Bell(), restarts=restarts, seed=seed)
+        for seed in (0, 7)
+        for restarts in (1, 20)
+    ]
+    for other in reports[1:]:
+        assert other.best_b == reports[0].best_b
+        assert np.array_equal(other.best_r, reports[0].best_r)
+
+
+def test_spin_half_hz_is_unbounded():
+    # R vanishes identically for spin 1/2 with mixed l signs
+    for symmetric in (True, False):
+        report = optimize_amplitudes(SpinQuantum(1), 4, EntanglementHZ(), symmetric=symmetric)
+        assert report.best_b == math.inf
+        assert np.array_equal(report.best_r, np.full(2, 1 / math.sqrt(2)))
+
+
+@pytest.mark.parametrize("kind", [Bell(), EntanglementCJ()], ids=["bell", "ent-cj"])
+def test_large_spin_many_sites_finite(kind):
+    report = optimize_amplitudes(SpinQuantum(9), 1000, kind)
+    assert math.isfinite(report.best_b) and report.best_b > 0
+    assert np.all(np.isfinite(report.best_r))
+    assert np.sum(report.best_r**2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_symmetry_constraint_respected():
@@ -74,54 +94,59 @@ def test_spin1_bell_matches_dense_1d_grid():
         assert report.best_b == pytest.approx(best_grid, abs=1e-8)
 
 
-def _simplex_grid_best(j, n, kind, points_per_axis):
-    """Coarse simplex scan (>= 10^4 points) refined once around the best cell."""
-    n_free = (j.dim + 1) // 2
+def _simplex_grid_best(j, n, kind, points_per_axis, symmetric=True):
+    """Coarse simplex scan (>= 10^4 points) refined once around the best cell.
 
-    def expand(x):
-        r = np.empty(j.dim)
-        half = j.dim // 2
-        r[:half] = x[:half]
-        r[j.dim - half:] = x[:half][::-1]
-        if j.dim % 2:
-            r[half] = x[half]
-        return r
+    B is evaluated for the whole grid at once from the closed-form weights
+    (L = (sum r_m r_m+1 g_m)^2 / n^2, R = sum r_m^2 D_m / n); the best point
+    is cross-checked against analytic.b_ratio.
+    """
+    k = np.arange(j.dim)
+    fold = np.minimum(k, k[::-1]) if symmetric else k
+    ladder = np.exp(analytic.log_ladder_weights(j, n))
+    bound = np.exp(analytic.log_bound_weights(j, n, kind))
 
-    def value(x):
-        if np.all(x < 1e-9):
-            return -math.inf
-        state = make_state(Custom(tuple(expand(x))), j, n)
-        b = analytic.b_ratio(state, kind)
-        return -math.inf if math.isnan(b) else b
+    def values(axes):
+        mesh = np.meshgrid(*axes, indexing="ij")
+        r = np.stack([m.ravel() for m in mesh], axis=1)[:, fold]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = (r[:, :-1] * r[:, 1:]) @ ladder / np.sqrt(np.sum(r * r, 1) * ((r * r) @ bound))
+        b[np.isnan(b)] = -math.inf  # all-zero rows and L = R = 0
+        return r, b
 
-    axes = [np.linspace(0.0, 1.0, points_per_axis) for _ in range(n_free)]
-    best_x, best_b = None, -math.inf
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=1)
-    for x in flat:
-        b = value(x)
-        if b > best_b:
-            best_x, best_b = x, b
+    n_free = fold.max() + 1
+    r, b = values([np.linspace(0.0, 1.0, points_per_axis)] * n_free)
     step = 1.0 / (points_per_axis - 1)
-    fine = [
-        np.linspace(max(v - step, 0.0), v + step, points_per_axis) for v in best_x
-    ]
-    mesh = np.meshgrid(*fine, indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=1)
-    for x in flat:
-        b = value(x)
-        best_b = max(best_b, b)
-    return best_b
+    x = r[int(np.argmax(b))][:n_free]  # fold is the identity on the free amplitudes
+    r, b = values([np.linspace(max(v - step, 0.0), v + step, points_per_axis) for v in x])
+    best = int(np.argmax(b))
+    checked = analytic.b_ratio(make_state(Custom(tuple(r[best])), j, n), kind)
+    assert checked == pytest.approx(b[best], rel=1e-12)
+    return b[best]
+
+
+def _points_per_axis(n_free):
+    return {1: 10001, 2: 110, 3: 22, 4: 11}[n_free]  # >= 10^4 grid points each
 
 
 @pytest.mark.parametrize("tj,n", [(1, 5), (2, 4), (3, 6)])
 def test_optimizer_not_beaten_by_simplex_grid(tj, n):
     j = SpinQuantum(tj)
-    n_free = (j.dim + 1) // 2
-    points = 10001 if n_free == 1 else 110  # >= 10^4 grid points either way
-    grid_best = _simplex_grid_best(j, n, Bell(), points)
-    report = optimize_amplitudes(j, n, Bell(), restarts=10, seed=0)
-    assert report.best_b >= grid_best - 1e-4
+    grid_best = _simplex_grid_best(j, n, Bell(), _points_per_axis((j.dim + 1) // 2))
+    report = optimize_amplitudes(j, n, Bell())
+    assert report.best_b >= grid_best * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "full"])
+@pytest.mark.parametrize("kind", [EntanglementHZ(), Steering(2, "hz")], ids=["ent-hz", "epr2-hz"])
+@pytest.mark.parametrize("tj,n", [(2, 4), (3, 5)])
+def test_hz_optimizer_not_beaten_by_simplex_grid(tj, n, kind, symmetric):
+    # HZ bound weights vanish at m = +-J and are not symmetric in m
+    j = SpinQuantum(tj)
+    n_free = (j.dim + 1) // 2 if symmetric else j.dim
+    grid_best = _simplex_grid_best(j, n, kind, _points_per_axis(n_free), symmetric)
+    report = optimize_amplitudes(j, n, kind, symmetric=symmetric)
+    assert report.best_b >= grid_best * (1 - 1e-12)
 
 
 def test_restart_validation():
