@@ -12,13 +12,13 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 infeasible
 exception, reported on one stderr line).  Output is CSV (default) or JSON
 with identical values; floats carry 12 significant digits and rows are
 emitted in a fixed order, so output bytes are reproducible for a fixed
-config.  The amplitude optimiser is an exact eigenvalue search, so rows
-do not depend on --seed or --restarts: both are accepted (JSON echoes them
-in its config) and otherwise ignored.
+config.  The amplitude optimiser is an exact eigenvalue search, so
+--seed and --restarts reach no computation: both are accepted for old
+command lines (--restarts must still be >= 1) and go no further than the
+parser.
 
 Spin is given as --j 1/2 style rationals or --twice-j integers.  The env
-vars SPINMOMENTS_CAP and SPINMOMENTS_SEED override the defaults; explicit
-flags beat both.
+var SPINMOMENTS_CAP overrides the default oracle cap; --cap beats it.
 """
 
 from __future__ import annotations
@@ -62,8 +62,6 @@ class RunConfig:
     command: str
     fmt: str = "csv"
     output: str = "-"
-    seed: int = 0
-    restarts: int = optimizer.DEFAULT_RESTARTS
     cap: int = DEFAULT_DENSE_CAP
     twice_j: int | None = None
     n_values: list[int] = field(default_factory=list)
@@ -128,11 +126,6 @@ def _parse_amplitudes(text: str) -> list[float]:
     return values
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    return int(raw) if raw else default
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spinmoments", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -141,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--output", default="-", help="output path, - for stdout")
     ignored = "ignored (the optimiser is exact); kept for old command lines"
-    common.add_argument("--seed", type=int, default=None, help=ignored)
-    common.add_argument("--restarts", type=int, default=optimizer.DEFAULT_RESTARTS, help=ignored)
+    common.add_argument("--seed", type=int, help=ignored)
+    common.add_argument("--restarts", type=int, help=ignored + " (must be >= 1)")
     common.add_argument("--cap", type=int, default=None, help="oracle amplitude cap (d^N)")
 
     spin = argparse.ArgumentParser(add_help=False)
@@ -195,16 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed = args.seed if args.seed is not None else _env_int("SPINMOMENTS_SEED", 0)
-    cap = args.cap if args.cap is not None else _env_int("SPINMOMENTS_CAP", DEFAULT_DENSE_CAP)
-    cfg = {
-        "command": args.command,
-        "fmt": args.format,
-        "output": args.output,
-        "seed": seed,
-        "restarts": args.restarts,
-        "cap": cap,
-    }
+    if args.restarts is not None and args.restarts < 1:
+        raise UsageError("--restarts must be >= 1")
+    cap = args.cap
+    if cap is None:
+        cap = int(os.environ.get("SPINMOMENTS_CAP") or DEFAULT_DENSE_CAP)
+    cfg = {"command": args.command, "fmt": args.format, "output": args.output, "cap": cap}
     if args.command == "eval":
         cfg.update(
             twice_j=_parse_spin(args.j, args.twice_j),
@@ -236,7 +225,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             d_values = _parse_range(args.d)
             if min(d_values) < 2:
                 raise UsageError("dimensions must be >= 2")
-            cfg.update(d_values=d_values, n_values=_parse_range(args.n))
+            n_values = _parse_range(args.n)
+            if len(n_values) != 1:
+                raise UsageError("scan --axis d needs a single fixed --n")
+            cfg.update(d_values=d_values, n_values=n_values)
         if args.optimized == (args.family is not None):
             raise UsageError("give exactly one of --family and --optimized")
         cfg.update(
@@ -405,8 +397,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         vec = dense_vector(state, cap=cfg.cap)
         lhs = abs(oracle.expect_product(vec, oracle.ladder_tags((-1,) * n), j)) ** 2
         for kind in kind_list:
-            rhs = oracle.expect_product(vec, oracle.bound_tags(kind, n), j).real
-            b_oracle = oracle.b_from_moments(lhs, max(rhs, 0.0))
+            rhs = oracle.bound_expectation(vec, oracle.bound_tags(kind, n), j)
+            b_oracle = oracle.b_from_moments(lhs, rhs)
             c_j = None
             if cfg.corrupt_cj is not None and kinds.uses_cj_bound(kind):
                 c_j = cj_bound(j).c_j + cfg.corrupt_cj
@@ -435,35 +427,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_scan(cfg: RunConfig) -> int:
     kind_list = [kinds.parse_kind(t) for t in cfg.kind_tokens]
     source = "optimized" if cfg.family == "optimized" else _build_family(cfg)
-    if cfg.axis == "n":
-        rows = optimizer.scan_curve(
-            "n", kind_list, source, cfg.n_values,
-            twice_j=cfg.twice_j, restarts=cfg.restarts, seed=cfg.seed,
-        )
-    else:
-        if len(cfg.n_values) != 1:
-            raise UsageError("scan --axis d needs a single fixed --n")
-        rows = optimizer.scan_curve(
-            "d", kind_list, source, [d - 1 for d in cfg.d_values],
-            n_sites=cfg.n_values[0], restarts=cfg.restarts, seed=cfg.seed,
-        )
+    twice_js = [cfg.twice_j] if cfg.axis == "n" else [d - 1 for d in cfg.d_values]
+    points = [(tj, n) for tj in twice_js for n in cfg.n_values]
     columns = ["twice_j", "n", "t", "family", "kind", "L", "R", "B", "violated", "r_vector"]
-    out = [
-        {
-            "twice_j": r["twice_j"],
-            "n": r["n"],
-            "t": r["t"],
-            "family": r["family"],
-            "kind": r["kind"],
-            "L": r["lhs"],
-            "R": r["rhs"],
-            "B": r["b"],
-            "violated": r["violated"],
-            "r_vector": r["r_vector"],
-        }
-        for r in rows
-    ]
-    emit(cfg, columns, out)
+    emit(cfg, columns, optimizer.scan_curve(kind_list, source, points))
     return 0
 
 
@@ -474,9 +441,7 @@ def cmd_min_sites(cfg: RunConfig) -> int:
     columns = ["d", "kind", "min_n", "b_at_min_n"]
     rows = []
     for d in range(2, cfg.max_d + 1):
-        res = optimizer.min_sites_for_violation(
-            SpinQuantum(d - 1), kind, cfg.n_max, restarts=cfg.restarts, seed=cfg.seed
-        )
+        res = optimizer.min_sites_for_violation(SpinQuantum(d - 1), kind, cfg.n_max)
         rows.append(
             {"d": d, "kind": kinds.kind_token(kind), "min_n": res.min_n, "b_at_min_n": res.b_at_min_n}
         )

@@ -41,7 +41,7 @@ class ExhaustiveSearchError(ValueError):
     """Exhaustive sign search asked for beyond its site bound."""
 
 
-def _violated(log_l: float, log_r: float) -> bool:
+def violated(log_l: float, log_r: float) -> bool:
     """The verdict rule: L > R beyond the relative band, on log L and log R.
 
     R = 0 < L is a violation (-inf + band stays -inf); L = R = 0 is not.
@@ -116,7 +116,7 @@ def evaluate(
             lhs = oracle.lhs_moment(state, signs.s, cap=cap)
             rhs = oracle.rhs_moment(state, kind, l_signs=signs.l or None, cap=cap, c_j=c_j)
             log_l, log_r, b = _log(lhs), _log(rhs), oracle.b_from_moments(lhs, rhs)
-        return CriterionResult(kind, lhs, rhs, b, _violated(log_l, log_r), signs, backend)
+        return CriterionResult(kind, lhs, rhs, b, violated(log_l, log_r), signs, backend)
     if strategy == "exhaustive":
         if backend is Backend.ANALYTIC:
             raise ValueError("exhaustive search runs on the oracle backend only")
@@ -146,15 +146,14 @@ def _exhaustive(state, kind, *, cap=None, c_j=None) -> CriterionResult:
     )
     for l in l_space:
         tags = oracle.bound_tags(kind, n, l or None)
-        rhs = oracle.expect_product(vec, tags, state.j, c_j=c_j).real
-        rhs = max(rhs, 0.0)
+        rhs = oracle.bound_expectation(vec, tags, state.j, c_j=c_j)
         if rhs < best_rhs:
             best_l, best_rhs = l, rhs
 
     signs = SignChoice(s=best_s, l=tuple(best_l))
     b = oracle.b_from_moments(best_lhs, best_rhs)
-    violated = _violated(_log(best_lhs), _log(best_rhs))
-    return CriterionResult(kind, best_lhs, best_rhs, b, violated, signs, Backend.ORACLE)
+    verdict = violated(_log(best_lhs), _log(best_rhs))
+    return CriterionResult(kind, best_lhs, best_rhs, b, verdict, signs, Backend.ORACLE)
 
 
 def nested_verdicts(

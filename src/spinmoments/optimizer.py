@@ -12,10 +12,14 @@ M = c I + D / c is diagonal: each is the tridiagonal M^(-1/2) A M^(-1/2),
 assembled in the log domain so that N in the thousands cannot overflow.
 Its entries are non-negative, so the top eigenvector has one sign and is
 the optimal r.  The r_m = r_-m restriction folds A and D by r = P x (the
-HZ bound weights are not symmetric in m).  The reported B is
-``analytic.b_ratio`` of the reported r; two adjacent zero bound weights
-make B unbounded (inf).  No random starts: ``restarts`` and ``seed`` are
-validated and ignored, as in ``spin_algebra.compute_cj``.
+HZ bound weights are not symmetric in m).  The reported B is exactly
+``analytic.b_ratio(report.best_state(), kind, c_j=report.c_j)``; two
+adjacent zero bound weights make B unbounded (inf).  No random starts:
+``restarts`` and ``seed`` are validated and ignored.
+
+The drivers decide "violated" by ``criteria.violated``: min-sites reads
+the report's verdict, and ``scan_curve`` evaluates each row through
+``criteria.evaluate``.
 """
 
 from __future__ import annotations
@@ -26,12 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from . import analytic, kinds
+from . import analytic, criteria, kinds
 from .spin_algebra import SpinQuantum, minimize_on_interval
-from .states import SymmetricCorrelatedState, make_state, _from_amplitudes
+from .states import SymmetricCorrelatedState, family_label, make_state, _from_amplitudes
 
 DEFAULT_RESTARTS = 20
-VIOLATION_MARGIN = 1e-9
 
 # Bracket padding in log c: a supremum approached only as c -> 0 (a zero HZ
 # bound weight) is missed by ~e^-40 relative at the lower end.
@@ -44,7 +47,9 @@ class OptimizationReport:
     n_sites: int
     kind: kinds.CriterionKind
     best_r: np.ndarray  # full d-vector, normalised to sum r^2 = 1
-    best_b: float  # analytic.b_ratio of best_state()
+    best_b: float  # == analytic.b_ratio(best_state(), kind, c_j=c_j)
+    violated: bool  # criteria.violated on best_state()'s log L and log R
+    c_j: float | None  # the C_J override the search ran with (None: cj_bound)
 
     def best_state(self) -> SymmetricCorrelatedState:
         return _from_amplitudes(self.j, self.n_sites, self.best_r)
@@ -133,8 +138,9 @@ def optimize_amplitudes(
         r = np.exp(log_r - log_r.max())
     r = r / math.sqrt(np.sum(r * r))
     r.setflags(write=False)
-    best_b = analytic.b_ratio(_from_amplitudes(j, n_sites, r), kind, c_j=c_j)
-    return OptimizationReport(j=j, n_sites=n_sites, kind=kind, best_r=r, best_b=best_b)
+    log_l, log_r = analytic.log_lhs_rhs(_from_amplitudes(j, n_sites, r), kind, c_j=c_j)
+    b, verdict = analytic.b_from_logs(log_l, log_r), criteria.violated(log_l, log_r)
+    return OptimizationReport(j, n_sites, kind, r, b, verdict, c_j)
 
 
 def min_sites_for_violation(
@@ -144,22 +150,18 @@ def min_sites_for_violation(
     *,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
-    margin: float = VIOLATION_MARGIN,
-    symmetric: bool = True,
 ) -> MinSitesResult:
-    """Smallest N <= n_max whose optimised state violates the criterion.
-
-    A violation requires best_b > 1 + margin, guarding the decision against
-    rounding exactly at the boundary.  ``restarts`` and ``seed`` are
+    """Smallest N <= n_max whose optimised state violates the criterion
+    (``OptimizationReport.violated``).  ``restarts`` and ``seed`` are
     ignored, as in ``optimize_amplitudes``.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     best_seen = -math.inf
     for n in range(2, n_max + 1):
-        report = optimize_amplitudes(j, n, kind, symmetric=symmetric, restarts=restarts, seed=seed)
+        report = optimize_amplitudes(j, n, kind, restarts=restarts, seed=seed)
         best_seen = max(best_seen, report.best_b)
-        if report.best_b > 1.0 + margin:
+        if report.violated:
             return MinSitesResult(
                 dim=j.dim, kind=kind, min_n=n, b_at_min_n=report.best_b, n_max_searched=n_max
             )
@@ -169,48 +171,24 @@ def min_sites_for_violation(
 
 
 def scan_curve(
-    axis: str,
-    kinds_list: list[kinds.CriterionKind],
-    state_source,
-    values: list[int],
-    *,
-    twice_j: int | None = None,
-    n_sites: int | None = None,
-    restarts: int = DEFAULT_RESTARTS,
-    seed: int = 0,
+    kinds_list: list[kinds.CriterionKind], state_source, points: list[tuple[int, int]]
 ) -> list[dict]:
-    """Grid of criterion evaluations along N (fixed J) or along d (fixed N).
+    """Criterion evaluations at each (twice_j, n) point, kinds innermost.
 
-    axis "n": values are site counts, twice_j is fixed.
-    axis "d": values are twice_j entries, n_sites is fixed.
     state_source is a states family instance, or the string "optimized" to
-    re-optimise the amplitudes at every grid point and kind (``restarts``
-    and ``seed`` are ignored, as in ``optimize_amplitudes``).
+    re-optimise the amplitudes at every point and kind.  Rows carry the
+    CLI's scan columns.
     """
-    from . import criteria
-    from .states import family_label
-
-    if axis == "n":
-        if twice_j is None:
-            raise ValueError("axis 'n' needs twice_j")
-        grid = [(twice_j, n) for n in values]
-    elif axis == "d":
-        if n_sites is None:
-            raise ValueError("axis 'd' needs n_sites")
-        grid = [(tj, n_sites) for tj in values]
-    else:
-        raise ValueError(f"axis must be 'n' or 'd', got {axis!r}")
-
     optimized = isinstance(state_source, str)
     if optimized and state_source != "optimized":
         raise ValueError(f"unknown state source {state_source!r}")
 
     rows = []
-    for tj, n in grid:
+    for tj, n in points:
         j = SpinQuantum(tj)
         for kind in kinds_list:
             if optimized:
-                report = optimize_amplitudes(j, n, kind, restarts=restarts, seed=seed)
+                report = optimize_amplitudes(j, n, kind)
                 state = report.best_state()
                 source = "optimized"
                 r_vec = report.best_r
@@ -226,9 +204,9 @@ def scan_curve(
                     "t": kinds.quantum_sites(kind, n),
                     "family": source,
                     "kind": kinds.kind_token(kind),
-                    "lhs": result.lhs,
-                    "rhs": result.rhs,
-                    "b": result.b,
+                    "L": result.lhs,
+                    "R": result.rhs,
+                    "B": result.b,
                     "violated": result.violated,
                     "r_vector": tuple(float(v) for v in r_vec),
                 }

@@ -157,14 +157,27 @@ def rhs_moment(
     c_j: float | None = None,
     scale: float = 1.0,
 ) -> float:
-    """R for the criterion kind; real, non-negative by construction.
-
-    Every factor operator is positive semidefinite, so a genuinely negative
-    expectation can only mean an internal error and raises.
-    """
+    """R for the criterion kind (see ``bound_expectation``)."""
     vec = dense_vector(state, cap=cap)
     tags = bound_tags(kind, state.n_sites, l_signs)
-    value = expect_product(vec, tags, state.j, c_j=c_j, scale=scale).real
+    return bound_expectation(vec, tags, state.j, c_j=c_j, scale=scale)
+
+
+def bound_expectation(
+    state_vector: np.ndarray,
+    tags: Sequence[SiteOp],
+    j: SpinQuantum,
+    *,
+    c_j: float | None = None,
+    scale: float = 1.0,
+) -> float:
+    """A bound moment R = <prod of bound tags>: real, non-negative by construction.
+
+    Every factor operator is positive semidefinite, so a genuinely negative
+    expectation can only mean an internal error and raises; rounding below
+    zero is clamped to 0.
+    """
+    value = expect_product(state_vector, tags, j, c_j=c_j, scale=scale).real
     if value < -IMAG_TOL:
         raise ArithmeticError(f"bound moment came out negative ({value:.3e})")
     return max(value, 0.0)

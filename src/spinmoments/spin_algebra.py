@@ -161,7 +161,7 @@ def _cj_allowance(j: SpinQuantum) -> float:
 
 
 @lru_cache(maxsize=None)
-def compute_cj(j: SpinQuantum, restarts: int = 50, tol: float = 1e-9, seed: int = 0) -> UncertaintyBound:
+def compute_cj(j: SpinQuantum) -> UncertaintyBound:
     """Certified lower bound on C_J = min over states of Var(Jx) + Var(Jy).
 
     Var(Jx) + Var(Jy) = min over (a, b) of <(Jx - a)^2 + (Jy - b)^2>, and a
@@ -175,15 +175,7 @@ def compute_cj(j: SpinQuantum, restarts: int = 50, tol: float = 1e-9, seed: int 
     ``minimize_on_interval`` locates its single basin in a; the returned
     value is that minimum less ``_cj_allowance``, so it never exceeds the
     true floor.
-
-    ``restarts``, ``tol`` and ``seed`` are ignored (the route is exact and
-    deterministic); they are still validated so old call sites keep their
-    meaning.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     jv = j.j
     m = j.m_values()
     casimir_less_jz2 = jv * (jv + 1) - m * m

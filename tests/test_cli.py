@@ -153,6 +153,16 @@ def test_scan_axis_d(capsys):
     assert all(r["n"] == "3" for r in rows)
 
 
+def test_scan_axis_d_needs_a_single_n(capsys):
+    rc, out, err = run_cli(
+        capsys, "scan", "--axis", "d", "--d", "2..4", "--n", "3..4",
+        "--family", "uniform-max", "--kinds", "bell",
+    )
+    assert rc == 2
+    assert out == ""
+    assert "single fixed --n" in err
+
+
 def test_min_sites_small(capsys):
     rc, out, _ = run_cli(
         capsys, "min-sites", "--kind", "bell", "--max-d", "3", "--n-max", "6", "--restarts", "5"
@@ -261,6 +271,43 @@ def test_internal_error_exits_4(capsys, monkeypatch, error):
     assert lines[0].startswith(f"spinmoments: internal error: {type(error).__name__}: {error}")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cj-table", "--max-twice-j", "2"),
+        ("eval", "--j", "1/2", "--n", "3", "--family", "ghz", "--theta", "0.5", "--kind", "bell"),
+        ("min-sites", "--kind", "bell", "--max-d", "2", "--n-max", "3"),
+    ],
+    ids=["cj-table", "eval", "min-sites"],
+)
+def test_restarts_below_one_exits_2(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv, "--restarts", "0")
+    assert rc == 2
+    assert out == ""
+    assert "--restarts must be >= 1" in err
+    assert run_cli(capsys, *argv, "--restarts", "1")[0] == 0
+
+
+def test_config_has_no_seed_or_restarts(capsys, monkeypatch):
+    # both flags stop at the parser, and SPINMOMENTS_SEED is not read
+    monkeypatch.setenv("SPINMOMENTS_SEED", "not-a-number")
+    rc, out, _ = run_cli(capsys, "cj-table", "--max-twice-j", "2", "--format", "json",
+                         "--restarts", "3")
+    assert rc == 0
+    config = json.loads(out)["config"]
+    assert "seed" not in config and "restarts" not in config
+
+
+def test_verify_negative_bound_moment_exits_4(capsys, monkeypatch):
+    from spinmoments import oracle
+
+    monkeypatch.setattr(oracle, "expect_product", lambda *args, **kwargs: -1.0 + 0j)
+    rc, out, err = run_cli(capsys, "verify", "--max-twice-j", "1", "--max-size", "8")
+    assert rc == 4
+    assert out == ""
+    assert "ArithmeticError: bound moment came out negative" in err
+
+
 def test_env_overrides(capsys, monkeypatch):
     monkeypatch.setenv("SPINMOMENTS_CAP", "4")
     rc, *_ = run_cli(capsys, "eval", "--j", "1/2", "--n", "3", "--family", "ghz",
@@ -276,7 +323,6 @@ def test_config_round_trip():
     cfg = RunConfig(
         command="scan",
         fmt="json",
-        seed=7,
         twice_j=3,
         n_values=[2, 3, 4],
         kind_tokens=["bell", "epr1"],

@@ -130,6 +130,16 @@ def test_exhaustive_guards():
         evaluate(GHZ(3), Bell(), "thorough")
 
 
+def test_exhaustive_rejects_negative_bound_moment(monkeypatch):
+    # a negative R is an internal error, not an infinite B
+    from spinmoments import oracle
+
+    monkeypatch.setattr(oracle, "expect_product", lambda *args, **kwargs: -1.0 + 0j)
+    st = make_state(UniformMax(), SpinQuantum(2), 3)
+    with pytest.raises(ArithmeticError, match="negative"):
+        evaluate(st, EntanglementHZ(), "exhaustive")
+
+
 def test_steering_t_validation():
     with pytest.raises(ValueError, match="exceeds"):
         evaluate(GHZ(3), Steering(4))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spinmoments import analytic
+from spinmoments.criteria import evaluate
 from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, Steering
 from spinmoments.optimizer import min_sites_for_violation, optimize_amplitudes, scan_curve
 from spinmoments.spin_algebra import SpinQuantum
@@ -33,13 +34,30 @@ def test_best_beats_deterministic_starts():
 
 
 def test_report_is_self_consistent():
-    # the reported B is exactly the B of the reported state
-    for tj, n, kind in ((2, 5, Bell()), (3, 6, EntanglementHZ()), (4, 7, Steering(2, "hz"))):
-        for symmetric in (True, False):
-            report = optimize_amplitudes(SpinQuantum(tj), n, kind, symmetric=symmetric)
-            assert np.sum(report.best_r**2) == pytest.approx(1.0, abs=1e-12)
-            assert np.all(report.best_r >= 0)
-            assert report.best_b == analytic.b_ratio(report.best_state(), kind)
+    # the reported B is exactly the B of the reported state, under the C_J
+    # the search ran with
+    cases = [
+        (tj, n, kind, symmetric, None)
+        for tj, n, kind in ((2, 5, Bell()), (3, 6, EntanglementHZ()), (4, 7, Steering(2, "hz")))
+        for symmetric in (True, False)
+    ]
+    cases.append((4, 5, EntanglementCJ(), True, 0.5))
+    for tj, n, kind, symmetric, c_j in cases:
+        report = optimize_amplitudes(SpinQuantum(tj), n, kind, symmetric=symmetric, c_j=c_j)
+        assert report.c_j == c_j
+        assert np.sum(report.best_r**2) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(report.best_r >= 0)
+        assert report.best_b == analytic.b_ratio(report.best_state(), kind, c_j=report.c_j)
+
+
+@pytest.mark.parametrize("tj", [1, 2, 3])
+def test_report_verdict_matches_criteria(tj):
+    # d = 2..4, N = 2..8, including B = 1 exactly at d = 2, N = 2
+    for n in range(2, 9):
+        report = optimize_amplitudes(SpinQuantum(tj), n, Bell())
+        result = evaluate(report.best_state(), Bell())
+        assert report.violated == result.violated
+        assert report.best_b == result.b
 
 
 def test_seed_reproducibility():
@@ -175,19 +193,22 @@ def test_min_sites_none_found():
 
 
 def test_scan_curve_rows_and_trends():
-    rows = scan_curve("n", [Bell(), EntanglementCJ()], Bosonic(), [2, 3, 4], twice_j=2)
+    rows = scan_curve([Bell(), EntanglementCJ()], Bosonic(), [(2, 2), (2, 3), (2, 4)])
     assert len(rows) == 6
+    assert [row["n"] for row in rows] == [2, 2, 3, 3, 4, 4]
+    assert all(row["twice_j"] == 2 for row in rows)
     assert {row["kind"] for row in rows} == {"bell", "ent-cj"}
     assert all(row["family"] == "bosonic" for row in rows)
     # spin-2 bosonic entanglement ratio decays with N after its early peak
-    rows = scan_curve("n", [EntanglementCJ()], Bosonic(), list(range(3, 9)), twice_j=4)
-    bs = [row["b"] for row in rows]
+    rows = scan_curve([EntanglementCJ()], Bosonic(), [(4, n) for n in range(3, 9)])
+    bs = [row["B"] for row in rows]
     assert all(b2 <= b1 for b1, b2 in zip(bs, bs[1:]))
 
 
 def test_scan_curve_optimized_includes_r():
-    rows = scan_curve("d", [Bell()], "optimized", [1, 2], n_sites=3, restarts=4, seed=0)
+    rows = scan_curve([Bell()], "optimized", [(1, 3), (2, 3)])
     assert [row["twice_j"] for row in rows] == [1, 2]
+    assert all(row["n"] == 3 for row in rows)
     for row in rows:
         assert row["family"] == "optimized"
         r = np.array(row["r_vector"])
@@ -195,9 +216,5 @@ def test_scan_curve_optimized_includes_r():
 
 
 def test_scan_curve_validation():
-    with pytest.raises(ValueError, match="twice_j"):
-        scan_curve("n", [Bell()], Bosonic(), [2, 3])
-    with pytest.raises(ValueError, match="axis"):
-        scan_curve("q", [Bell()], Bosonic(), [2], twice_j=1)
     with pytest.raises(ValueError, match="state source"):
-        scan_curve("n", [Bell()], "optimal", [2], twice_j=1)
+        scan_curve([Bell()], "optimal", [(1, 2)])

@@ -114,31 +114,24 @@ def test_cj_bound_within_quoted_half_unit():
 
 
 def test_compute_cj_matches_table_spot():
-    assert compute_cj(SpinQuantum(2), restarts=12).c_j == pytest.approx(7 / 16, abs=1e-3)
-    assert compute_cj(SpinQuantum(4), restarts=12).c_j == pytest.approx(0.7496, abs=1e-3)
+    assert compute_cj(SpinQuantum(2)).c_j == pytest.approx(7 / 16, abs=1e-3)
+    assert compute_cj(SpinQuantum(4)).c_j == pytest.approx(0.7496, abs=1e-3)
 
 
 def test_compute_cj_matches_eigenvalue_route_beyond_table():
-    got = compute_cj(SpinQuantum(9), restarts=12)
+    got = compute_cj(SpinQuantum(9))
     assert got.source is BoundSource.COMPUTED
     assert got.c_j == pytest.approx(_cj_eigenvalue_route(9), abs=1e-6)
 
 
 def test_computed_cj_grows_past_table_end():
     # J=5 must exceed C_4 = 1.26 (the table trend continues)
-    got = compute_cj(SpinQuantum(10), restarts=8)
+    got = compute_cj(SpinQuantum(10))
     assert got.c_j > 1.26
 
 
 def test_cj_bound_beyond_table_flagged_computed():
     assert cj_bound(SpinQuantum(9)).source is BoundSource.COMPUTED
-
-
-def test_compute_cj_validates_arguments():
-    with pytest.raises(ValueError):
-        compute_cj(SpinQuantum(1), restarts=0)
-    with pytest.raises(ValueError):
-        compute_cj(SpinQuantum(1), tol=-1.0)
 
 
 def test_table_is_monotone_in_j():
