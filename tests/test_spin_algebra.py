@@ -130,6 +130,13 @@ def test_computed_cj_grows_past_table_end():
     assert got.c_j > 1.26
 
 
+def test_compute_cj_validates_arguments():
+    # compute_cj takes only j: the retired search knobs are refused, not ignored
+    for knob in ({"restarts": 0}, {"tol": -1.0}, {"restarts": 12}, {"seed": 0}):
+        with pytest.raises(TypeError):
+            compute_cj(SpinQuantum(1), **knob)
+
+
 def test_cj_bound_beyond_table_flagged_computed():
     assert cj_bound(SpinQuantum(9)).source is BoundSource.COMPUTED
 
