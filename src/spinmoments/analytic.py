@@ -27,11 +27,10 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import kinds
 from .spin_algebra import SpinQuantum, cj_bound
-from .states import SymmetricCorrelatedState
+from .states import SymmetricCorrelatedState, _logsumexp
 
 _LOG_ZERO = -math.inf
 
@@ -72,9 +71,8 @@ def log_ladder_moment(state: SymmetricCorrelatedState) -> float:
     log_r = state.log_amplitudes
     signs = state.signs
     log_terms = log_r[:-1] + log_r[1:] + log_ladder_weights(state.j, state.n_sites)
-    pair_signs = signs[:-1] * signs[1:]
-    log_abs_sum, _ = logsumexp(log_terms, b=pair_signs, return_sign=True)
-    return float(2 * (log_abs_sum - state.log_norm_sq))
+    log_abs_sum = _logsumexp(log_terms, signs[:-1] * signs[1:])
+    return 2 * (log_abs_sum - state.log_norm_sq)
 
 
 def log_bound_weights(
@@ -126,7 +124,7 @@ def log_bound_moment(
 ) -> float:
     """log R for the requested criterion kind (see ``log_bound_weights``)."""
     log_d = log_bound_weights(state.j, state.n_sites, kind, c_j=c_j, l_signs=l_signs)
-    return float(logsumexp(2 * state.log_amplitudes + log_d) - state.log_norm_sq)
+    return _logsumexp(2 * state.log_amplitudes + log_d) - state.log_norm_sq
 
 
 def log_lhs_rhs(

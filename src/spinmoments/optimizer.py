@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import analytic, criteria, kinds
 from .spin_algebra import SpinQuantum, minimize_on_interval
@@ -86,11 +85,9 @@ def _log_top_eigenpair(log_diag, log_off, log_metric):
     diag = log_diag - log_metric
     off = log_off - 0.5 * (log_metric[:-1] + log_metric[1:])
     shift = max(diag.max(), off.max(initial=-np.inf))
-    top = diag.size - 1
-    w, v = eigh_tridiagonal(
-        np.exp(diag - shift), np.exp(off - shift), select="i", select_range=(top, top)
-    )
-    return shift + math.log(w[0]), np.abs(v[:, 0])
+    e = np.exp(off - shift)
+    w, v = np.linalg.eigh(np.diag(np.exp(diag - shift)) + np.diag(e, 1) + np.diag(e, -1))
+    return shift + math.log(w[-1]), np.abs(v[:, -1])
 
 
 def optimize_amplitudes(

@@ -21,8 +21,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.optimize import minimize_scalar
 
 
 @dataclass(frozen=True)
@@ -123,19 +121,32 @@ _CJ_TABLE = {
 _EXACT_TWICE_J = (1, 2)
 
 _GRID_POINTS = 65  # grid of minimize_on_interval
+_INV_PHI = (math.sqrt(5) - 1) / 2  # golden-section step
 
 
 def minimize_on_interval(f, lo: float, hi: float) -> tuple[float, float]:
     """(x, f(x)) at the minimum of a unimodal f on [lo, hi]: a grid locates
-    the basin, a bounded scalar search polishes it within the two
-    neighbouring cells, and the better of the two points is returned."""
+    the basin, a golden-section search polishes it within the two
+    neighbouring cells down to a bracket of 1e-12 + 3e-8 |x|, and the better
+    of the two points is returned."""
     grid = np.linspace(lo, hi, _GRID_POINTS)
     values = [f(x) for x in grid]
     k = int(np.argmin(values))
-    bounds = (grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)])
-    res = minimize_scalar(f, bounds=bounds, method="bounded", options={"xatol": 1e-12})
-    if res.fun < values[k]:
-        return float(res.x), float(res.fun)
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)]
+    c, e = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fe = f(c), f(e)
+    while b - a > 1e-12 + 3e-8 * abs(c):
+        if fc <= fe:
+            b, e, fe = e, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, e, fe
+            e = a + _INV_PHI * (b - a)
+            fe = f(e)
+    x, fx = (c, fc) if fc <= fe else (e, fe)
+    if fx < values[k]:
+        return float(x), float(fx)
     return float(grid[k]), float(values[k])
 
 
@@ -152,10 +163,10 @@ def _cj_allowance(j: SpinQuantum) -> float:
 
     It covers the eigenvalue rounding, a few ulps of ||H|| ~ J(J+1), and
     the error of the located minimum: H'' = 2, so d^2 lambda_min / da^2 <= 2
-    and a minimiser off by delta <= 3e-8 J (the bounded search's relative
-    x tolerance) is high by at most delta^2 ~ 1e-15 J^2.  Both sit three
-    orders of magnitude below the allowance, which stays at or below 1e-9
-    while J(J+1) <= 1000 (2J <= 62).
+    and a minimiser off by delta <= 1e-12 + 3e-8 J (the golden-section
+    bracket of ``minimize_on_interval``) is high by at most delta^2 ~
+    1e-15 J^2.  Both sit three orders of magnitude below the allowance,
+    which stays at or below 1e-9 while J(J+1) <= 1000 (2J <= 62).
     """
     return 1e-12 * max(1.0, j.j * (j.j + 1))
 
@@ -171,22 +182,29 @@ def compute_cj(j: SpinQuantum) -> UncertaintyBound:
         C_J = min over a in [0, J] of lambda_min(H(a)),
         H(a) = (Jx - a)^2 + Jy^2 = J(J+1) - Jz^2 - 2a Jx + a^2,
 
-    a real symmetric tridiagonal matrix in the |J,m> basis.
-    ``minimize_on_interval`` locates its single basin in a; the returned
-    value is that minimum less ``_cj_allowance``, so it never exceeds the
-    true floor.
+    a real symmetric tridiagonal matrix in the |J,m> basis.  H(a) commutes
+    with m -> -m, and for a >= 0 its off-diagonals are <= 0, so its ground
+    state is even (Perron-Frobenius; at a = 0 the even combination of
+    |+-J> reaches the degenerate minimum): lambda_min is taken on the even
+    block of size ceil(d/2), in the basis (|m> + |-m>)/sqrt(2), m < 0, plus
+    |0> for integer J.  ``minimize_on_interval`` locates its single basin
+    in a; the returned value is that minimum less ``_cj_allowance``, so it
+    never exceeds the true floor.
     """
     jv = j.j
     m = j.m_values()
-    casimir_less_jz2 = jv * (jv + 1) - m * m
+    half = (j.dim + 1) // 2
     lowering = np.sqrt((jv + m[1:]) * (jv - m[1:] + 1))  # <m-1|J-|m> = 2 <m-1|Jx|m>
+    base = np.diag(jv * (jv + 1) - m[:half] ** 2)
+    two_jx = np.diag(lowering[: half - 1], 1)  # 2 Jx on the even block
+    if j.dim % 2:
+        two_jx[-2, -1] *= math.sqrt(2)  # the link to the unpaired |0>
+    two_jx = two_jx + two_jx.T
+    if not j.dim % 2:
+        two_jx[-1, -1] = lowering[half - 1]  # the |-1/2> <-> |+1/2> link, inside one pair
 
     def lowest(a: float) -> float:
-        return float(
-            eigvalsh_tridiagonal(
-                casimir_less_jz2 + a * a, -a * lowering, select="i", select_range=(0, 0)
-            )[0]
-        )
+        return float(np.linalg.eigvalsh(base - a * two_jx)[0]) + a * a
 
     _, floor = minimize_on_interval(lowest, 0.0, jv)
     return UncertaintyBound(j=j, c_j=floor - _cj_allowance(j), source=BoundSource.COMPUTED)

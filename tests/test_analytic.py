@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spinmoments import analytic
+from spinmoments import analytic, oracle
 from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, Steering
 from spinmoments.spin_algebra import SpinQuantum
 from spinmoments.states import (
@@ -185,6 +185,21 @@ def test_negative_custom_amplitudes_signed_sum():
     lhs = (num / np.sum(r * r)) ** 2
     got_lhs, _ = analytic.lhs_rhs(st, Bell())
     assert got_lhs == pytest.approx(lhs, rel=1e-12)
+
+
+def test_signed_ladder_sum_matches_oracle():
+    st = make_state(Custom((0.3, -1.0, 0.6, 0.1)), SpinQuantum(3), 3)
+    got_lhs, _ = analytic.lhs_rhs(st, Bell())
+    assert got_lhs == pytest.approx(oracle.lhs_moment(st, (-1,) * 3), rel=1e-12)
+
+
+def test_signed_ladder_sum_cancels_exactly():
+    # both ladder terms are 0.5 * 2^(3/2), with opposite signs
+    st = make_state(Custom((1.0, 0.5, -1.0)), ONE, 3)
+    log_l, _ = analytic.log_lhs_rhs(st, Bell())
+    assert log_l == -math.inf
+    assert analytic.lhs_rhs(st, Bell())[0] == 0.0
+    assert oracle.lhs_moment(st, (-1,) * 3) == 0.0
 
 
 def test_bad_cj_rejected():

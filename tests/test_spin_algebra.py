@@ -11,6 +11,7 @@ from spinmoments.spin_algebra import (
     build_spin_matrices,
     cj_bound,
     compute_cj,
+    minimize_on_interval,
 )
 
 
@@ -93,11 +94,32 @@ def _cj_eigenvalue_route(twice_j: int) -> float:
     return float(res.fun)
 
 
-@pytest.mark.parametrize("twice_j", range(1, 41))
+@pytest.mark.parametrize("twice_j", [*range(1, 41), 61, 62])
 def test_cj_bound_is_sound_and_tight(twice_j):
-    # a lower bound on the true floor, and no looser than the 1e-9 allowance
+    # a lower bound on the true floor, and no looser than the 1e-9 allowance;
+    # 61 and 62 cover both parities of the even block at the largest 2J where
+    # the allowance stays at or below 1e-9 (J(J+1) <= 1000)
     floor = _cj_eigenvalue_route(twice_j)
     assert floor - 1e-9 <= cj_bound(SpinQuantum(twice_j)).c_j <= floor + 1e-12
+
+
+# on [-1, 3] the grid nodes sit at -1 + k/16
+@pytest.mark.parametrize(
+    "f, x_star",
+    [
+        (lambda x: (x - 0.7071) ** 2, 0.7071),  # inside a cell
+        (lambda x: (x - 0.3125) ** 2 + 2.0, 0.3125),  # on a grid node
+        (lambda x: (x + 1.25) ** 2, -1.0),  # increasing: the minimum is at lo
+        (lambda x: (x - 3.25) ** 2, 3.0),  # decreasing: the minimum is at hi
+        (lambda x: (x - 1.2345) ** 4, 1.2345),  # flat bottom
+    ],
+)
+def test_minimize_on_interval_polishes_the_grid_minimum(f, x_star):
+    lo, hi = -1.0, 3.0
+    x, fx = minimize_on_interval(f, lo, hi)
+    assert abs(x - x_star) <= 1e-7 * (hi - lo)
+    assert fx == f(x)
+    assert all(fx <= f(g) for g in np.linspace(lo, hi, 65))
 
 
 def test_cj_bound_within_quoted_half_unit():

@@ -11,6 +11,7 @@ from spinmoments.states import (
     GeneralizedGHZ,
     SpinOneR,
     UniformMax,
+    _logsumexp,
     dense_vector,
     family_label,
     make_state,
@@ -103,6 +104,30 @@ def test_log_amplitudes_consistent():
         finite = np.isfinite(st.log_amplitudes)
         assert np.allclose(np.exp(st.log_amplitudes[finite]), np.abs(r[finite]), rtol=1e-13)
         assert np.all(np.isneginf(st.log_amplitudes[~finite]))
+
+
+@pytest.mark.parametrize(
+    "log_terms, signs",
+    [
+        ([700.0, 699.5, 698.0, 700.0, -700.0], [1, -1, 1, -1, 1]),
+        ([700.0, 702.25, 690.0], None),
+        ([-700.0, -700.5, -703.0, -701.0], [1, 1, -1, 0]),
+        ([-700.0, -699.0, -720.0], None),
+    ],
+)
+def test_logsumexp_matches_fsum_of_rescaled_terms(log_terms, signs):
+    # exp(+-700) sits at the edge of the double range; rescaled by the
+    # largest term, math.fsum gives the correctly rounded sum
+    hi = max(log_terms)
+    s = [1] * len(log_terms) if signs is None else signs
+    expected = hi + math.log(abs(math.fsum(si * math.exp(t - hi) for si, t in zip(s, log_terms))))
+    signs = None if signs is None else np.array(signs, dtype=float)
+    assert _logsumexp(np.array(log_terms), signs) == pytest.approx(expected, rel=1e-15, abs=1e-12)
+
+
+def test_logsumexp_exact_cancellation_and_zero_terms():
+    assert _logsumexp(np.array([700.0, 700.0]), np.array([1.0, -1.0])) == -math.inf
+    assert _logsumexp(np.array([-math.inf, -math.inf])) == -math.inf
 
 
 def test_large_bosonic_stays_in_log_domain():
