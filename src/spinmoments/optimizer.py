@@ -17,9 +17,8 @@ HZ bound weights are not symmetric in m).  The reported B is exactly
 adjacent zero bound weights make B unbounded (inf).  No random starts:
 ``restarts`` and ``seed`` are validated and ignored.
 
-The drivers decide "violated" by ``criteria.violated``: min-sites reads
-the report's verdict, and ``scan_curve`` evaluates each row through
-``criteria.evaluate``.
+The drivers decide "violated" by ``criteria.violated`` on log L and log R;
+an optimised ``scan_curve`` row takes the report's, so it is scored once.
 """
 
 from __future__ import annotations
@@ -47,8 +46,10 @@ class OptimizationReport:
     kind: kinds.CriterionKind
     best_r: np.ndarray  # full d-vector, normalised to sum r^2 = 1
     best_b: float  # == analytic.b_ratio(best_state(), kind, c_j=c_j)
-    violated: bool  # criteria.violated on best_state()'s log L and log R
+    violated: bool  # criteria.violated(log_l, log_r)
     c_j: float | None  # the C_J override the search ran with (None: cj_bound)
+    log_l: float  # analytic.log_lhs_rhs(best_state(), kind, c_j=c_j)
+    log_r: float
 
     def best_state(self) -> SymmetricCorrelatedState:
         return _from_amplitudes(self.j, self.n_sites, self.best_r)
@@ -137,7 +138,7 @@ def optimize_amplitudes(
     r.setflags(write=False)
     log_l, log_r = analytic.log_lhs_rhs(_from_amplitudes(j, n_sites, r), kind, c_j=c_j)
     b, verdict = analytic.b_from_logs(log_l, log_r), criteria.violated(log_l, log_r)
-    return OptimizationReport(j, n_sites, kind, r, b, verdict, c_j)
+    return OptimizationReport(j, n_sites, kind, r, b, verdict, c_j, log_l, log_r)
 
 
 def min_sites_for_violation(
@@ -186,14 +187,11 @@ def scan_curve(
         for kind in kinds_list:
             if optimized:
                 report = optimize_amplitudes(j, n, kind)
-                state = report.best_state()
-                source = "optimized"
-                r_vec = report.best_r
+                source, r_vec, log_l, log_r = "optimized", report.best_r, report.log_l, report.log_r
             else:
                 state = make_state(state_source, j, n)
-                source = family_label(state_source)
-                r_vec = state.unit_amplitudes
-            result = criteria.evaluate(state, kind)
+                source, r_vec = family_label(state_source), state.unit_amplitudes
+                log_l, log_r = analytic.log_lhs_rhs(state, kind)
             rows.append(
                 {
                     "twice_j": tj,
@@ -201,10 +199,10 @@ def scan_curve(
                     "t": kinds.quantum_sites(kind, n),
                     "family": source,
                     "kind": kinds.kind_token(kind),
-                    "L": result.lhs,
-                    "R": result.rhs,
-                    "B": result.b,
-                    "violated": result.violated,
+                    "L": analytic.exp_or_inf(log_l),
+                    "R": analytic.exp_or_inf(log_r),
+                    "B": analytic.b_from_logs(log_l, log_r),
+                    "violated": criteria.violated(log_l, log_r),
                     "r_vector": tuple(float(v) for v in r_vec),
                 }
             )

@@ -1,15 +1,17 @@
-"""Brute-force moment evaluation on dense d^N vectors.
+"""Brute-force moment evaluation on dense d^N vectors, one banded contraction.
 
-Site operators are applied one tensor axis at a time (mode-k contraction),
-so memory stays at O(d^N) instead of the O(d^2N) a Kronecker-product
-matrix would need.  This is the ground truth the closed forms are tested
-against; it knows nothing about the states' structure.
+In the |J,m> basis each site operator is one band (J- at offset +1, J+ at -1,
+the rest diagonal), with weights read off ``build_spin_matrices``, never off the
+closed forms: this is the ground truth they are tested against, blind to the
+states' structure.  A ladder product allocates prod_k (d - |offset_k|) complex
+amplitudes; a bound moment R folds |psi|^2 into its first reduction on the float
+view of psi and allocates d^(N-1) reals.  Reductions multiply and sum, never a
+BLAS dot, whose fused multiply-add leaves a residue where a sum cancels to 0.
 
-The ``scale`` keyword multiplies the five spin matrices by a constant
-(ladder operators by scale, quadratic products by scale^2, with C_J
-rescaled accordingly).  scale = 2 turns spin-1/2 operators into Pauli
-matrices; L and R pick up scale^(2N) while B is unchanged, which is the
-unit-convention equivalence the tests pin down.
+``scale`` multiplies the five spin matrices by a constant (ladder operators by
+scale, quadratic products by scale^2, C_J rescaled accordingly).  scale = 2 turns
+spin-1/2 operators into Pauli matrices; L and R pick up scale^(2N) while B is
+unchanged, which is the unit-convention equivalence the tests pin down.
 """
 
 from __future__ import annotations
@@ -43,30 +45,26 @@ _HERMITIAN = {SiteOp.X2_PLUS_Y2, SiteOp.PLUS_MINUS, SiteOp.MINUS_PLUS, SiteOp.CJ
 
 
 @lru_cache(maxsize=None)
-def _site_matrices(j: SpinQuantum, c_j: float, scale: float) -> dict[SiteOp, np.ndarray]:
+def _site_bands(j: SpinQuantum, c_j: float, scale: float) -> dict[SiteOp, tuple]:
+    """Per tag (offset, bra rows, ket rows, weights): mat[bra, ket] = diag(weights), 0 elsewhere."""
     mats = build_spin_matrices(j)
     xx_yy = mats.jx @ mats.jx + mats.jy @ mats.jy
-    table = {
-        SiteOp.PLUS: scale * mats.jplus,
-        SiteOp.MINUS: scale * mats.jminus,
-        SiteOp.X2_PLUS_Y2: scale**2 * xx_yy,
-        SiteOp.PLUS_MINUS: scale**2 * (mats.jplus @ mats.jminus),
-        SiteOp.MINUS_PLUS: scale**2 * (mats.jminus @ mats.jplus),
-        SiteOp.CJ_SHIFTED: scale**2 * (xx_yy - c_j * np.eye(j.dim)),
-        SiteOp.IDENTITY: np.eye(j.dim, dtype=complex),
-    }
-    for arr in table.values():
-        arr.setflags(write=False)
-    return table
-
-
-def site_operator(
-    op: SiteOp, j: SpinQuantum, *, c_j: float | None = None, scale: float = 1.0
-) -> np.ndarray:
-    """Dense matrix for one site-operator tag."""
-    if c_j is None:
-        c_j = cj_bound(j).c_j
-    return _site_matrices(j, float(c_j), float(scale))[op]
+    bands = {}
+    for op, offset, mat in (
+        (SiteOp.PLUS, -1, scale * mats.jplus),
+        (SiteOp.MINUS, 1, scale * mats.jminus),
+        (SiteOp.X2_PLUS_Y2, 0, scale**2 * xx_yy),
+        (SiteOp.PLUS_MINUS, 0, scale**2 * (mats.jplus @ mats.jminus)),
+        (SiteOp.MINUS_PLUS, 0, scale**2 * (mats.jminus @ mats.jplus)),
+        (SiteOp.CJ_SHIFTED, 0, scale**2 * (xx_yy - c_j * np.eye(j.dim))),
+        (SiteOp.IDENTITY, 0, np.eye(j.dim)),
+    ):
+        band = np.diagonal(mat, offset)
+        if np.any(mat != np.diag(band, offset)) or np.any(band.imag):
+            raise ArithmeticError(f"{op.value} is not a real band at offset {offset}")
+        bra, ket = (slice(max(k, 0), j.dim + min(k, 0)) for k in (-offset, offset))
+        bands[op] = (offset, bra, ket, np.array(band.real))
+    return bands
 
 
 def expect_product(
@@ -77,29 +75,32 @@ def expect_product(
     c_j: float | None = None,
     scale: float = 1.0,
 ) -> complex:
-    """<psi| O_1 (x) ... (x) O_N |psi> by per-axis contraction.
-
-    The vector must have length d^N and unit norm.  When every tag is
-    Hermitian the imaginary residue is required to stay below 1e-10; a
-    larger one means the contraction itself went wrong and raises.
-    """
+    """<psi| O_1 (x) ... (x) O_N |psi>: conj(psi[bra rows]) * psi[ket rows] reduced last
+    axis first against the band weights (the real |psi|^2 when every offset is 0).
+    The vector must have length d^N and unit norm.  When every tag is Hermitian the
+    imaginary residue must stay below 1e-10; a larger one means the contraction
+    itself went wrong and raises."""
     vec = np.asarray(state_vector, dtype=complex).ravel()
     d = j.dim
     n = len(ops)
-    if d**n != vec.size:
+    if n == 0 or d**n != vec.size:
         raise ValueError(f"vector has {vec.size} amplitudes, expected d^N = {d}^{n} = {d**n}")
     nrm = np.linalg.norm(vec)
     if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"state vector must be normalised (|norm - 1| = {abs(nrm - 1.0):.3e})")
 
-    psi = vec.reshape((d,) * n)
-    phi = psi
-    for k, op in enumerate(ops):
-        if op is SiteOp.IDENTITY:
-            continue
-        mat = site_operator(op, j, c_j=c_j, scale=scale)
-        phi = np.moveaxis(np.tensordot(mat, phi, axes=(1, k)), 0, k)
-    value = complex(np.vdot(psi, phi))
+    table = _site_bands(j, float(cj_bound(j).c_j if c_j is None else c_j), float(scale))
+    offsets, bra, ket, weights = zip(*[table[op] for op in ops])
+    if not any(offsets):
+        pair = vec.view(np.float64).reshape((d,) * n + (2,))
+        acc = np.einsum("...ik,...ik,i->...", pair, pair, weights[-1])
+        weights = weights[:-1]
+    else:
+        psi = vec.reshape((d,) * n)
+        acc = np.conj(psi[bra]) * psi[ket]
+    for w in reversed(weights):
+        acc = (acc * w).sum(axis=-1)
+    value = complex(acc)
     if all(op in _HERMITIAN for op in ops) and abs(value.imag) > IMAG_TOL:
         raise ArithmeticError(
             f"Hermitian product returned imaginary part {value.imag:.3e} (> {IMAG_TOL})"

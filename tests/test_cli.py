@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -225,6 +226,66 @@ def test_verify_ok_and_corrupted(capsys):
     assert rc == 1
     rows = parse_csv(out)
     assert any(float(r["rel_discrepancy"]) > 1e-9 for r in rows)
+
+
+def test_verify_names_its_worst_point(capsys):
+    # stderr names the (family, 2J, N, kind) of a row with the largest rel_discrepancy
+    for corrupt, want_rc in (("0", 0), ("0.05", 1)):
+        rc, out, err = run_cli(
+            capsys, "verify", "--max-twice-j", "2", "--max-size", "64", "--corrupt-cj", corrupt
+        )
+        assert rc == want_rc
+        rows = parse_csv(out)
+        worst = max(float(r["rel_discrepancy"]) for r in rows)
+        match = re.fullmatch(
+            r"verify: (\d+) points, max relative discrepancy (\S+) at family (\S+), "
+            r"2J = (\d+), N = (\d+), kind (\S+)\n",
+            err,
+        )
+        assert match, err
+        assert int(match[1]) == len(rows)
+        assert float(match[2]) == pytest.approx(worst, rel=1e-3)
+        point = match.groups()[2:]
+        named = [r for r in rows if (r["family"], r["twice_j"], r["n"], r["kind"]) == point]
+        assert worst in [float(r["rel_discrepancy"]) for r in named]  # two ghz thetas share a label
+    assert match[6] in ("ent-cj", "epr1")  # a corrupted C_J moves only the C_J kinds
+
+
+def test_scan_optimized_scores_each_row_once(capsys, monkeypatch):
+    from spinmoments import analytic, criteria, kinds, optimizer
+    from spinmoments.cli import render
+    from spinmoments.spin_algebra import SpinQuantum
+
+    argv = ["scan", "--axis", "d", "--d", "2..9", "--n", "10", "--optimized",
+            "--kinds", "bell,epr1,ent-cj,ent-hz,epr2-hz"]
+    original = analytic.log_lhs_rhs
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "log_lhs_rhs", counting)
+    rc, out, _ = run_cli(capsys, *argv)
+    monkeypatch.undo()
+    assert rc == 0
+    assert len(parse_csv(out)) == len(calls) == 40
+
+    # the bytes are those of rows scored by criteria.evaluate on the report's state
+    columns = ["twice_j", "n", "t", "family", "kind", "L", "R", "B", "violated", "r_vector"]
+    rows = []
+    for d in range(2, 10):
+        for token in argv[-1].split(","):
+            kind = kinds.parse_kind(token)
+            report = optimizer.optimize_amplitudes(SpinQuantum(d - 1), 10, kind)
+            res = criteria.evaluate(report.best_state(), kind)
+            rows.append({
+                "twice_j": d - 1, "n": 10, "t": kinds.quantum_sites(kind, 10),
+                "family": "optimized", "kind": token,
+                "L": res.lhs, "R": res.rhs, "B": res.b, "violated": res.violated,
+                "r_vector": tuple(float(v) for v in report.best_r),
+            })
+    assert out == render(RunConfig("scan"), columns, rows)
 
 
 def test_verify_empty_grid(capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from dense_reference import dense_expect_product
 
 from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, Steering
 from spinmoments.oracle import (
@@ -41,6 +42,37 @@ def test_ghz_all_lowering_moment():
         vec = dense_vector(st)
         value = expect_product(vec, [SiteOp.MINUS] * 3, HALF)
         assert abs(value) ** 2 == pytest.approx((math.cos(theta) * math.sin(theta)) ** 2, abs=1e-14)
+
+
+DIAGONAL_OPS = [op for op in SiteOp if op not in (SiteOp.PLUS, SiteOp.MINUS)]
+
+
+def _op_lists(rng, n):
+    """A mixed list over every tag, an all-diagonal one and an all-ladder one."""
+    yield [SiteOp(v) for v in rng.choice([op.value for op in SiteOp], size=n)]
+    yield [DIAGONAL_OPS[k] for k in rng.integers(len(DIAGONAL_OPS), size=n)]
+    yield [SiteOp.PLUS if s else SiteOp.MINUS for s in rng.integers(2, size=n)]
+
+
+def test_banded_contraction_matches_dense_reference():
+    # random complex unit vectors, d = 2..10 with d^N <= 2^14, every tag
+    rng = np.random.default_rng(20261018)
+    seen = set()
+    for d in range(2, 11):
+        j = SpinQuantum(d - 1)
+        n_max = max(n for n in range(1, 15) if d**n <= 2**14)
+        for n in range(1, n_max + 1):
+            vec = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
+            vec /= np.linalg.norm(vec)
+            for ops in _op_lists(rng, n):
+                seen.update(ops)
+                for scale in (1.0, 2.0):
+                    for c_j in (None, float(rng.uniform(0.0, j.j))):
+                        got = expect_product(vec, ops, j, c_j=c_j, scale=scale)
+                        want = dense_expect_product(vec, ops, j, c_j=c_j, scale=scale)
+                        err = abs(got - want)
+                        assert err <= max(1e-12 * abs(want), 1e-14), (d, n, ops, scale, c_j)
+    assert seen == set(SiteOp)
 
 
 def test_mixed_ladder_signs_vanish_on_correlated_states():
@@ -156,6 +188,8 @@ def test_vector_validation():
         expect_product(vec, [SiteOp.IDENTITY] * 3, ONE)
     with pytest.raises(ValueError, match="normalised"):
         expect_product(2 * vec, [SiteOp.IDENTITY] * 2, ONE)
+    with pytest.raises(ValueError, match="d\\^N"):
+        expect_product(np.ones(1), [], ONE)  # no sites
 
 
 def test_cap_propagates():
