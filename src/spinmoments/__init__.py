@@ -36,8 +36,8 @@ from .states import (
     dense_vector,
     make_state,
 )
-from .kinds import Bell, CriterionKind, EntanglementCJ, EntanglementHZ, Steering, parse_kind
-from .oracle import SiteOp, expect_product, lhs_moment, rhs_moment
+from .kinds import Bell, CriterionKind, EntanglementCJ, EntanglementHZ, SiteOp, Steering, parse_kind
+from .oracle import expect_product, lhs_moment, rhs_moment
 from .analytic import (
     b_bell,
     b_ent_cj,

@@ -13,9 +13,10 @@ sums over m with per-site eigenvalue factors
     f+(m)       = (J+m)(J-m+1)          (J+ J-)
     f-(m)       = (J-m)(J+m+1)          (J- J+)
 
-Every sum sum_m w_m prod(base^power) is reduced by factoring out the
-largest log term, so k^N factors cannot overflow: spin 10 with 30 sites is
-routine.  C_J is always subtracted from q before exponentiation.
+R's site layout comes from ``kinds.bound_runs``: each tag's factor is raised
+to its run length.  Every sum sum_m w_m prod(base^power) is reduced by
+factoring out the largest log term, so k^N factors cannot overflow: spin 10
+with 30 sites is routine.  C_J is always subtracted from q before exponentiation.
 
 All eigenvalue factors are quarter-integers assembled from integer
 arithmetic on twice_j, so the bases are exact floats.
@@ -29,24 +30,24 @@ from typing import Sequence
 import numpy as np
 
 from . import kinds
-from .spin_algebra import SpinQuantum, cj_bound
+from .kinds import SiteOp
+from .spin_algebra import SpinQuantum, cj_value
 from .states import SymmetricCorrelatedState, _logsumexp
 
 _LOG_ZERO = -math.inf
 
+# The order the bound factors' logs are summed in: the free factor first.
+_SUM_ORDER = (SiteOp.X2_PLUS_Y2, SiteOp.CJ_SHIFTED, SiteOp.PLUS_MINUS, SiteOp.MINUS_PLUS)
 
-def _resolve_cj(j: SpinQuantum, c_j: float | None) -> float:
-    return cj_bound(j).c_j if c_j is None else float(c_j)
 
-
-def _eigenvalue_factors(j: SpinQuantum) -> dict[str, np.ndarray]:
-    """Per-m operator eigenvalues q, f+ and f-, exact from integer twice_j."""
+def _eigenvalue_factors(j: SpinQuantum) -> dict[SiteOp, np.ndarray]:
+    """Per-m eigenvalues q, f+ and f- of the diagonal tags, exact from integer twice_j."""
     tj = j.twice_j
     two_m = 2 * np.arange(j.dim) - tj
     q = (tj * (tj + 2) - two_m * two_m) / 4
     f_plus = (tj + two_m) * (tj - two_m + 2) / 4
     f_minus = (tj - two_m) * (tj + two_m + 2) / 4
-    return {"q": q, "f+": f_plus, "f-": f_minus}
+    return {SiteOp.X2_PLUS_Y2: q, SiteOp.PLUS_MINUS: f_plus, SiteOp.MINUS_PLUS: f_minus}
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -59,7 +60,7 @@ def log_ladder_weights(j: SpinQuantum, n_sites: int) -> np.ndarray:
 
     L = (sum_m r_m r_(m+1) g_m^(N/2))^2 / n^2; every g_m is positive.
     """
-    return 0.5 * n_sites * np.log(_eigenvalue_factors(j)["f-"][:-1])
+    return 0.5 * n_sites * np.log(_eigenvalue_factors(j)[SiteOp.MINUS_PLUS][:-1])
 
 
 def log_ladder_moment(state: SymmetricCorrelatedState) -> float:
@@ -84,34 +85,26 @@ def log_bound_weights(
     l_signs: Sequence[int] | None = None,
 ) -> np.ndarray:
     """log of the per-m bound weights D_m, R = sum_m r_m^2 D_m / n (-inf where
-    an HZ ladder factor vanishes).  HZ-type bounds take their per-site signs
-    from l_signs (default: canonical); only the number of plus signs matters.
+    an HZ ladder factor vanishes): per run of ``kinds.bound_runs``, its length
+    times the log of its tag's factor.  Only the number of plus l-signs matters.
     """
-    t = kinds.quantum_sites(kind, n_sites)
+    powers = dict.fromkeys(_SUM_ORDER, 0)
+    for tag, sites in kinds.bound_runs(kind, n_sites, l_signs):
+        powers[tag] += sites
     fac = _eigenvalue_factors(j)
-    factors = [(_log(fac["q"]), n_sites - t)]
-    if t > 0:
-        if kinds.uses_cj_bound(kind):
-            cj = _resolve_cj(j, c_j)
-            shifted = fac["q"] - cj
-            if np.any(shifted <= 0):
-                raise ValueError(
-                    f"C_J = {cj} is not below the Jx^2 + Jy^2 spectrum floor "
-                    f"{fac['q'].min()} for twice_j = {j.twice_j}"
-                )
-            factors.append((_log(shifted), t))
-        else:
-            if l_signs is None:
-                l_signs = kinds.canonical_l_signs(t)
-            if len(l_signs) != t:
-                raise ValueError(f"l_signs must have length {t}, got {len(l_signs)}")
-            n_plus = sum(1 for s in l_signs if s > 0)
-            factors += [(_log(fac["f+"]), n_plus), (_log(fac["f-"]), t - n_plus)]
+    if powers[SiteOp.CJ_SHIFTED]:
+        cj = cj_value(j, c_j)
+        shifted = fac[SiteOp.CJ_SHIFTED] = fac[SiteOp.X2_PLUS_Y2] - cj
+        if np.any(shifted <= 0):
+            raise ValueError(
+                f"C_J = {cj} is not below the Jx^2 + Jy^2 spectrum floor "
+                f"{fac[SiteOp.X2_PLUS_Y2].min()} for twice_j = {j.twice_j}"
+            )
 
     log_d = np.zeros(j.dim)
-    for log_base, power in factors:
+    for tag, power in powers.items():
         if power > 0:  # a zero power must not meet a log of zero
-            log_d = log_d + power * log_base
+            log_d = log_d + power * _log(fac[tag])
     return log_d
 
 

@@ -31,14 +31,14 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import __version__, analytic, criteria, kinds, optimizer, oracle
 from .spin_algebra import SpinQuantum, cj_bound
 from .states import (
+    FAMILIES,
     Bosonic,
     CapExceededError,
-    Custom,
     DEFAULT_DENSE_CAP,
     GeneralizedGHZ,
     SpinOneR,
@@ -142,16 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
     spin.add_argument("--j", help="spin as 1/2, 1, 3/2, ...")
     spin.add_argument("--twice-j", type=int, dest="twice_j")
 
+    def family_params(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--theta", type=float, help="GHZ angle, radians")
+        p.add_argument("--r", type=float, help="spin1r middle amplitude")
+        p.add_argument("--amplitudes", help="custom amplitudes: 1,0.5,1 or [1,0.5,1]")
+
     p_eval = sub.add_parser("eval", parents=[common, spin], help="evaluate one criterion")
     p_eval.add_argument("--n", required=True, type=int)
-    p_eval.add_argument(
-        "--family",
-        required=True,
-        choices=("uniform-max", "bosonic", "ghz", "spin1r", "custom"),
-    )
-    p_eval.add_argument("--theta", type=float, help="GHZ angle, radians")
-    p_eval.add_argument("--r", type=float, help="spin1r middle amplitude")
-    p_eval.add_argument("--amplitudes", help="custom amplitudes: 1,0.5,1 or [1,0.5,1]")
+    p_eval.add_argument("--family", required=True, choices=tuple(FAMILIES))
+    family_params(p_eval)
     p_eval.add_argument("--kind", required=True)
     p_eval.add_argument("--strategy", choices=("canonical", "exhaustive"), default="canonical")
     p_eval.add_argument("--backend", choices=("analytic", "oracle"))
@@ -169,11 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--axis", choices=("n", "d"), required=True)
     p_scan.add_argument("--n", help="site count or range, e.g. 10 or 2..10")
     p_scan.add_argument("--d", help="dimension range for axis d, e.g. 2..9")
-    p_scan.add_argument("--family", choices=("uniform-max", "bosonic", "ghz", "spin1r", "custom"))
+    p_scan.add_argument("--family", choices=tuple(FAMILIES))
     p_scan.add_argument("--optimized", action="store_true", help="optimise amplitudes per point")
-    p_scan.add_argument("--theta", type=float)
-    p_scan.add_argument("--r", type=float)
-    p_scan.add_argument("--amplitudes")
+    family_params(p_scan)
     p_scan.add_argument("--kinds", required=True, help="comma list: bell,epr1,ent-cj,ent-hz")
 
     p_min = sub.add_parser("min-sites", parents=[common], help="min N for violation per d")
@@ -199,9 +196,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             twice_j=_parse_spin(args.j, args.twice_j),
             n_values=[args.n],
             family=args.family,
-            theta=args.theta,
-            r=args.r,
-            amplitudes=_parse_amplitudes(args.amplitudes) if args.amplitudes else None,
             kind_tokens=[args.kind],
             strategy=args.strategy,
             backend=args.backend,
@@ -234,15 +228,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.update(
             axis=args.axis,
             family="optimized" if args.optimized else args.family,
-            theta=args.theta,
-            r=args.r,
-            amplitudes=_parse_amplitudes(args.amplitudes) if args.amplitudes else None,
             kind_tokens=[t.strip() for t in args.kinds.split(",") if t.strip()],
         )
     elif args.command == "min-sites":
         cfg.update(kind_tokens=[args.kind], max_d=args.max_d, n_max=args.n_max)
     elif args.command == "cj-table":
         cfg.update(max_twice_j=args.max_twice_j)
+    if args.command in ("eval", "scan"):
+        amplitudes = _parse_amplitudes(args.amplitudes) if args.amplitudes else None
+        cfg.update(theta=args.theta, r=args.r, amplitudes=amplitudes)
     return RunConfig(**cfg)
 
 
@@ -308,23 +302,22 @@ def emit(cfg: RunConfig, columns: list[str], rows: list[dict]) -> None:
 
 
 def _build_family(cfg: RunConfig):
-    if cfg.family == "uniform-max":
-        return UniformMax()
-    if cfg.family == "bosonic":
-        return Bosonic()
-    if cfg.family == "ghz":
-        if cfg.theta is None:
-            raise UsageError("family ghz needs --theta")
-        return GeneralizedGHZ(cfg.theta)
-    if cfg.family == "spin1r":
-        if cfg.r is None:
-            raise UsageError("family spin1r needs --r")
-        return SpinOneR(cfg.r)
-    if cfg.family == "custom":
-        if not cfg.amplitudes:
-            raise UsageError("family custom needs --amplitudes")
-        return Custom(tuple(cfg.amplitudes))
-    raise UsageError(f"unknown family {cfg.family!r}")
+    """The family named by cfg; each of its fields comes from the option of that name."""
+    if cfg.family not in FAMILIES:
+        raise UsageError(f"unknown family {cfg.family!r}")
+    cls = FAMILIES[cfg.family]
+    params = {}
+    for f in fields(cls):
+        value = getattr(cfg, f.name)
+        if value is None or value == []:
+            raise UsageError(f"family {cfg.family} needs --{f.name}")
+        params[f.name] = tuple(value) if isinstance(value, list) else value
+    return cls(**params)
+
+
+def _family_name(family) -> str:
+    """The family label with its parameters, e.g. 'ghz theta=0.7'."""
+    return " ".join([family_label(family)] + [f"{k}={_fmt_value(v)}" for k, v in vars(family).items()])
 
 
 def cmd_eval(cfg: RunConfig) -> int:
@@ -356,21 +349,16 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def _rel_diff(a: float, b: float) -> float:
-    a_odd = math.isnan(a) or math.isinf(a)
-    b_odd = math.isnan(b) or math.isinf(b)
-    if a_odd or b_odd:
-        same = (math.isnan(a) and math.isnan(b)) or (math.isinf(a) and math.isinf(b) and a == b)
-        return 0.0 if same else math.inf
+    """|a - b| over the larger; two nans or equal infinities give 0, other non-finite pairs inf."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return 0.0 if a == b or (math.isnan(a) and math.isnan(b)) else math.inf
     scale = max(abs(a), abs(b))
-    if scale == 0.0:
-        return 0.0
-    return abs(a - b) / scale
+    return abs(a - b) / scale if scale else 0.0
 
 
 def _verify_points(cfg: RunConfig):
-    """Deterministic sweep grid: (label, family, twice_j) with feasible N."""
-    max_size = cfg.max_size if cfg.max_size is not None else cfg.cap
-    max_size = min(max_size, cfg.cap)
+    """Deterministic sweep grid: (family, twice_j, n) for every feasible N."""
+    max_size = cfg.cap if cfg.max_size is None else min(cfg.max_size, cfg.cap)
     spins = list(range(1, cfg.max_twice_j + 1))
     specs = [(UniformMax(), spins), (Bosonic(), spins)]
     if 1 in spins:
@@ -394,24 +382,23 @@ def cmd_verify(cfg: RunConfig) -> int:
         j = SpinQuantum(tj)
         state = make_state(family, j, n)
         vec = dense_vector(state, cap=cfg.cap)
-        lhs = abs(oracle.expect_product(vec, oracle.ladder_tags((-1,) * n), j)) ** 2
+        signs, _ = kinds.canonical_signs(kinds.Bell(), n)  # one ladder moment serves every kind
+        lhs = abs(oracle.expect_product(vec, kinds.ladder_tags(signs), j)) ** 2
+        c_j = None if cfg.corrupt_cj is None else cj_bound(j).c_j + cfg.corrupt_cj
         for kind in kind_list:
-            rhs = oracle.bound_expectation(vec, oracle.bound_tags(kind, n), j)
+            rhs = oracle.bound_expectation(vec, kinds.bound_tags(kind, n), j)
             b_oracle = oracle.b_from_moments(lhs, rhs)
-            c_j = None
-            if cfg.corrupt_cj is not None and kinds.uses_cj_bound(kind):
-                c_j = cj_bound(j).c_j + cfg.corrupt_cj
-            b_analytic = analytic.b_ratio(state, kind, c_j=c_j)
-            rel = _rel_diff(b_oracle, b_analytic)
+            b_analytic = analytic.b_ratio(state, kind, c_j=c_j)  # kinds without C_J ignore it
             rows.append(
                 {
                     "family": family_label(family),
+                    "family_name": _family_name(family),  # stderr only
                     "twice_j": tj,
                     "n": n,
                     "kind": kinds.kind_token(kind),
                     "b_oracle": b_oracle,
                     "b_analytic": b_analytic,
-                    "rel_discrepancy": rel,
+                    "rel_discrepancy": _rel_diff(b_oracle, b_analytic),
                 }
             )
     if not rows:
@@ -420,7 +407,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     emit(cfg, columns, rows)
     top = max(rows, key=lambda row: row["rel_discrepancy"])  # the first of any tie
     worst = top["rel_discrepancy"]
-    where = "family {family}, 2J = {twice_j}, N = {n}, kind {kind}".format(**top)
+    where = "family {family_name}, 2J = {twice_j}, N = {n}, kind {kind}".format(**top)
     print(f"verify: {len(rows)} points, max relative discrepancy {worst:.3e} at {where}", file=sys.stderr)
     return 0 if worst <= VERIFY_TOL else 1
 

@@ -11,16 +11,14 @@ exactly 1) land one rounding error to either side, so the verdict uses a
 relative equality band of 1e-11: everything the criteria family certifies
 clears it by orders of magnitude.
 
-Two strategies:
+Two strategies, both a search over ladder signs s and HZ bound signs l:
 
-* canonical  -- the fixed sign pattern used for every printed result:
-                all-minus ladder signs, and for HZ bounds plus on the
-                first quantum site, minus on the rest.
-* exhaustive -- oracle-backed scan of all 2^N ladder patterns and, for HZ
-                bounds, all 2^T l-patterns.  Since B is monotone in L and
-                antitone in R the scan maximises the two independently;
-                ties go to the pattern found first in plus-first
-                lexicographic order, so results are run-to-run identical.
+* canonical  -- the one point ``kinds.canonical_signs``, used for every
+                printed result, on the analytic backend or the oracle.
+* exhaustive -- all 2^N s-patterns and, for HZ bounds, all 2^T l-patterns,
+                on the oracle.  B is monotone in L and antitone in R, so the
+                two are maximised independently; ties go to the pattern found
+                first in plus-first lexicographic order.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from . import analytic, kinds, oracle
 from .states import SymmetricCorrelatedState, dense_vector
@@ -65,9 +64,7 @@ class SignChoice:
 
     @staticmethod
     def canonical(kind: kinds.CriterionKind, n_sites: int) -> "SignChoice":
-        t = kinds.quantum_sites(kind, n_sites)
-        l = kinds.canonical_l_signs(t if kinds.uses_hz_bound(kind) else 0)
-        return SignChoice(s=(-1,) * n_sites, l=l)
+        return SignChoice(*kinds.canonical_signs(kind, n_sites))
 
     def s_token(self) -> str:
         return "".join("+" if v > 0 else "-" for v in self.s)
@@ -103,57 +100,38 @@ def evaluate(
     exhaustive always runs on the oracle and needs d^N within the cap and
     N <= 16.
     """
-    kinds.quantum_sites(kind, state.n_sites)  # validates t_sites <= N
+    n = state.n_sites
+    signs = SignChoice(*kinds.canonical_signs(kind, n))  # validates t_sites <= N
+    if strategy == "canonical" and backend in (None, Backend.ANALYTIC):
+        log_l, log_r = analytic.log_lhs_rhs(state, kind, c_j=c_j)
+        lhs, rhs = analytic.exp_or_inf(log_l), analytic.exp_or_inf(log_r)
+        b = analytic.b_from_logs(log_l, log_r)
+        return CriterionResult(kind, lhs, rhs, b, violated(log_l, log_r), signs, Backend.ANALYTIC)
     if strategy == "canonical":
-        signs = SignChoice.canonical(kind, state.n_sites)
-        if backend is None:
-            backend = Backend.ANALYTIC
-        if backend is Backend.ANALYTIC:
-            log_l, log_r = analytic.log_lhs_rhs(state, kind, c_j=c_j, l_signs=signs.l or None)
-            lhs, rhs = analytic.exp_or_inf(log_l), analytic.exp_or_inf(log_r)
-            b = analytic.b_from_logs(log_l, log_r)
-        else:
-            lhs = oracle.lhs_moment(state, signs.s, cap=cap)
-            rhs = oracle.rhs_moment(state, kind, l_signs=signs.l or None, cap=cap, c_j=c_j)
-            log_l, log_r, b = _log(lhs), _log(rhs), oracle.b_from_moments(lhs, rhs)
-        return CriterionResult(kind, lhs, rhs, b, violated(log_l, log_r), signs, backend)
-    if strategy == "exhaustive":
+        s_space, l_space = [signs.s], [signs.l]
+    elif strategy == "exhaustive":
         if backend is Backend.ANALYTIC:
             raise ValueError("exhaustive search runs on the oracle backend only")
-        return _exhaustive(state, kind, cap=cap, c_j=c_j)
-    raise ValueError(f"unknown strategy {strategy!r}; expected 'canonical' or 'exhaustive'")
+        if n > EXHAUSTIVE_MAX_SITES:
+            raise ExhaustiveSearchError(
+                f"exhaustive sign search is capped at N <= {EXHAUSTIVE_MAX_SITES} sites, got N = {n}"
+            )
+        s_space = itertools.product((1, -1), repeat=n)
+        l_space = itertools.product((1, -1), repeat=len(signs.l))
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}; expected 'canonical' or 'exhaustive'")
 
-
-def _exhaustive(state, kind, *, cap=None, c_j=None) -> CriterionResult:
-    n = state.n_sites
-    t = kinds.quantum_sites(kind, n)
-    if n > EXHAUSTIVE_MAX_SITES:
-        raise ExhaustiveSearchError(
-            f"exhaustive sign search is capped at N <= {EXHAUSTIVE_MAX_SITES} sites, got N = {n}"
-        )
     vec = dense_vector(state, cap=cap)
-
-    best_s, best_lhs = None, -math.inf
-    for s in itertools.product((1, -1), repeat=n):
-        value = oracle.expect_product(vec, oracle.ladder_tags(s), state.j)
-        lhs = abs(value) ** 2
-        if lhs > best_lhs:
-            best_s, best_lhs = s, lhs
-
-    best_l, best_rhs = (), math.inf
-    l_space = (
-        itertools.product((1, -1), repeat=t) if (kinds.uses_hz_bound(kind) and t > 0) else [()]
+    ladder = ((abs(oracle.expect_product(vec, kinds.ladder_tags(s), state.j)) ** 2, s) for s in s_space)
+    bound = (
+        (oracle.bound_expectation(vec, kinds.bound_tags(kind, n, l), state.j, c_j=c_j), l)
+        for l in l_space
     )
-    for l in l_space:
-        tags = oracle.bound_tags(kind, n, l or None)
-        rhs = oracle.bound_expectation(vec, tags, state.j, c_j=c_j)
-        if rhs < best_rhs:
-            best_l, best_rhs = l, rhs
-
-    signs = SignChoice(s=best_s, l=tuple(best_l))
-    b = oracle.b_from_moments(best_lhs, best_rhs)
-    verdict = violated(_log(best_lhs), _log(best_rhs))
-    return CriterionResult(kind, best_lhs, best_rhs, b, verdict, signs, Backend.ORACLE)
+    # streamed, not stored (2^N patterns); max and min keep the first of ties
+    (lhs, s), (rhs, l) = max(ladder, key=itemgetter(0)), min(bound, key=itemgetter(0))
+    verdict = violated(_log(lhs), _log(rhs))
+    b = oracle.b_from_moments(lhs, rhs)
+    return CriterionResult(kind, lhs, rhs, b, verdict, SignChoice(s, l), Backend.ORACLE)
 
 
 def nested_verdicts(

@@ -1,7 +1,8 @@
-"""Criterion kinds shared by the oracle and closed-form backends.
+"""Criterion kinds: the one definition of each criterion's moments.
 
-Kinds differ only in the bound moment R compared against the ladder moment
-L = |<prod_k J_k^{s_k}>|^2:
+A criterion compares L = |<prod_k J_k^{s_k}>|^2 with a bound moment R whose
+per-site factors encode the local model ruled out (Cavalcanti et al., PRL 99,
+210405): quantum sites carry a quantum bound, the rest Jx^2 + Jy^2.
 
 * Bell            -- R = <prod_k (Jx_k^2 + Jy_k^2)>, no quantum site.
 * EntanglementCJ  -- R = <prod_k (Jx_k^2 + Jy_k^2 - C_J)>, every site quantum.
@@ -10,13 +11,31 @@ L = |<prod_k J_k^{s_k}>|^2:
                      the rest the plain Jx^2 + Jy^2 factor.  T = 0 reduces to
                      Bell, T = N to the matching entanglement kind; strict
                      steering semantics need 1 <= T <= N-1.
+
+Both backends take the canonical signs (``canonical_signs``) and R's site
+layout (``bound_runs``) from here: the oracle expands the runs into per-site
+tags, the closed forms raise each tag's eigenvalue factor to its run length.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
-from typing import Union
+from enum import Enum
+from typing import Sequence, Union
+
+
+class SiteOp(Enum):
+    PLUS = "plus"                 # J+
+    MINUS = "minus"               # J-
+    X2_PLUS_Y2 = "xx+yy"          # Jx^2 + Jy^2
+    PLUS_MINUS = "+-"             # J+ J-
+    MINUS_PLUS = "-+"             # J- J+
+    CJ_SHIFTED = "xx+yy-cj"       # Jx^2 + Jy^2 - C_J * I
+    IDENTITY = "identity"
+
+    __hash__ = object.__hash__  # members are singletons; Enum's own hash runs Python code
 
 
 @dataclass(frozen=True)
@@ -62,42 +81,68 @@ def quantum_sites(kind: CriterionKind, n_sites: int) -> int:
     raise TypeError(f"unknown criterion kind: {kind!r}")
 
 
-def canonical_l_signs(t_sites: int) -> tuple[int, ...]:
-    """Canonical HZ bound signs: plus on the first quantum site, minus on the rest."""
-    return (1,) + (-1,) * (t_sites - 1) if t_sites > 0 else ()
-
-
-def uses_hz_bound(kind: CriterionKind) -> bool:
+def _hz_bound(kind: CriterionKind) -> bool:
     return isinstance(kind, EntanglementHZ) or (isinstance(kind, Steering) and kind.bound == "hz")
 
 
-def uses_cj_bound(kind: CriterionKind) -> bool:
-    return isinstance(kind, EntanglementCJ) or (isinstance(kind, Steering) and kind.bound == "cj")
+def canonical_signs(kind: CriterionKind, n_sites: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The canonical (s, l): all-minus ladder signs s; for HZ-type bounds, l is
+    plus on the first quantum site and minus on the rest (empty otherwise)."""
+    t = quantum_sites(kind, n_sites)
+    l = (1,) + (-1,) * (t - 1) if t and _hz_bound(kind) else ()
+    return (-1,) * n_sites, l
+
+
+def bound_runs(
+    kind: CriterionKind, n_sites: int, l_signs: Sequence[int] | None = None
+) -> list[tuple[SiteOp, int]]:
+    """R's site layout as ordered runs (tag, number of sites), quantum sites first.
+
+    HZ-type bounds turn the l-signs into J+J- (plus) / J-J+ (minus) tags; the
+    default is the canonical l, kept as runs so the list stays O(1) in N.  Other
+    kinds ignore l_signs.
+    """
+    t = quantum_sites(kind, n_sites)
+    if not _hz_bound(kind):
+        quantum = [(SiteOp.CJ_SHIFTED, t)]
+    elif l_signs is None:
+        quantum = [(SiteOp.PLUS_MINUS, min(t, 1)), (SiteOp.MINUS_PLUS, t - 1)]
+    else:
+        if len(l_signs) != t:
+            raise ValueError(f"l_signs must have length {t}, got {len(l_signs)}")
+        tags = (SiteOp.PLUS_MINUS if s > 0 else SiteOp.MINUS_PLUS for s in l_signs)
+        quantum = [(tag, len(list(run))) for tag, run in itertools.groupby(tags)]
+    return [(tag, k) for tag, k in quantum + [(SiteOp.X2_PLUS_Y2, n_sites - t)] if k > 0]
+
+
+def bound_tags(
+    kind: CriterionKind, n_sites: int, l_signs: Sequence[int] | None = None
+) -> list[SiteOp]:
+    """Per-site tags of the bound moment R: ``bound_runs`` expanded."""
+    return [tag for tag, k in bound_runs(kind, n_sites, l_signs) for _ in range(k)]
+
+
+def ladder_tags(signs: Sequence[int]) -> list[SiteOp]:
+    """Per-site tags of the ladder product prod_k J_k^{s_k}."""
+    return [SiteOp.PLUS if s > 0 else SiteOp.MINUS for s in signs]
+
+
+_NAMED = {"bell": Bell, "ent-hz": EntanglementHZ, "ent-cj": EntanglementCJ}
+_TOKENS = {cls: token for token, cls in _NAMED.items()}
+_EPR_RE = re.compile(r"^epr(\d+)(-hz)?$")
 
 
 def kind_token(kind: CriterionKind) -> str:
     """Short CLI/CSV token, e.g. 'bell', 'ent-cj', 'epr1', 'epr2-hz'."""
-    if isinstance(kind, Bell):
-        return "bell"
-    if isinstance(kind, EntanglementHZ):
-        return "ent-hz"
-    if isinstance(kind, EntanglementCJ):
-        return "ent-cj"
-    suffix = "" if kind.bound == "cj" else "-hz"
-    return f"epr{kind.t_sites}{suffix}"
-
-
-_EPR_RE = re.compile(r"^epr(\d+)(-hz)?$")
+    if isinstance(kind, Steering):
+        return f"epr{kind.t_sites}{'-hz' if kind.bound == 'hz' else ''}"
+    return _TOKENS[type(kind)]
 
 
 def parse_kind(token: str) -> CriterionKind:
     token = token.strip().lower()
-    if token == "bell":
-        return Bell()
-    if token == "ent-hz":
-        return EntanglementHZ()
-    if token == "ent-cj":
-        return EntanglementCJ()
+    if token in _NAMED:
+        return _NAMED[token]()
     match = _EPR_RE.match(token)
     if match:
         return Steering(t_sites=int(match.group(1)), bound="hz" if match.group(2) else "cj")

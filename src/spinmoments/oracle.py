@@ -1,5 +1,8 @@
 """Brute-force moment evaluation on dense d^N vectors, one banded contraction.
 
+The tags and R's layout come from ``kinds``; the contraction, its band weights
+and the 0/0 rule of ``b_from_moments`` are this module's own.
+
 In the |J,m> basis each site operator is one band (J- at offset +1, J+ at -1,
 the rest diagonal), with weights read off ``build_spin_matrices``, never off the
 closed forms: this is the ground truth they are tested against, blind to the
@@ -17,28 +20,18 @@ unchanged, which is the unit-convention equivalence the tests pin down.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from . import kinds
-from .spin_algebra import SpinQuantum, build_spin_matrices, cj_bound
+from .kinds import SiteOp, bound_tags, ladder_tags
+from .spin_algebra import SpinQuantum, build_spin_matrices, cj_value
 from .states import SymmetricCorrelatedState, dense_vector
 
 IMAG_TOL = 1e-10
 NORM_TOL = 1e-10
-
-
-class SiteOp(Enum):
-    PLUS = "plus"                 # J+
-    MINUS = "minus"               # J-
-    X2_PLUS_Y2 = "xx+yy"          # Jx^2 + Jy^2
-    PLUS_MINUS = "+-"             # J+ J-
-    MINUS_PLUS = "-+"             # J- J+
-    CJ_SHIFTED = "xx+yy-cj"       # Jx^2 + Jy^2 - C_J * I
-    IDENTITY = "identity"
 
 
 _HERMITIAN = {SiteOp.X2_PLUS_Y2, SiteOp.PLUS_MINUS, SiteOp.MINUS_PLUS, SiteOp.CJ_SHIFTED, SiteOp.IDENTITY}
@@ -85,14 +78,15 @@ def expect_product(
     n = len(ops)
     if n == 0 or d**n != vec.size:
         raise ValueError(f"vector has {vec.size} amplitudes, expected d^N = {d}^{n} = {d**n}")
-    nrm = np.linalg.norm(vec)
+    flat = vec.view(np.float64)
+    nrm = math.sqrt(flat @ flat)
     if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"state vector must be normalised (|norm - 1| = {abs(nrm - 1.0):.3e})")
 
-    table = _site_bands(j, float(cj_bound(j).c_j if c_j is None else c_j), float(scale))
+    table = _site_bands(j, cj_value(j, c_j), float(scale))
     offsets, bra, ket, weights = zip(*[table[op] for op in ops])
     if not any(offsets):
-        pair = vec.view(np.float64).reshape((d,) * n + (2,))
+        pair = flat.reshape((d,) * n + (2,))
         acc = np.einsum("...ik,...ik,i->...", pair, pair, weights[-1])
         weights = weights[:-1]
     else:
@@ -106,32 +100,6 @@ def expect_product(
             f"Hermitian product returned imaginary part {value.imag:.3e} (> {IMAG_TOL})"
         )
     return value
-
-
-def ladder_tags(signs: Sequence[int]) -> list[SiteOp]:
-    return [SiteOp.PLUS if s > 0 else SiteOp.MINUS for s in signs]
-
-
-def bound_tags(
-    kind: kinds.CriterionKind, n_sites: int, l_signs: Sequence[int] | None = None
-) -> list[SiteOp]:
-    """Per-site tags of the bound moment R for a criterion kind.
-
-    Quantum sites come first.  HZ-type bounds turn l-signs into J+J- / J-J+
-    tags; the default l is plus on the first quantum site, minus elsewhere.
-    """
-    t = kinds.quantum_sites(kind, n_sites)
-    free = [SiteOp.X2_PLUS_Y2] * (n_sites - t)
-    if t == 0:
-        return free
-    if kinds.uses_cj_bound(kind):
-        return [SiteOp.CJ_SHIFTED] * t + free
-    if l_signs is None:
-        l_signs = kinds.canonical_l_signs(t)
-    if len(l_signs) != t:
-        raise ValueError(f"l_signs must have length {t}, got {len(l_signs)}")
-    quantum = [SiteOp.PLUS_MINUS if s > 0 else SiteOp.MINUS_PLUS for s in l_signs]
-    return quantum + free
 
 
 def lhs_moment(

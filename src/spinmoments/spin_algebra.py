@@ -49,12 +49,6 @@ class SpinQuantum:
         """Magnetic quantum numbers m = -J..+J, ascending."""
         return (2 * np.arange(self.dim) - self.twice_j) / 2
 
-    def label(self) -> str:
-        """Human-readable J, e.g. '1/2' or '3'."""
-        if self.twice_j % 2:
-            return f"{self.twice_j}/2"
-        return str(self.twice_j // 2)
-
 
 @dataclass(frozen=True, eq=False)
 class SpinMatrices:
@@ -156,6 +150,11 @@ def cj_bound(j: SpinQuantum) -> UncertaintyBound:
     if j.twice_j in _EXACT_TWICE_J:
         return UncertaintyBound(j=j, c_j=_CJ_TABLE[j.twice_j], source=BoundSource.TABULATED)
     return compute_cj(j)
+
+
+def cj_value(j: SpinQuantum, c_j: float | None = None) -> float:
+    """The C_J a bound moment uses: the override c_j when given, else ``cj_bound``."""
+    return cj_bound(j).c_j if c_j is None else float(c_j)
 
 
 def _cj_allowance(j: SpinQuantum) -> float:

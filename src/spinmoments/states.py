@@ -75,14 +75,19 @@ class Custom:
 StateFamily = Union[UniformMax, Bosonic, GeneralizedGHZ, SpinOneR, Custom]
 
 
+# Family name -> class; a family's parameters are its dataclass fields.
+FAMILIES = {
+    "uniform-max": UniformMax,
+    "bosonic": Bosonic,
+    "ghz": GeneralizedGHZ,
+    "spin1r": SpinOneR,
+    "custom": Custom,
+}
+_LABELS = {cls: name for name, cls in FAMILIES.items()}
+
+
 def family_label(family: StateFamily) -> str:
-    return {
-        UniformMax: "uniform-max",
-        Bosonic: "bosonic",
-        GeneralizedGHZ: "ghz",
-        SpinOneR: "spin1r",
-        Custom: "custom",
-    }[type(family)]
+    return _LABELS[type(family)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,17 +98,11 @@ class SymmetricCorrelatedState:
     n_sites: int
     amplitudes: np.ndarray
     log_amplitudes: np.ndarray  # log|r_m|, -inf where r_m = 0
-    log_norm_sq: float
+    log_norm_sq: float  # log n, n = sum r_m^2
 
     @property
     def dim(self) -> int:
         return self.j.dim
-
-    @property
-    def norm_sq(self) -> float:
-        """n = sum r_m^2 (may overflow to inf; log_norm_sq is authoritative)."""
-        with np.errstate(over="ignore"):
-            return float(np.exp(self.log_norm_sq))
 
     @property
     def signs(self) -> np.ndarray:

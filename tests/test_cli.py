@@ -229,26 +229,39 @@ def test_verify_ok_and_corrupted(capsys):
 
 
 def test_verify_names_its_worst_point(capsys):
-    # stderr names the (family, 2J, N, kind) of a row with the largest rel_discrepancy
+    # stderr names the (family with its parameters, 2J, N, kind) of exactly one row,
+    # and that row has the largest rel_discrepancy
+    from spinmoments.cli import _verify_points
+
     for corrupt, want_rc in (("0", 0), ("0.05", 1)):
-        rc, out, err = run_cli(
-            capsys, "verify", "--max-twice-j", "2", "--max-size", "64", "--corrupt-cj", corrupt
-        )
+        argv = ["verify", "--max-twice-j", "2", "--max-size", "64", "--corrupt-cj", corrupt]
+        rc, out, err = run_cli(capsys, *argv)
         assert rc == want_rc
         rows = parse_csv(out)
         worst = max(float(r["rel_discrepancy"]) for r in rows)
         match = re.fullmatch(
-            r"verify: (\d+) points, max relative discrepancy (\S+) at family (\S+), "
-            r"2J = (\d+), N = (\d+), kind (\S+)\n",
+            r"verify: (\d+) points, max relative discrepancy (\S+) at family (\S+)"
+            r"(?: (\w+)=(\S+))?, 2J = (\d+), N = (\d+), kind (\S+)\n",
             err,
         )
         assert match, err
         assert int(match[1]) == len(rows)
         assert float(match[2]) == pytest.approx(worst, rel=1e-3)
-        point = match.groups()[2:]
-        named = [r for r in rows if (r["family"], r["twice_j"], r["n"], r["kind"]) == point]
-        assert worst in [float(r["rel_discrepancy"]) for r in named]  # two ghz thetas share a label
-    assert match[6] in ("ent-cj", "epr1")  # a corrupted C_J moves only the C_J kinds
+        label, param, value, twice_j, n, kind = match.groups()[2:]
+        cfg = RunConfig(command="verify", max_twice_j=2, max_size=64)
+        families = [family for family, _, _ in _verify_points(cfg) for _ in range(4)]
+        assert len(families) == len(rows)  # four kinds per point, in grid order
+        named = [
+            row
+            for row, family in zip(rows, families)
+            if (row["family"], row["twice_j"], row["n"], row["kind"]) == (label, twice_j, n, kind)
+            and (param is None) == (not vars(family))
+            and (param is None or float(value) == pytest.approx(getattr(family, param), rel=1e-11))
+        ]
+        assert len(named) == 1, (err, named)
+        assert float(named[0]["rel_discrepancy"]) == worst
+    assert label == "ghz" and param == "theta"  # the corrupted worst point is a parameterised one
+    assert kind in ("ent-cj", "epr1")  # a corrupted C_J moves only the C_J kinds
 
 
 def test_scan_optimized_scores_each_row_once(capsys, monkeypatch):

@@ -191,3 +191,32 @@ def test_sign_choice_tokens():
     assert can.s == (-1,) * 4
     assert can.l == (1, -1)
     assert SignChoice.canonical(Steering(2, "cj"), 4).l == ()
+
+
+def test_canonical_oracle_builds_one_dense_vector(monkeypatch):
+    from spinmoments import criteria, oracle, states
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return states.dense_vector(*args, **kwargs)
+
+    for module in (criteria, oracle):
+        monkeypatch.setattr(module, "dense_vector", counting)
+    for kind in (Bell(), EntanglementHZ(), Steering(2, "hz"), EntanglementCJ()):
+        calls.clear()
+        evaluate(make_state(Bosonic(), ONE, 4), kind, backend=Backend.ORACLE)
+        assert len(calls) == 1, kind
+
+
+@pytest.mark.parametrize("backend", [Backend.ANALYTIC, Backend.ORACLE])
+def test_canonical_evaluate_reports_the_canonical_signs(backend):
+    from spinmoments import kinds
+
+    st = make_state(UniformMax(), SpinQuantum(3), 4)
+    for token in ("bell", "ent-hz", "ent-cj", "epr0-hz", "epr1", "epr2-hz", "epr4-hz"):
+        kind = kinds.parse_kind(token)
+        res = evaluate(st, kind, backend=backend)
+        assert res.backend is backend
+        assert res.signs == SignChoice(*kinds.canonical_signs(kind, 4)), token

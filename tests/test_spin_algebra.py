@@ -19,8 +19,6 @@ def test_spin_quantum_basics():
     j = SpinQuantum(3)
     assert j.dim == 4
     assert j.j == 1.5
-    assert j.label() == "3/2"
-    assert SpinQuantum(4).label() == "2"
     assert np.array_equal(j.m_values(), [-1.5, -0.5, 0.5, 1.5])
 
 

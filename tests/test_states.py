@@ -24,7 +24,7 @@ ONE = SpinQuantum(2)
 def test_uniform_max_spin1():
     st = make_state(UniformMax(), ONE, 2)
     assert np.array_equal(st.amplitudes, [1.0, 1.0, 1.0])
-    assert st.norm_sq == pytest.approx(3.0, rel=1e-15)
+    assert st.log_norm_sq == pytest.approx(math.log(3.0), rel=1e-15)
 
 
 def test_bosonic_spin_half_is_ghz():
