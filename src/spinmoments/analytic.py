@@ -16,7 +16,9 @@ sums over m with per-site eigenvalue factors
 R's site layout comes from ``kinds.bound_runs``: each tag's factor is raised
 to its run length.  Every sum sum_m w_m prod(base^power) is reduced by
 factoring out the largest log term, so k^N factors cannot overflow: spin 10
-with 30 sites is routine.  C_J is always subtracted from q before exponentiation.
+with 30 sites is routine.  C_J is ``cj_bound(j).c_j``, subtracted from q before
+exponentiation; only the ``b_ratio`` chain takes a ``c_j`` override, for
+``verify --corrupt-cj`` to offset the closed forms against the oracle.
 
 All eigenvalue factors are quarter-integers assembled from integer
 arithmetic on twice_j, so the bases are exact floats.
@@ -25,13 +27,14 @@ arithmetic on twice_j, so the bases are exact floats.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from . import kinds
 from .kinds import SiteOp
-from .spin_algebra import SpinQuantum, cj_value
+from .spin_algebra import SpinQuantum, cj_bound
 from .states import SymmetricCorrelatedState, _logsumexp
 
 _LOG_ZERO = -math.inf
@@ -40,13 +43,17 @@ _LOG_ZERO = -math.inf
 _SUM_ORDER = (SiteOp.X2_PLUS_Y2, SiteOp.CJ_SHIFTED, SiteOp.PLUS_MINUS, SiteOp.MINUS_PLUS)
 
 
+@lru_cache(maxsize=None)
 def _eigenvalue_factors(j: SpinQuantum) -> dict[SiteOp, np.ndarray]:
-    """Per-m eigenvalues q, f+ and f- of the diagonal tags, exact from integer twice_j."""
+    """Per-m eigenvalues q, f+ and f- of the diagonal tags, exact from integer twice_j;
+    cached per J, so the arrays are read-only and the dict is never written."""
     tj = j.twice_j
     two_m = 2 * np.arange(j.dim) - tj
     q = (tj * (tj + 2) - two_m * two_m) / 4
     f_plus = (tj + two_m) * (tj - two_m + 2) / 4
     f_minus = (tj - two_m) * (tj + two_m + 2) / 4
+    for factor in (q, f_plus, f_minus):
+        factor.setflags(write=False)
     return {SiteOp.X2_PLUS_Y2: q, SiteOp.PLUS_MINUS: f_plus, SiteOp.MINUS_PLUS: f_minus}
 
 
@@ -93,8 +100,8 @@ def log_bound_weights(
         powers[tag] += sites
     fac = _eigenvalue_factors(j)
     if powers[SiteOp.CJ_SHIFTED]:
-        cj = cj_value(j, c_j)
-        shifted = fac[SiteOp.CJ_SHIFTED] = fac[SiteOp.X2_PLUS_Y2] - cj
+        cj = cj_bound(j).c_j if c_j is None else float(c_j)
+        shifted = fac[SiteOp.X2_PLUS_Y2] - cj
         if np.any(shifted <= 0):
             raise ValueError(
                 f"C_J = {cj} is not below the Jx^2 + Jy^2 spectrum floor "
@@ -104,7 +111,7 @@ def log_bound_weights(
     log_d = np.zeros(j.dim)
     for tag, power in powers.items():
         if power > 0:  # a zero power must not meet a log of zero
-            log_d = log_d + power * _log(fac[tag])
+            log_d = log_d + power * _log(shifted if tag is SiteOp.CJ_SHIFTED else fac[tag])
     return log_d
 
 
@@ -140,9 +147,9 @@ def exp_or_inf(log_x: float) -> float:
         return float(np.exp(log_x))
 
 
-def lhs_rhs(state, kind, *, c_j=None, l_signs=None) -> tuple[float, float]:
+def lhs_rhs(state, kind, *, l_signs=None) -> tuple[float, float]:
     """(L, R) in linear scale; values too large for a double report as inf."""
-    log_l, log_r = log_lhs_rhs(state, kind, c_j=c_j, l_signs=l_signs)
+    log_l, log_r = log_lhs_rhs(state, kind, l_signs=l_signs)
     return exp_or_inf(log_l), exp_or_inf(log_r)
 
 
@@ -162,9 +169,9 @@ def b_bell(state: SymmetricCorrelatedState) -> float:
     return b_ratio(state, kinds.Bell())
 
 
-def b_ent_cj(state: SymmetricCorrelatedState, c_j: float | None = None) -> float:
+def b_ent_cj(state: SymmetricCorrelatedState) -> float:
     """B for the fixed-J entanglement criterion (every site C_J-shifted)."""
-    return b_ratio(state, kinds.EntanglementCJ(), c_j=c_j)
+    return b_ratio(state, kinds.EntanglementCJ())
 
 
 def b_ent_hz(state: SymmetricCorrelatedState, l_signs: Sequence[int] | None = None) -> float:
@@ -177,13 +184,13 @@ def b_ent_hz(state: SymmetricCorrelatedState, l_signs: Sequence[int] | None = No
     return b_ratio(state, kinds.EntanglementHZ(), l_signs=l_signs)
 
 
-def b_steer_t(state: SymmetricCorrelatedState, t_sites: int, c_j: float | None = None) -> float:
+def b_steer_t(state: SymmetricCorrelatedState, t_sites: int) -> float:
     """B for the hybrid model with t_sites quantum sites (C_J bound).
 
     t_sites = 0 reduces exactly to b_bell and t_sites = N to b_ent_cj;
     steering proper is certified for 1 <= t_sites <= N-1.
     """
-    return b_ratio(state, kinds.Steering(t_sites=t_sites, bound="cj"), c_j=c_j)
+    return b_ratio(state, kinds.Steering(t_sites=t_sites, bound="cj"))
 
 
 def ghz_cj_detection_threshold(n_sites: int) -> float:

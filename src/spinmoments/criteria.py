@@ -62,10 +62,6 @@ class SignChoice:
     s: tuple[int, ...]  # ladder signs, length N
     l: tuple[int, ...]  # bound signs on quantum sites (HZ bounds only)
 
-    @staticmethod
-    def canonical(kind: kinds.CriterionKind, n_sites: int) -> "SignChoice":
-        return SignChoice(*kinds.canonical_signs(kind, n_sites))
-
     def s_token(self) -> str:
         return "".join("+" if v > 0 else "-" for v in self.s)
 
@@ -91,7 +87,6 @@ def evaluate(
     *,
     backend: Backend | None = None,
     cap: int | None = None,
-    c_j: float | None = None,
 ) -> CriterionResult:
     """Evaluate one criterion on one state.
 
@@ -103,7 +98,7 @@ def evaluate(
     n = state.n_sites
     signs = SignChoice(*kinds.canonical_signs(kind, n))  # validates t_sites <= N
     if strategy == "canonical" and backend in (None, Backend.ANALYTIC):
-        log_l, log_r = analytic.log_lhs_rhs(state, kind, c_j=c_j)
+        log_l, log_r = analytic.log_lhs_rhs(state, kind)
         lhs, rhs = analytic.exp_or_inf(log_l), analytic.exp_or_inf(log_r)
         b = analytic.b_from_logs(log_l, log_r)
         return CriterionResult(kind, lhs, rhs, b, violated(log_l, log_r), signs, Backend.ANALYTIC)
@@ -123,10 +118,7 @@ def evaluate(
 
     vec = dense_vector(state, cap=cap)
     ladder = ((abs(oracle.expect_product(vec, kinds.ladder_tags(s), state.j)) ** 2, s) for s in s_space)
-    bound = (
-        (oracle.bound_expectation(vec, kinds.bound_tags(kind, n, l), state.j, c_j=c_j), l)
-        for l in l_space
-    )
+    bound = ((oracle.bound_expectation(vec, kinds.bound_tags(kind, n, l), state.j), l) for l in l_space)
     # streamed, not stored (2^N patterns); max and min keep the first of ties
     (lhs, s), (rhs, l) = max(ladder, key=itemgetter(0)), min(bound, key=itemgetter(0))
     verdict = violated(_log(lhs), _log(rhs))
@@ -141,7 +133,6 @@ def nested_verdicts(
     bound: str = "cj",
     backend: Backend | None = None,
     cap: int | None = None,
-    c_j: float | None = None,
 ) -> list[CriterionResult]:
     """Evaluate the LHS(T,N) family for T = 0..t_max (canonical signs).
 
@@ -152,6 +143,6 @@ def nested_verdicts(
     if t_max > state.n_sites:
         raise ValueError(f"t_max = {t_max} exceeds n_sites = {state.n_sites}")
     return [
-        evaluate(state, kinds.Steering(t_sites=t, bound=bound), backend=backend, cap=cap, c_j=c_j)
+        evaluate(state, kinds.Steering(t_sites=t, bound=bound), backend=backend, cap=cap)
         for t in range(t_max + 1)
     ]

@@ -13,8 +13,11 @@ assembled in the log domain so that N in the thousands cannot overflow.
 Its entries are non-negative, so the top eigenvector has one sign and is
 the optimal r.  The r_m = r_-m restriction folds A and D by r = P x (the
 HZ bound weights are not symmetric in m).  The reported B is exactly
-``analytic.b_ratio(report.best_state(), kind, c_j=report.c_j)``; two
-adjacent zero bound weights make B unbounded (inf).  No random starts:
+``analytic.b_ratio(report.best_state(), kind)``, with C_J from ``cj_bound``;
+two adjacent zero bound weights make B unbounded (inf).  Where B* is a
+supremum approached only as c -> 0 (``ent-hz`` and ``epr2-hz`` at 2J = 2),
+B is exact but the reported r, and with it L, R and a scan's ``r_vector``,
+is set by ``_LOG_C_PAD``, not by the problem.  No random starts:
 ``restarts`` and ``seed`` are validated and ignored.
 
 The drivers decide "violated" by ``criteria.violated`` on log L and log R;
@@ -45,10 +48,9 @@ class OptimizationReport:
     n_sites: int
     kind: kinds.CriterionKind
     best_r: np.ndarray  # full d-vector, normalised to sum r^2 = 1
-    best_b: float  # == analytic.b_ratio(best_state(), kind, c_j=c_j)
+    best_b: float  # == analytic.b_ratio(best_state(), kind)
     violated: bool  # criteria.violated(log_l, log_r)
-    c_j: float | None  # the C_J override the search ran with (None: cj_bound)
-    log_l: float  # analytic.log_lhs_rhs(best_state(), kind, c_j=c_j)
+    log_l: float  # analytic.log_lhs_rhs(best_state(), kind)
     log_r: float
 
     def best_state(self) -> SymmetricCorrelatedState:
@@ -99,7 +101,6 @@ def optimize_amplitudes(
     symmetric: bool = True,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
-    c_j: float | None = None,
 ) -> OptimizationReport:
     """Maximise the analytic B over non-negative amplitudes r.
 
@@ -111,7 +112,7 @@ def optimize_amplitudes(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     log_a = analytic.log_ladder_weights(j, n_sites) - math.log(2)
-    log_d = analytic.log_bound_weights(j, n_sites, kind, c_j=c_j)
+    log_d = analytic.log_bound_weights(j, n_sites, kind)
     zero_pair = np.isneginf(log_d[:-1]) & np.isneginf(log_d[1:])
     if zero_pair.any():  # R = 0 < L on that pair
         r = np.zeros(j.dim)
@@ -136,9 +137,9 @@ def optimize_amplitudes(
         r = np.exp(log_r - log_r.max())
     r = r / math.sqrt(np.sum(r * r))
     r.setflags(write=False)
-    log_l, log_r = analytic.log_lhs_rhs(_from_amplitudes(j, n_sites, r), kind, c_j=c_j)
+    log_l, log_r = analytic.log_lhs_rhs(_from_amplitudes(j, n_sites, r), kind)
     b, verdict = analytic.b_from_logs(log_l, log_r), criteria.violated(log_l, log_r)
-    return OptimizationReport(j, n_sites, kind, r, b, verdict, c_j, log_l, log_r)
+    return OptimizationReport(j, n_sites, kind, r, b, verdict, log_l, log_r)
 
 
 def min_sites_for_violation(

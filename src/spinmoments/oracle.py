@@ -11,6 +11,9 @@ amplitudes; a bound moment R folds |psi|^2 into its first reduction on the float
 view of psi and allocates d^(N-1) reals.  Reductions multiply and sum, never a
 BLAS dot, whose fused multiply-add leaves a residue where a sum cancels to 0.
 
+C_J is always ``cj_bound(j).c_j``: the oracle takes no override, so it cannot
+be handed the same wrong C_J as the closed forms it checks.
+
 ``scale`` multiplies the five spin matrices by a constant (ladder operators by
 scale, quadratic products by scale^2, C_J rescaled accordingly).  scale = 2 turns
 spin-1/2 operators into Pauli matrices; L and R pick up scale^(2N) while B is
@@ -27,18 +30,15 @@ import numpy as np
 
 from . import kinds
 from .kinds import SiteOp, bound_tags, ladder_tags
-from .spin_algebra import SpinQuantum, build_spin_matrices, cj_value
+from .spin_algebra import SpinQuantum, build_spin_matrices, cj_bound
 from .states import SymmetricCorrelatedState, dense_vector
 
 IMAG_TOL = 1e-10
 NORM_TOL = 1e-10
 
 
-_HERMITIAN = {SiteOp.X2_PLUS_Y2, SiteOp.PLUS_MINUS, SiteOp.MINUS_PLUS, SiteOp.CJ_SHIFTED, SiteOp.IDENTITY}
-
-
 @lru_cache(maxsize=None)
-def _site_bands(j: SpinQuantum, c_j: float, scale: float) -> dict[SiteOp, tuple]:
+def _site_bands(j: SpinQuantum, scale: float) -> dict[SiteOp, tuple]:
     """Per tag (offset, bra rows, ket rows, weights): mat[bra, ket] = diag(weights), 0 elsewhere."""
     mats = build_spin_matrices(j)
     xx_yy = mats.jx @ mats.jx + mats.jy @ mats.jy
@@ -49,7 +49,7 @@ def _site_bands(j: SpinQuantum, c_j: float, scale: float) -> dict[SiteOp, tuple]
         (SiteOp.X2_PLUS_Y2, 0, scale**2 * xx_yy),
         (SiteOp.PLUS_MINUS, 0, scale**2 * (mats.jplus @ mats.jminus)),
         (SiteOp.MINUS_PLUS, 0, scale**2 * (mats.jminus @ mats.jplus)),
-        (SiteOp.CJ_SHIFTED, 0, scale**2 * (xx_yy - c_j * np.eye(j.dim))),
+        (SiteOp.CJ_SHIFTED, 0, scale**2 * (xx_yy - cj_bound(j).c_j * np.eye(j.dim))),
         (SiteOp.IDENTITY, 0, np.eye(j.dim)),
     ):
         band = np.diagonal(mat, offset)
@@ -65,14 +65,12 @@ def expect_product(
     ops: Sequence[SiteOp],
     j: SpinQuantum,
     *,
-    c_j: float | None = None,
     scale: float = 1.0,
 ) -> complex:
     """<psi| O_1 (x) ... (x) O_N |psi>: conj(psi[bra rows]) * psi[ket rows] reduced last
-    axis first against the band weights (the real |psi|^2 when every offset is 0).
-    The vector must have length d^N and unit norm.  When every tag is Hermitian the
-    imaginary residue must stay below 1e-10; a larger one means the contraction
-    itself went wrong and raises."""
+    axis first against the band weights.  When every offset is 0 (exactly the
+    Hermitian products) the reduction runs on the real |psi|^2, so the value is
+    real by construction.  The vector must have length d^N and unit norm."""
     vec = np.asarray(state_vector, dtype=complex).ravel()
     d = j.dim
     n = len(ops)
@@ -83,7 +81,7 @@ def expect_product(
     if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"state vector must be normalised (|norm - 1| = {abs(nrm - 1.0):.3e})")
 
-    table = _site_bands(j, cj_value(j, c_j), float(scale))
+    table = _site_bands(j, float(scale))
     offsets, bra, ket, weights = zip(*[table[op] for op in ops])
     if not any(offsets):
         pair = flat.reshape((d,) * n + (2,))
@@ -94,12 +92,7 @@ def expect_product(
         acc = np.conj(psi[bra]) * psi[ket]
     for w in reversed(weights):
         acc = (acc * w).sum(axis=-1)
-    value = complex(acc)
-    if all(op in _HERMITIAN for op in ops) and abs(value.imag) > IMAG_TOL:
-        raise ArithmeticError(
-            f"Hermitian product returned imaginary part {value.imag:.3e} (> {IMAG_TOL})"
-        )
-    return value
+    return complex(acc)
 
 
 def lhs_moment(
@@ -123,13 +116,12 @@ def rhs_moment(
     *,
     l_signs: Sequence[int] | None = None,
     cap: int | None = None,
-    c_j: float | None = None,
     scale: float = 1.0,
 ) -> float:
     """R for the criterion kind (see ``bound_expectation``)."""
     vec = dense_vector(state, cap=cap)
     tags = bound_tags(kind, state.n_sites, l_signs)
-    return bound_expectation(vec, tags, state.j, c_j=c_j, scale=scale)
+    return bound_expectation(vec, tags, state.j, scale=scale)
 
 
 def bound_expectation(
@@ -137,7 +129,6 @@ def bound_expectation(
     tags: Sequence[SiteOp],
     j: SpinQuantum,
     *,
-    c_j: float | None = None,
     scale: float = 1.0,
 ) -> float:
     """A bound moment R = <prod of bound tags>: real, non-negative by construction.
@@ -146,7 +137,7 @@ def bound_expectation(
     expectation can only mean an internal error and raises; rounding below
     zero is clamped to 0.
     """
-    value = expect_product(state_vector, tags, j, c_j=c_j, scale=scale).real
+    value = expect_product(state_vector, tags, j, scale=scale).real
     if value < -IMAG_TOL:
         raise ArithmeticError(f"bound moment came out negative ({value:.3e})")
     return max(value, 0.0)

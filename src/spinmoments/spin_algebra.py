@@ -152,11 +152,6 @@ def cj_bound(j: SpinQuantum) -> UncertaintyBound:
     return compute_cj(j)
 
 
-def cj_value(j: SpinQuantum, c_j: float | None = None) -> float:
-    """The C_J a bound moment uses: the override c_j when given, else ``cj_bound``."""
-    return cj_bound(j).c_j if c_j is None else float(c_j)
-
-
 def _cj_allowance(j: SpinQuantum) -> float:
     """Margin subtracted from the located minimum to make it a lower bound.
 

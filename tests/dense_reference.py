@@ -14,7 +14,7 @@ from spinmoments.oracle import SiteOp
 from spinmoments.spin_algebra import SpinQuantum, build_spin_matrices, cj_bound
 
 
-def site_matrix(op: SiteOp, j: SpinQuantum, *, c_j: float, scale: float) -> np.ndarray:
+def site_matrix(op: SiteOp, j: SpinQuantum, *, scale: float) -> np.ndarray:
     mats = build_spin_matrices(j)
     xx_yy = mats.jx @ mats.jx + mats.jy @ mats.jy
     return {
@@ -23,18 +23,16 @@ def site_matrix(op: SiteOp, j: SpinQuantum, *, c_j: float, scale: float) -> np.n
         SiteOp.X2_PLUS_Y2: scale**2 * xx_yy,
         SiteOp.PLUS_MINUS: scale**2 * (mats.jplus @ mats.jminus),
         SiteOp.MINUS_PLUS: scale**2 * (mats.jminus @ mats.jplus),
-        SiteOp.CJ_SHIFTED: scale**2 * (xx_yy - c_j * np.eye(j.dim)),
+        SiteOp.CJ_SHIFTED: scale**2 * (xx_yy - cj_bound(j).c_j * np.eye(j.dim)),
         SiteOp.IDENTITY: np.eye(j.dim, dtype=complex),
     }[op]
 
 
-def dense_expect_product(vec, ops, j: SpinQuantum, *, c_j=None, scale=1.0) -> complex:
+def dense_expect_product(vec, ops, j: SpinQuantum, *, scale=1.0) -> complex:
     """<psi| O_1 (x) ... (x) O_N |psi> by per-axis dense matrix application."""
-    if c_j is None:
-        c_j = cj_bound(j).c_j
     psi = np.asarray(vec, dtype=complex).reshape((j.dim,) * len(ops))
     phi = psi
     for k, op in enumerate(ops):
-        mat = site_matrix(op, j, c_j=c_j, scale=scale)
+        mat = site_matrix(op, j, scale=scale)
         phi = np.moveaxis(np.tensordot(mat, phi, axes=(1, k)), 0, k)
     return complex(np.vdot(psi, phi))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spinmoments import analytic, oracle
-from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, Steering
+from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, SiteOp, Steering
 from spinmoments.spin_algebra import SpinQuantum
 from spinmoments.states import (
     Bosonic,
@@ -202,10 +202,18 @@ def test_signed_ladder_sum_cancels_exactly():
     assert oracle.lhs_moment(st, (-1,) * 3) == 0.0
 
 
+def test_eigenvalue_factors_built_once_per_j():
+    fac = analytic._eigenvalue_factors(ONE)
+    assert analytic._eigenvalue_factors(SpinQuantum(2)) is fac
+    analytic.b_ratio(make_state(UniformMax(), ONE, 3), EntanglementCJ())
+    assert SiteOp.CJ_SHIFTED not in fac
+    assert not any(v.flags.writeable for v in fac.values())
+
+
 def test_bad_cj_rejected():
     st = make_state(UniformMax(), ONE, 3)
     with pytest.raises(ValueError, match="spectrum floor"):
-        analytic.b_ent_cj(st, c_j=1.5)  # above q_min = J = 1
+        analytic.b_ratio(st, EntanglementCJ(), c_j=1.5)  # above q_min = J = 1
 
 
 # ---------------------------------------------------------------------------

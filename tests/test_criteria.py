@@ -187,10 +187,6 @@ def test_sign_choice_tokens():
     sc = SignChoice(s=(-1, -1, 1), l=(1, -1))
     assert sc.s_token() == "--+"
     assert sc.l_token() == "+-"
-    can = SignChoice.canonical(Steering(2, "hz"), 4)
-    assert can.s == (-1,) * 4
-    assert can.l == (1, -1)
-    assert SignChoice.canonical(Steering(2, "cj"), 4).l == ()
 
 
 def test_canonical_oracle_builds_one_dense_vector(monkeypatch):

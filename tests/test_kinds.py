@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from spinmoments import kinds, oracle
-from spinmoments.criteria import SignChoice
 from spinmoments.kinds import SiteOp, bound_runs, bound_tags, canonical_signs, parse_kind
 
 
@@ -72,5 +71,4 @@ def test_canonical_signs(n):
         t = kinds.quantum_sites(kind, n)
         hz = token == "ent-hz" or token.endswith("-hz")
         assert l == (((1,) + (-1,) * (t - 1)) if hz and t else ())
-        assert SignChoice.canonical(kind, n) == SignChoice(s, l)
         assert bound_tags(kind, n, l) == bound_tags(kind, n)

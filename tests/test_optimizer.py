@@ -34,20 +34,17 @@ def test_best_beats_deterministic_starts():
 
 
 def test_report_is_self_consistent():
-    # the reported B is exactly the B of the reported state, under the C_J
-    # the search ran with
+    # the reported B is exactly the B of the reported state
     cases = [
-        (tj, n, kind, symmetric, None)
+        (tj, n, kind, symmetric)
         for tj, n, kind in ((2, 5, Bell()), (3, 6, EntanglementHZ()), (4, 7, Steering(2, "hz")))
         for symmetric in (True, False)
     ]
-    cases.append((4, 5, EntanglementCJ(), True, 0.5))
-    for tj, n, kind, symmetric, c_j in cases:
-        report = optimize_amplitudes(SpinQuantum(tj), n, kind, symmetric=symmetric, c_j=c_j)
-        assert report.c_j == c_j
+    for tj, n, kind, symmetric in cases:
+        report = optimize_amplitudes(SpinQuantum(tj), n, kind, symmetric=symmetric)
         assert np.sum(report.best_r**2) == pytest.approx(1.0, abs=1e-12)
         assert np.all(report.best_r >= 0)
-        assert report.best_b == analytic.b_ratio(report.best_state(), kind, c_j=report.c_j)
+        assert report.best_b == analytic.b_ratio(report.best_state(), kind)
 
 
 @pytest.mark.parametrize("tj", [1, 2, 3])

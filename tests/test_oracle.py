@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from spinmoments.oracle import (
     lhs_moment,
     rhs_moment,
 )
-from spinmoments.spin_algebra import SpinQuantum, cj_bound
+from spinmoments.spin_algebra import SpinQuantum
 from spinmoments.states import (
     Bosonic,
     CapExceededError,
@@ -55,7 +56,7 @@ def _op_lists(rng, n):
 
 
 def test_banded_contraction_matches_dense_reference():
-    # random complex unit vectors, d = 2..10 with d^N <= 2^14, every tag
+    # random complex unit vectors, d = 2..10 with d^N <= 2^14, every tag (C_J from cj_bound)
     rng = np.random.default_rng(20261018)
     seen = set()
     for d in range(2, 11):
@@ -67,11 +68,10 @@ def test_banded_contraction_matches_dense_reference():
             for ops in _op_lists(rng, n):
                 seen.update(ops)
                 for scale in (1.0, 2.0):
-                    for c_j in (None, float(rng.uniform(0.0, j.j))):
-                        got = expect_product(vec, ops, j, c_j=c_j, scale=scale)
-                        want = dense_expect_product(vec, ops, j, c_j=c_j, scale=scale)
-                        err = abs(got - want)
-                        assert err <= max(1e-12 * abs(want), 1e-14), (d, n, ops, scale, c_j)
+                    got = expect_product(vec, ops, j, scale=scale)
+                    want = dense_expect_product(vec, ops, j, scale=scale)
+                    err = abs(got - want)
+                    assert err <= max(1e-12 * abs(want), 1e-14), (d, n, ops, scale)
     assert seen == set(SiteOp)
 
 
@@ -231,8 +231,18 @@ def test_b_from_moments_edge_cases():
 
 
 def test_cj_shifted_uses_current_bound():
-    # corrupting c_j must move the moment; the shared default comes from cj_bound
+    # C_1 = 7/16: R = (1/3) [2 (2 - 1 - 7/16)^2 + (2 - 7/16)^2] = 787/768
     st = make_state(UniformMax(), ONE, 2)
-    base = rhs_moment(st, EntanglementCJ())
-    moved = rhs_moment(st, EntanglementCJ(), c_j=cj_bound(ONE).c_j + 0.1)
-    assert moved != pytest.approx(base, rel=1e-6)
+    assert rhs_moment(st, EntanglementCJ()) == pytest.approx(787 / 768, rel=1e-14, abs=0)
+
+
+def test_hermitian_products_are_real_by_construction():
+    # every product of offset-0 tags is reduced on the float64 view of psi
+    rng = np.random.default_rng(20261019)
+    for d in range(2, 7):
+        j = SpinQuantum(d - 1)
+        for n in range(1, 4):
+            vec = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
+            vec /= np.linalg.norm(vec)
+            for ops in itertools.product(DIAGONAL_OPS, repeat=n):
+                assert expect_product(vec, ops, j).imag == 0.0, (d, ops)

@@ -157,6 +157,35 @@ def test_compute_cj_validates_arguments():
             compute_cj(SpinQuantum(1), **knob)
 
 
+def test_cj_override_only_on_the_closed_form_chain():
+    # every verdict and the oracle read C_J from cj_bound: a c_j= keyword is refused
+    from spinmoments import analytic, criteria, optimizer, oracle, spin_algebra
+    from spinmoments.kinds import EntanglementCJ
+    from spinmoments.states import UniformMax, dense_vector, make_state
+
+    j = SpinQuantum(2)
+    st = make_state(UniformMax(), j, 2)
+    vec, tags = dense_vector(st), [oracle.SiteOp.CJ_SHIFTED] * 2
+    entry_points = [
+        lambda **kw: oracle.expect_product(vec, tags, j, **kw),
+        lambda **kw: oracle.bound_expectation(vec, tags, j, **kw),
+        lambda **kw: oracle.rhs_moment(st, EntanglementCJ(), **kw),
+        lambda **kw: criteria.evaluate(st, EntanglementCJ(), **kw),
+        lambda **kw: criteria.nested_verdicts(st, 2, **kw),
+        lambda **kw: optimizer.optimize_amplitudes(j, 2, EntanglementCJ(), **kw),
+        lambda **kw: analytic.lhs_rhs(st, EntanglementCJ(), **kw),
+        lambda **kw: analytic.b_ent_cj(st, **kw),
+        lambda **kw: analytic.b_steer_t(st, 1, **kw),
+    ]
+    for call in entry_points:
+        call()
+        with pytest.raises(TypeError):
+            call(c_j=0.1)
+    assert not hasattr(spin_algebra, "cj_value")
+    assert "c_j" not in optimizer.OptimizationReport.__dataclass_fields__
+    assert analytic.b_ratio(st, EntanglementCJ(), c_j=0.1) != analytic.b_ent_cj(st)
+
+
 def test_cj_bound_beyond_table_flagged_computed():
     assert cj_bound(SpinQuantum(9)).source is BoundSource.COMPUTED
 
