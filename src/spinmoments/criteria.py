@@ -17,17 +17,26 @@ Two strategies, both a search over ladder signs s and HZ bound signs l:
                 printed result, on the analytic backend or the oracle.
 * exhaustive -- all 2^N s-patterns and, for HZ bounds, all 2^T l-patterns,
                 on the oracle.  B is monotone in L and antitone in R, so the
-                two are maximised independently; ties go to the pattern found
-                first in plus-first lexicographic order.
+                two are optimised independently.
+
+On the oracle either strategy is one batched pass per moment: one
+``oracle.expect_table`` call gives L for every s-pattern and one
+``oracle.bound_table`` call R for every l-pattern (the canonical strategy has
+one alternative per site).  Exact ties are common (L(s) = L(-s) on real
+amplitudes; R depends only on the number of plus signs on symmetric states),
+so the pick is not left to rounding: every value within VERDICT_BAND of the
+extreme ties, v >= max (1 - band) for L and v <= min (1 + band) for R (so
+R = 0 ties only exact zeros), and the first tied pattern in plus-first
+lexicographic order wins, reported with its own value.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
+
+import numpy as np
 
 from . import analytic, kinds, oracle
 from .states import SymmetricCorrelatedState, dense_vector
@@ -103,7 +112,7 @@ def evaluate(
         b = analytic.b_from_logs(log_l, log_r)
         return CriterionResult(kind, lhs, rhs, b, violated(log_l, log_r), signs, Backend.ANALYTIC)
     if strategy == "canonical":
-        s_space, l_space = [signs.s], [signs.l]
+        s_alts, l_alts = [signs.s], [signs.l]
     elif strategy == "exhaustive":
         if backend is Backend.ANALYTIC:
             raise ValueError("exhaustive search runs on the oracle backend only")
@@ -111,19 +120,34 @@ def evaluate(
             raise ExhaustiveSearchError(
                 f"exhaustive sign search is capped at N <= {EXHAUSTIVE_MAX_SITES} sites, got N = {n}"
             )
-        s_space = itertools.product((1, -1), repeat=n)
-        l_space = itertools.product((1, -1), repeat=len(signs.l))
+        s_alts = [(1,) * n, (-1,) * n]
+        l_alts = [(1,) * len(signs.l), (-1,) * len(signs.l)]
     else:
         raise ValueError(f"unknown strategy {strategy!r}; expected 'canonical' or 'exhaustive'")
 
     vec = dense_vector(state, cap=cap)
-    ladder = ((abs(oracle.expect_product(vec, kinds.ladder_tags(s), state.j)) ** 2, s) for s in s_space)
-    bound = ((oracle.bound_expectation(vec, kinds.bound_tags(kind, n, l), state.j), l) for l in l_space)
-    # streamed, not stored (2^N patterns); max and min keep the first of ties
-    (lhs, s), (rhs, l) = max(ladder, key=itemgetter(0)), min(bound, key=itemgetter(0))
+    ladder = np.abs(oracle.expect_table(vec, _choices(kinds.ladder_tags, s_alts), state.j)) ** 2
+    bound_choices = _choices(lambda l: kinds.bound_tags(kind, n, l), l_alts)
+    bound = oracle.bound_table(vec, bound_choices, state.j)
+    lhs, s = _first_tied(ladder, ladder >= ladder.max() * (1 - VERDICT_BAND), s_alts)
+    rhs, l = _first_tied(bound, bound <= bound.min() * (1 + VERDICT_BAND), l_alts)
     verdict = violated(_log(lhs), _log(rhs))
     b = oracle.b_from_moments(lhs, rhs)
     return CriterionResult(kind, lhs, rhs, b, verdict, SignChoice(s, l), Backend.ORACLE)
+
+
+def _choices(tags, alts: list[tuple[int, ...]]) -> list[tuple[kinds.SiteOp, ...]]:
+    """Per site, its tags under each sign pattern in alts, repeats dropped: the
+    pattern k of alts is alternative k on every site whose tag it changes."""
+    return [tuple(dict.fromkeys(site)) for site in zip(*map(tags, alts))]
+
+
+def _first_tied(values: np.ndarray, tied: np.ndarray, alts: list[tuple[int, ...]]):
+    """The value and sign pattern of the first tied entry in C (plus-first) order;
+    sign k is read off the alternative chosen on site k."""
+    flat = int(np.argmax(tied))
+    index = np.unravel_index(flat, values.shape)
+    return float(values.flat[flat]), tuple(alts[index[k]][k] for k in range(len(alts[0])))
 
 
 def nested_verdicts(

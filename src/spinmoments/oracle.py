@@ -6,10 +6,20 @@ and the 0/0 rule of ``b_from_moments`` are this module's own.
 In the |J,m> basis each site operator is one band (J- at offset +1, J+ at -1,
 the rest diagonal), with weights read off ``build_spin_matrices``, never off the
 closed forms: this is the ground truth they are tested against, blind to the
-states' structure.  A ladder product allocates prod_k (d - |offset_k|) complex
-amplitudes; a bound moment R folds |psi|^2 into its first reduction on the float
-view of psi and allocates d^(N-1) reals.  Reductions multiply and sum, never a
-BLAS dot, whose fused multiply-add leaves a residue where a sum cancels to 0.
+states' structure.  Reductions multiply and sum, never a BLAS dot, whose fused
+multiply-add leaves a residue where a sum cancels to 0.
+
+``expect_table`` is the one contraction: given a tuple of alternative tags per
+site it returns every product at once, as an array with one axis per site, and
+``expect_product`` is its one-choice call.  A bound table (every offset 0)
+folds |psi|^2 into the last site's reduction on the float view of psi; with up
+to two alternatives per site no intermediate exceeds 2 d^N reals.  A ladder
+table reads psi through strided views, one axis per alternative, and loops
+over the leading sites' alternatives so that no chunk holds more than d^N
+complex products; the table itself has one entry per pattern, 2^N <= d^N for
+sign patterns.  So an exhaustive sign search stays within a few times the
+16 d^N bytes of psi, where gathering every pattern at once would take
+(2 (d - 1))^N products.
 
 C_J is always ``cj_bound(j).c_j``: the oracle takes no override, so it cannot
 be handed the same wrong C_J as the closed forms it checks.
@@ -22,11 +32,13 @@ unchanged, which is the unit-convention equivalence the tests pin down.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import kinds
 from .kinds import SiteOp, bound_tags, ladder_tags
@@ -60,20 +72,27 @@ def _site_bands(j: SpinQuantum, scale: float) -> dict[SiteOp, tuple]:
     return bands
 
 
-def expect_product(
+def expect_table(
     state_vector: np.ndarray,
-    ops: Sequence[SiteOp],
+    choices: Sequence[Sequence[SiteOp]],
     j: SpinQuantum,
     *,
     scale: float = 1.0,
-) -> complex:
-    """<psi| O_1 (x) ... (x) O_N |psi>: conj(psi[bra rows]) * psi[ket rows] reduced last
-    axis first against the band weights.  When every offset is 0 (exactly the
-    Hermitian products) the reduction runs on the real |psi|^2, so the value is
-    real by construction.  The vector must have length d^N and unit norm."""
+) -> np.ndarray:
+    """Every product <psi| O_1 (x) ... (x) O_N |psi> with O_k drawn from choices[k].
+
+    Returns the array of shape (len(choices[0]), ..., len(choices[N-1])) whose
+    entry (a_0, ..., a_{N-1}) takes choices[k][a_k] on site k, so with (plus,
+    minus) alternatives on every site its C order is
+    ``itertools.product((1, -1), repeat=N)``.  When every offset is 0 (exactly
+    the Hermitian products) the table is real, reduced from |psi|^2; otherwise
+    conj(psi[bra rows]) * psi[ket rows] is reduced, chunked over the leading
+    sites' alternatives (see the module docstring).  The vector must have
+    length d^N and unit norm, checked once.
+    """
     vec = np.asarray(state_vector, dtype=complex).ravel()
     d = j.dim
-    n = len(ops)
+    n = len(choices)
     if n == 0 or d**n != vec.size:
         raise ValueError(f"vector has {vec.size} amplitudes, expected d^N = {d}^{n} = {d**n}")
     flat = vec.view(np.float64)
@@ -82,17 +101,82 @@ def expect_product(
         raise ValueError(f"state vector must be normalised (|norm - 1| = {abs(nrm - 1.0):.3e})")
 
     table = _site_bands(j, float(scale))
-    offsets, bra, ket, weights = zip(*[table[op] for op in ops])
-    if not any(offsets):
+    sites = [[table[op] for op in alts] for alts in choices]
+    shape = tuple(map(len, sites))
+    if not any(band[0] for alts in sites for band in alts):
+        weights = _weights(sites)
         pair = flat.reshape((d,) * n + (2,))
-        acc = np.einsum("...ik,...ik,i->...", pair, pair, weights[-1])
-        weights = weights[:-1]
-    else:
-        psi = vec.reshape((d,) * n)
-        acc = np.conj(psi[bra]) * psi[ket]
-    for w in reversed(weights):
+        spec = "...ik,...ik,i->..." if weights[-1].ndim == 1 else "...ik,...ik,ai->a..."
+        acc = np.einsum(spec, pair, pair, weights[-1])
+        return _reduce(acc, weights, reduced=1).reshape(shape)
+
+    psi = vec.reshape((d,) * n)
+    bra, ket = (_pattern_view(psi, sites, side) for side in (1, 2))
+    weights = _weights(sites)
+    size, lead = bra.size, 0
+    while size > vec.size:  # with every site looped, size <= d^N
+        size //= shape[lead]
+        lead += 1
+    out = np.empty(shape, dtype=complex)
+    for combo in itertools.product(*map(range, shape[:lead])):
+        index = tuple(a for a, alts in zip(combo, sites) if len(alts) > 1)
+        acc = np.conj(bra[index])
+        acc *= ket[index]
+        chosen = [w[a] if w.ndim == 2 else w for w, a in zip(weights, combo)] + weights[lead:]
+        out[combo] = _reduce(acc, chosen).reshape(shape[lead:])
+    return out
+
+
+def _weights(sites: list[list[tuple]]) -> list[np.ndarray]:
+    """Per site its band weights: (band,) for one alternative, else (alternatives, band)."""
+    return [alts[0][3] if len(alts) == 1 else np.stack([band[3] for band in alts]) for alts in sites]
+
+
+def _pattern_view(psi: np.ndarray, sites: list[list[tuple]], side: int) -> np.ndarray:
+    """psi at the bra (side 1) or ket (side 2) rows of every band, as a read-only
+    view: one alternative axis per site with several, in site order, then one
+    band axis per site.  A site's alternatives must share one band length and
+    start on evenly spaced rows, so each alternative axis is a stride of psi
+    (J+ and J- are one row apart; diagonal alternatives repeat the same rows)."""
+    base = psi[tuple(alts[0][side] for alts in sites)]
+    shape, strides = [], []
+    for alts, stride in zip(sites, psi.strides):
+        if len(alts) > 1:
+            starts = [band[side].start for band in alts]
+            step = starts[1] - starts[0]
+            if len({len(band[3]) for band in alts}) > 1 or any(b - a != step for a, b in zip(starts, starts[1:])):
+                raise ValueError("a site's alternatives must be bands of one length on evenly spaced rows")
+            shape.append(len(alts))
+            strides.append(step * stride)
+    if not shape:
+        return base
+    return as_strided(base, tuple(shape) + base.shape, tuple(strides) + base.strides, writeable=False)
+
+
+def _reduce(acc: np.ndarray, weights: list[np.ndarray], reduced: int = 0) -> np.ndarray:
+    """Reduce acc's band axes, last site first, multiplying and summing; the last
+    `reduced` sites are already reduced.  An (alternatives, band) weight lines
+    up with its site's alternative axis, or adds it in front of the later
+    sites' ones, so the result has the alternative axes in site order."""
+    later = sum(w.ndim == 2 for w in weights[len(weights) - reduced :])
+    for k in reversed(range(len(weights) - reduced)):
+        w = weights[k]
+        if w.ndim == 2:  # (alternatives, band) against acc's last k + 1 + later axes
+            w = w.reshape((w.shape[0],) + (1,) * (later + k) + (w.shape[1],))
+            later += 1
         acc = (acc * w).sum(axis=-1)
-    return complex(acc)
+    return acc
+
+
+def expect_product(
+    state_vector: np.ndarray,
+    ops: Sequence[SiteOp],
+    j: SpinQuantum,
+    *,
+    scale: float = 1.0,
+) -> complex:
+    """<psi| O_1 (x) ... (x) O_N |psi>: the one-choice ``expect_table``."""
+    return complex(expect_table(state_vector, [(op,) for op in ops], j, scale=scale).item())
 
 
 def lhs_moment(
@@ -131,16 +215,34 @@ def bound_expectation(
     *,
     scale: float = 1.0,
 ) -> float:
-    """A bound moment R = <prod of bound tags>: real, non-negative by construction.
+    """A bound moment R = <prod of bound tags>: real, non-negative by construction
+    (see ``bound_table``)."""
+    value = expect_product(state_vector, tags, j, scale=scale).real
+    _check_bound(value)
+    return max(value, 0.0)
+
+
+def bound_table(
+    state_vector: np.ndarray,
+    choices: Sequence[Sequence[SiteOp]],
+    j: SpinQuantum,
+    *,
+    scale: float = 1.0,
+) -> np.ndarray:
+    """Every bound moment R over the per-site choices (see ``expect_table``).
 
     Every factor operator is positive semidefinite, so a genuinely negative
-    expectation can only mean an internal error and raises; rounding below
-    zero is clamped to 0.
+    entry can only mean an internal error and raises; rounding below zero is
+    clamped to 0.
     """
-    value = expect_product(state_vector, tags, j, scale=scale).real
-    if value < -IMAG_TOL:
-        raise ArithmeticError(f"bound moment came out negative ({value:.3e})")
-    return max(value, 0.0)
+    values = expect_table(state_vector, choices, j, scale=scale).real
+    _check_bound(values)
+    return np.maximum(values, 0.0)
+
+
+def _check_bound(values) -> None:
+    if np.any(values < -IMAG_TOL):
+        raise ArithmeticError(f"bound moment came out negative ({np.min(values):.3e})")
 
 
 def b_from_moments(lhs: float, rhs: float) -> float:

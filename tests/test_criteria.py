@@ -1,11 +1,14 @@
+import itertools
 import math
+import tracemalloc
 
 import pytest
 
-from spinmoments.criteria import Backend, SignChoice, evaluate, nested_verdicts
-from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, Steering
+from spinmoments import kinds, oracle
+from spinmoments.criteria import VERDICT_BAND, Backend, SignChoice, evaluate, nested_verdicts
+from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, SiteOp, Steering
 from spinmoments.spin_algebra import SpinQuantum
-from spinmoments.states import Bosonic, GeneralizedGHZ, SpinOneR, UniformMax, make_state
+from spinmoments.states import Bosonic, Custom, GeneralizedGHZ, SpinOneR, UniformMax, dense_vector, make_state
 
 HALF = SpinQuantum(1)
 ONE = SpinQuantum(2)
@@ -110,14 +113,115 @@ def test_exhaustive_optimal_ladder_signs_all_equal():
 
 def test_exhaustive_site_choice_immaterial_for_symmetric_states():
     # all single-plus l patterns give the same R on a correlated state
-    from spinmoments import oracle
-
     st = make_state(Bosonic(), ONE, 4)
     values = []
     for k in range(4):
         l = tuple(1 if i == k else -1 for i in range(4))
         values.append(oracle.rhs_moment(st, EntanglementHZ(), l_signs=l))
     assert max(values) - min(values) < 1e-13
+
+
+def _per_pattern_search(st, kind):
+    """The exhaustive search as one expect_product call per sign pattern, with
+    the tie rule: the first pattern within VERDICT_BAND of the extreme."""
+    n, vec = st.n_sites, dense_vector(st)
+    s_space = list(itertools.product((1, -1), repeat=n))
+    l_space = list(itertools.product((1, -1), repeat=len(kinds.canonical_signs(kind, n)[1])))
+    ls = [abs(oracle.expect_product(vec, kinds.ladder_tags(s), st.j)) ** 2 for s in s_space]
+    rs = [oracle.bound_expectation(vec, kinds.bound_tags(kind, n, l), st.j) for l in l_space]
+    k_l = next(k for k, v in enumerate(ls) if v >= max(ls) * (1 - VERDICT_BAND))
+    k_r = next(k for k, v in enumerate(rs) if v <= min(rs) * (1 + VERDICT_BAND))
+    return s_space[k_l], l_space[k_r], ls[k_l], rs[k_r]
+
+
+def _grid_states():
+    for tj in (1, 2, 3):
+        families = [UniformMax(), Bosonic(), Custom(tuple((-1) ** k * (k + 0.3) for k in range(tj + 1)))]
+        families += {1: [GeneralizedGHZ(0.7)], 2: [SpinOneR(0.8)], 3: []}[tj]
+        for family in families:
+            for n in range(2, 6):
+                yield make_state(family, SpinQuantum(tj), n)
+
+
+def test_exhaustive_equals_per_pattern_search():
+    for st in _grid_states():
+        for token in ("bell", "ent-hz", "ent-cj", "epr1", "epr2-hz"):
+            res = evaluate(st, kinds.parse_kind(token), "exhaustive")
+            s, l, lhs, rhs = _per_pattern_search(st, kinds.parse_kind(token))
+            case = (st.j.twice_j, st.n_sites, token)
+            assert (res.signs.s, res.signs.l) == (s, l), case
+            assert res.lhs == pytest.approx(lhs, rel=1e-12, abs=0), case
+            assert res.rhs == pytest.approx(rhs, rel=1e-12, abs=0), case
+
+
+def test_exhaustive_ties_go_to_the_first_pattern():
+    # L(s) = L(-s) on real amplitudes, and R depends only on how many l are plus
+    # on a state with |r_m| = |r_-m|: the tie goes to all-plus s and to the
+    # first tied l in plus-first order, pluses leading
+    for st in (make_state(UniformMax(), SpinQuantum(3), 5), make_state(Bosonic(), ONE, 4)):
+        for token in ("bell", "ent-hz", "epr2-hz"):
+            res = evaluate(st, kinds.parse_kind(token), "exhaustive")
+            assert res.signs.s == (1,) * st.n_sites
+            assert res.signs.l == tuple(sorted(res.signs.l, reverse=True))
+    res = evaluate(make_state(Bosonic(), ONE, 4), Steering(2, "hz"), "exhaustive")
+    assert res.signs.l == (1, -1)  # the first single-plus pattern
+
+
+def _patch_entry(monkeypatch, first_tags, entry, change):
+    """Change one entry of the oracle tables whose first site offers first_tags."""
+    original = oracle.expect_table
+
+    def patched(vec, choices, j, **kwargs):
+        table = original(vec, choices, j, **kwargs)
+        if choices[0] == first_tags:
+            table = table.copy()
+            table.flat[entry] = change(table.flat[entry])
+        return table
+
+    monkeypatch.setattr(oracle, "expect_table", patched)
+
+
+LADDER_PAIR = (SiteOp.PLUS, SiteOp.MINUS)
+HZ_PAIR = (SiteOp.PLUS_MINUS, SiteOp.MINUS_PLUS)
+
+
+@pytest.mark.parametrize("factor, s_index", [(1 + 1e-13, 0), (1 + 1e-9, 15)])
+def test_ladder_ties_within_the_band(monkeypatch, factor, s_index):
+    # all-minus (entry 15) raised inside the band still ties with all-plus
+    st = make_state(Bosonic(), ONE, 4)
+    plain = evaluate(st, Bell(), "exhaustive")
+    _patch_entry(monkeypatch, LADDER_PAIR, 15, lambda v: v * math.sqrt(factor))
+    res = evaluate(st, Bell(), "exhaustive")
+    assert res.signs.s == list(itertools.product((1, -1), repeat=4))[s_index]
+    # the value reported is the chosen pattern's own
+    assert res.lhs == pytest.approx(plain.lhs * (factor if s_index else 1.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("factor, l_index", [(1 - 1e-13, 1), (1 - 1e-9, 6)])
+def test_bound_ties_within_the_band(monkeypatch, factor, l_index):
+    # entries 1..6 tie for the minimum; entry 6, (-, -, +), lowered inside the
+    # band still ties with entry 1, (+, +, -)
+    st = make_state(UniformMax(), ONE, 3)
+    plain = evaluate(st, EntanglementHZ(), "exhaustive")
+    assert plain.signs.l == (1, 1, -1)
+    _patch_entry(monkeypatch, HZ_PAIR, 6, lambda v: v * factor)
+    res = evaluate(st, EntanglementHZ(), "exhaustive")
+    assert res.signs.l == list(itertools.product((1, -1), repeat=3))[l_index]
+
+
+def test_exhaustive_memory_stays_near_the_state_size():
+    # 2J = 2, N = 10: a table over all 2^N ladder patterns, unchunked, would
+    # hold (2(d - 1))^N = 4^10 products, 18 times the 3^10 amplitudes
+    st = make_state(Bosonic(), ONE, 10)
+    evaluate(make_state(Bosonic(), ONE, 2), EntanglementHZ(), "exhaustive")  # caches warm
+    tracemalloc.start()
+    try:
+        res = evaluate(st, EntanglementHZ(), "exhaustive")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.violated
+    assert peak <= 4 * 16 * 3**10, peak / (16 * 3**10)
 
 
 def test_exhaustive_guards():
@@ -131,13 +235,22 @@ def test_exhaustive_guards():
 
 
 def test_exhaustive_rejects_negative_bound_moment(monkeypatch):
-    # a negative R is an internal error, not an infinite B
-    from spinmoments import oracle
-
-    monkeypatch.setattr(oracle, "expect_product", lambda *args, **kwargs: -1.0 + 0j)
+    # a negative R is an internal error, not an infinite B: every entry of the
+    # bound table is checked, not only the one the search picks
     st = make_state(UniformMax(), SpinQuantum(2), 3)
-    with pytest.raises(ArithmeticError, match="negative"):
-        evaluate(st, EntanglementHZ(), "exhaustive")
+    for entry in (0, 5, 7):
+        for value in (-1.0, -2e-10):
+            with monkeypatch.context() as patch:
+                _patch_entry(patch, HZ_PAIR, entry, lambda v: value)
+                with pytest.raises(ArithmeticError, match="negative"):
+                    evaluate(st, EntanglementHZ(), "exhaustive")
+
+
+def test_exhaustive_clamps_bound_rounding_to_zero(monkeypatch):
+    _patch_entry(monkeypatch, HZ_PAIR, 6, lambda v: -1e-11)
+    res = evaluate(make_state(UniformMax(), SpinQuantum(2), 3), EntanglementHZ(), "exhaustive")
+    assert res.rhs == 0.0
+    assert res.signs.l == (-1, -1, 1)  # entry 6 in plus-first order
 
 
 def test_steering_t_validation():

@@ -11,6 +11,7 @@ from spinmoments.oracle import (
     b_from_moments,
     bound_tags,
     expect_product,
+    expect_table,
     ladder_tags,
     lhs_moment,
     rhs_moment,
@@ -73,6 +74,68 @@ def test_banded_contraction_matches_dense_reference():
                     err = abs(got - want)
                     assert err <= max(1e-12 * abs(want), 1e-14), (d, n, ops, scale)
     assert seen == set(SiteOp)
+
+
+PAIRS = [
+    (SiteOp.PLUS, SiteOp.MINUS),
+    (SiteOp.MINUS, SiteOp.PLUS),
+    (SiteOp.PLUS_MINUS, SiteOp.MINUS_PLUS),
+    (SiteOp.X2_PLUS_Y2, SiteOp.CJ_SHIFTED),
+    (SiteOp.IDENTITY, SiteOp.MINUS_PLUS),
+]
+
+
+def _choice_lists(rng, n):
+    """Random mixes of one-tag and two-tag sites (at most three with two), and
+    the ladder and HZ-bound pairs on every site when 2^N <= 32."""
+    tags = list(SiteOp)
+    for _ in range(2):
+        two = set(rng.choice(n, size=rng.integers(min(n, 3) + 1), replace=False).tolist())
+        yield [PAIRS[rng.integers(len(PAIRS))] if k in two else (tags[rng.integers(len(tags))],) for k in range(n)]
+    if 2**n <= 32:
+        yield [PAIRS[0]] * n
+        yield [PAIRS[2]] * n
+
+
+def test_expect_table_matches_per_pattern_products():
+    # every entry against expect_product on its pattern and the dense reference;
+    # d = 2..6 with d^N <= 2^12, so the ladder pairs also run chunked
+    rng = np.random.default_rng(20261020)
+    for d in range(2, 7):
+        j = SpinQuantum(d - 1)
+        for n in range(1, 13):
+            if d**n > 2**12:
+                break
+            vec = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
+            vec /= np.linalg.norm(vec)
+            for choices in _choice_lists(rng, n):
+                for scale in (1.0, 2.0):
+                    table = expect_table(vec, choices, j, scale=scale)
+                    assert table.shape == tuple(map(len, choices))
+                    for index in np.ndindex(table.shape):
+                        ops = [alts[a] for alts, a in zip(choices, index)]
+                        for want in (
+                            expect_product(vec, ops, j, scale=scale),
+                            dense_expect_product(vec, ops, j, scale=scale),
+                        ):
+                            err = abs(table[index] - want)
+                            assert err <= max(1e-12 * abs(want), 1e-14), (d, n, ops, scale)
+
+
+def test_expect_table_order_is_plus_first():
+    st = make_state(Custom((0.3, -1.0, 0.6)), ONE, 3)
+    vec = dense_vector(st)
+    table = expect_table(vec, [(SiteOp.PLUS, SiteOp.MINUS)] * 3, ONE)
+    patterns = list(itertools.product((1, -1), repeat=3))
+    for flat_index, signs in enumerate(patterns):
+        assert table.flat[flat_index] == pytest.approx(expect_product(vec, ladder_tags(signs), ONE), abs=1e-15)
+
+
+def test_expect_table_rejects_alternatives_off_one_stride():
+    vec = dense_vector(make_state(UniformMax(), ONE, 2))
+    for alts in ((SiteOp.PLUS, SiteOp.X2_PLUS_Y2), (SiteOp.PLUS, SiteOp.MINUS, SiteOp.PLUS)):
+        with pytest.raises(ValueError, match="evenly spaced"):
+            expect_table(vec, [alts, (SiteOp.MINUS,)], ONE)
 
 
 def test_mixed_ladder_signs_vanish_on_correlated_states():
