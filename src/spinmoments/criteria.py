@@ -27,7 +27,9 @@ amplitudes; R depends only on the number of plus signs on symmetric states),
 so the pick is not left to rounding: every value within VERDICT_BAND of the
 extreme ties, v >= max (1 - band) for L and v <= min (1 + band) for R (so
 R = 0 ties only exact zeros), and the first tied pattern in plus-first
-lexicographic order wins, reported with its own value.
+lexicographic order labels the result.  L and R are the extremes themselves,
+max L and min R, so the search keeps the strongest verdict of its sign space;
+they differ from the labelled pattern's own values by less than the band.
 """
 
 from __future__ import annotations
@@ -129,11 +131,14 @@ def evaluate(
     ladder = np.abs(oracle.expect_table(vec, _choices(kinds.ladder_tags, s_alts), state.j)) ** 2
     bound_choices = _choices(lambda l: kinds.bound_tags(kind, n, l), l_alts)
     bound = oracle.bound_table(vec, bound_choices, state.j)
-    lhs, s = _first_tied(ladder, ladder >= ladder.max() * (1 - VERDICT_BAND), s_alts)
-    rhs, l = _first_tied(bound, bound <= bound.min() * (1 + VERDICT_BAND), l_alts)
+    lhs, rhs = float(ladder.max()), float(bound.min())
+    if strategy == "exhaustive":
+        signs = SignChoice(
+            _first_tied(ladder >= lhs * (1 - VERDICT_BAND)), _first_tied(bound <= rhs * (1 + VERDICT_BAND))
+        )
     verdict = violated(_log(lhs), _log(rhs))
     b = oracle.b_from_moments(lhs, rhs)
-    return CriterionResult(kind, lhs, rhs, b, verdict, SignChoice(s, l), Backend.ORACLE)
+    return CriterionResult(kind, lhs, rhs, b, verdict, signs, Backend.ORACLE)
 
 
 def _choices(tags, alts: list[tuple[int, ...]]) -> list[tuple[kinds.SiteOp, ...]]:
@@ -142,12 +147,12 @@ def _choices(tags, alts: list[tuple[int, ...]]) -> list[tuple[kinds.SiteOp, ...]
     return [tuple(dict.fromkeys(site)) for site in zip(*map(tags, alts))]
 
 
-def _first_tied(values: np.ndarray, tied: np.ndarray, alts: list[tuple[int, ...]]):
-    """The value and sign pattern of the first tied entry in C (plus-first) order;
-    sign k is read off the alternative chosen on site k."""
-    flat = int(np.argmax(tied))
-    index = np.unravel_index(flat, values.shape)
-    return float(values.flat[flat]), tuple(alts[index[k]][k] for k in range(len(alts[0])))
+def _first_tied(tied: np.ndarray) -> tuple[int, ...]:
+    """The signs of the first tied entry in C (plus-first) order, read off the
+    table's own axes: one per site with two alternatives, in site order, plus
+    for alternative 0."""
+    index = np.unravel_index(int(np.argmax(tied)), tied.shape)
+    return tuple(1 - 2 * int(a) for a, size in zip(index, tied.shape) if size == 2)
 
 
 def nested_verdicts(

@@ -215,34 +215,25 @@ def bound_expectation(
     *,
     scale: float = 1.0,
 ) -> float:
-    """A bound moment R = <prod of bound tags>: real, non-negative by construction
-    (see ``bound_table``)."""
-    value = expect_product(state_vector, tags, j, scale=scale).real
-    _check_bound(value)
-    return max(value, 0.0)
+    """A bound moment R = <prod of bound tags> (see ``bound_table``)."""
+    return float(_nonnegative(expect_product(state_vector, tags, j, scale=scale).real))
 
 
-def bound_table(
-    state_vector: np.ndarray,
-    choices: Sequence[Sequence[SiteOp]],
-    j: SpinQuantum,
-    *,
-    scale: float = 1.0,
-) -> np.ndarray:
+def bound_table(state_vector: np.ndarray, choices: Sequence[Sequence[SiteOp]], j: SpinQuantum) -> np.ndarray:
     """Every bound moment R over the per-site choices (see ``expect_table``).
 
     Every factor operator is positive semidefinite, so a genuinely negative
     entry can only mean an internal error and raises; rounding below zero is
     clamped to 0.
     """
-    values = expect_table(state_vector, choices, j, scale=scale).real
-    _check_bound(values)
-    return np.maximum(values, 0.0)
+    return _nonnegative(expect_table(state_vector, choices, j).real)
 
 
-def _check_bound(values) -> None:
+def _nonnegative(values):
+    """The bound moments, checked and clamped (see ``bound_table``)."""
     if np.any(values < -IMAG_TOL):
         raise ArithmeticError(f"bound moment came out negative ({np.min(values):.3e})")
+    return np.maximum(values, 0.0)
 
 
 def b_from_moments(lhs: float, rhs: float) -> float:

@@ -123,7 +123,8 @@ def test_exhaustive_site_choice_immaterial_for_symmetric_states():
 
 def _per_pattern_search(st, kind):
     """The exhaustive search as one expect_product call per sign pattern, with
-    the tie rule: the first pattern within VERDICT_BAND of the extreme."""
+    the tie rule: the first pattern within VERDICT_BAND of the extreme labels
+    the result, whose L and R are the extremes."""
     n, vec = st.n_sites, dense_vector(st)
     s_space = list(itertools.product((1, -1), repeat=n))
     l_space = list(itertools.product((1, -1), repeat=len(kinds.canonical_signs(kind, n)[1])))
@@ -131,7 +132,7 @@ def _per_pattern_search(st, kind):
     rs = [oracle.bound_expectation(vec, kinds.bound_tags(kind, n, l), st.j) for l in l_space]
     k_l = next(k for k, v in enumerate(ls) if v >= max(ls) * (1 - VERDICT_BAND))
     k_r = next(k for k, v in enumerate(rs) if v <= min(rs) * (1 + VERDICT_BAND))
-    return s_space[k_l], l_space[k_r], ls[k_l], rs[k_r]
+    return s_space[k_l], l_space[k_r], max(ls), min(rs)
 
 
 def _grid_states():
@@ -152,6 +153,10 @@ def test_exhaustive_equals_per_pattern_search():
             assert (res.signs.s, res.signs.l) == (s, l), case
             assert res.lhs == pytest.approx(lhs, rel=1e-12, abs=0), case
             assert res.rhs == pytest.approx(rhs, rel=1e-12, abs=0), case
+            # the canonical signs are one point of the search, so it bounds them
+            canon = evaluate(st, kinds.parse_kind(token), backend=Backend.ORACLE)
+            assert res.lhs >= canon.lhs * (1 - 1e-13) and res.rhs <= canon.rhs * (1 + 1e-13), case
+            assert res.violated or not canon.violated, case
 
 
 def test_exhaustive_ties_go_to_the_first_pattern():
@@ -193,8 +198,8 @@ def test_ladder_ties_within_the_band(monkeypatch, factor, s_index):
     _patch_entry(monkeypatch, LADDER_PAIR, 15, lambda v: v * math.sqrt(factor))
     res = evaluate(st, Bell(), "exhaustive")
     assert res.signs.s == list(itertools.product((1, -1), repeat=4))[s_index]
-    # the value reported is the chosen pattern's own
-    assert res.lhs == pytest.approx(plain.lhs * (factor if s_index else 1.0), rel=1e-15)
+    # the value reported is the maximum, also when it is not the labelled pattern's
+    assert res.lhs == pytest.approx(plain.lhs * factor, rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("factor, l_index", [(1 - 1e-13, 1), (1 - 1e-9, 6)])
@@ -207,6 +212,7 @@ def test_bound_ties_within_the_band(monkeypatch, factor, l_index):
     _patch_entry(monkeypatch, HZ_PAIR, 6, lambda v: v * factor)
     res = evaluate(st, EntanglementHZ(), "exhaustive")
     assert res.signs.l == list(itertools.product((1, -1), repeat=3))[l_index]
+    assert res.rhs == pytest.approx(plain.rhs * factor, rel=1e-15, abs=0)  # the minimum
 
 
 def test_exhaustive_memory_stays_near_the_state_size():
