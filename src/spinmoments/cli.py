@@ -57,7 +57,7 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Normalised arguments of one CLI run; round-trips through JSON."""
+    """Normalised arguments of one CLI run; JSON output echoes it as ``config``."""
 
     command: str
     fmt: str = "csv"
@@ -82,10 +82,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @staticmethod
-    def from_dict(data: dict) -> "RunConfig":
-        return RunConfig(**data)
 
 
 # ---------------------------------------------------------------------------

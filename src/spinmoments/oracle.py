@@ -11,15 +11,15 @@ multiply-add leaves a residue where a sum cancels to 0.
 
 ``expect_table`` is the one contraction: given a tuple of alternative tags per
 site it returns every product at once, as an array with one axis per site, and
-``expect_product`` is its one-choice call.  A bound table (every offset 0)
-folds |psi|^2 into the last site's reduction on the float view of psi; with up
-to two alternatives per site no intermediate exceeds 2 d^N reals.  A ladder
-table reads psi through strided views, one axis per alternative, and loops
-over the leading sites' alternatives so that no chunk holds more than d^N
-complex products; the table itself has one entry per pattern, 2^N <= d^N for
-sign patterns.  So an exhaustive sign search stays within a few times the
-16 d^N bytes of psi, where gathering every pattern at once would take
-(2 (d - 1))^N products.
+``expect_product`` is its one-choice call.  A bound table (every offset 0) is
+reduced leading site first: site 0 folds in |psi|^2, squared from psi's float
+view block by block, and each later site is d in-place multiply-adds; with at
+most d alternatives per site no output exceeds d^N reals.  A ladder table reads
+psi through strided views, one axis per alternative, and loops over the leading
+sites' alternatives so that no chunk holds more than d^N complex products; the
+table itself has one entry per pattern, 2^N <= d^N for sign patterns.  So an
+exhaustive sign search stays within a few times the 16 d^N bytes of psi, where
+gathering every pattern at once would take (2 (d - 1))^N products.
 
 C_J is always ``cj_bound(j).c_j``: the oracle takes no override, so it cannot
 be handed the same wrong C_J as the closed forms it checks.
@@ -47,6 +47,7 @@ from .states import SymmetricCorrelatedState, dense_vector
 
 IMAG_TOL = 1e-10
 NORM_TOL = 1e-10
+_BLOCK = 1 << 13  # site-0 columns squared at a time, so the scratch stays in cache
 
 
 @lru_cache(maxsize=None)
@@ -85,10 +86,10 @@ def expect_table(
     entry (a_0, ..., a_{N-1}) takes choices[k][a_k] on site k, so with (plus,
     minus) alternatives on every site its C order is
     ``itertools.product((1, -1), repeat=N)``.  When every offset is 0 (exactly
-    the Hermitian products) the table is real, reduced from |psi|^2; otherwise
-    conj(psi[bra rows]) * psi[ket rows] is reduced, chunked over the leading
-    sites' alternatives (see the module docstring).  The vector must have
-    length d^N and unit norm, checked once.
+    the Hermitian products) the table is real, reduced leading site first with
+    |psi|^2 folded into site 0's pass; otherwise conj(psi[bra rows]) *
+    psi[ket rows] is reduced, chunked over the leading sites' alternatives (see
+    the module docstring).  The vector must have length d^N and unit norm.
     """
     vec = np.asarray(state_vector, dtype=complex).ravel()
     d = j.dim
@@ -104,11 +105,11 @@ def expect_table(
     sites = [[table[op] for op in alts] for alts in choices]
     shape = tuple(map(len, sites))
     if not any(band[0] for alts in sites for band in alts):
-        weights = _weights(sites)
-        pair = flat.reshape((d,) * n + (2,))
-        spec = "...ik,...ik,i->..." if weights[-1].ndim == 1 else "...ik,...ik,ai->a..."
-        acc = np.einsum(spec, pair, pair, weights[-1])
-        return _reduce(acc, weights, reduced=1).reshape(shape)
+        first, *later = map(np.atleast_2d, _weights(sites))
+        out = _site0(flat.reshape(d, -1, 2), first)
+        for w in later:  # each site's buffers die with its call
+            out = _next_site(out.reshape(len(out), w.shape[1], -1), w)
+        return out.reshape(shape)
 
     psi = vec.reshape((d,) * n)
     bra, ket = (_pattern_view(psi, sites, side) for side in (1, 2))
@@ -153,13 +154,36 @@ def _pattern_view(psi: np.ndarray, sites: list[list[tuple]], side: int) -> np.nd
     return as_strided(base, tuple(shape) + base.shape, tuple(strides) + base.strides, writeable=False)
 
 
-def _reduce(acc: np.ndarray, weights: list[np.ndarray], reduced: int = 0) -> np.ndarray:
-    """Reduce acc's band axes, last site first, multiplying and summing; the last
-    `reduced` sites are already reduced.  An (alternatives, band) weight lines
-    up with its site's alternative axis, or adds it in front of the later
-    sites' ones, so the result has the alternative axes in site order."""
-    later = sum(w.ndim == 2 for w in weights[len(weights) - reduced :])
-    for k in reversed(range(len(weights) - reduced)):
+def _site0(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(alternatives, d^(N-1)) = sum_i w[:, i] |row i|^2, squared _BLOCK columns at a time."""
+    out = np.zeros((len(w), rows.shape[1]))
+    scratch = np.empty((min(_BLOCK, rows.shape[1]), 2))
+    weighted = np.empty((len(w), len(scratch)))
+    for start in range(0, rows.shape[1], _BLOCK):
+        acc = out[:, start : start + _BLOCK]
+        sq, tmp = scratch[: acc.shape[1]], weighted[:, : acc.shape[1]]
+        for i, row in enumerate(rows[:, start : start + _BLOCK]):
+            np.multiply(row, row, out=sq)
+            acc += np.multiply(w[:, i, None], np.add(sq[:, 0], sq[:, 1], out=sq[:, 0]), out=tmp)
+    return out
+
+
+def _next_site(prev: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(patterns * alternatives, rest) = sum_i w[:, i] prev[:, i] for prev = (patterns, d, rest)."""
+    out = np.zeros((len(prev), len(w), prev.shape[2]))
+    tmp = np.empty_like(out)
+    for i in range(w.shape[1]):
+        out += np.multiply(prev[:, i, None], w[:, i, None], out=tmp)
+    return out.reshape(-1, prev.shape[2])
+
+
+def _reduce(acc: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
+    """Reduce acc's band axes, last site first, multiplying and summing.  An
+    (alternatives, band) weight lines up with its site's alternative axis, or
+    adds it in front of the later sites' ones, so the result has the
+    alternative axes in site order."""
+    later = 0
+    for k in reversed(range(len(weights))):
         w = weights[k]
         if w.ndim == 2:  # (alternatives, band) against acc's last k + 1 + later axes
             w = w.reshape((w.shape[0],) + (1,) * (later + k) + (w.shape[1],))

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -398,17 +399,24 @@ def test_env_overrides(capsys, monkeypatch):
     assert rc == 0
 
 
-def test_config_round_trip():
-    cfg = RunConfig(
-        command="scan",
-        fmt="json",
-        twice_j=3,
-        n_values=[2, 3, 4],
-        kind_tokens=["bell", "epr1"],
-        family="bosonic",
-        axis="n",
+def test_json_config_echoes_every_field(capsys):
+    # the JSON "config" carries every RunConfig field with its parsed value
+    rc, out, _ = run_cli(
+        capsys, "scan", "--axis", "n", "--twice-j", "2", "--family", "custom",
+        "--amplitudes", "[1, 0.5, 1]", "--kinds", "bell, epr1", "--n", "2..4",
+        "--format", "json", "--cap", "4096",
     )
-    assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    assert rc == 0
+    config = json.loads(out)["config"]
+    assert list(config) == sorted(f.name for f in fields(RunConfig))
+    assert config == {
+        "command": "scan", "fmt": "json", "output": "-", "cap": 4096, "twice_j": 2,
+        "n_values": [2, 3, 4], "d_values": [], "family": "custom", "theta": None, "r": None,
+        "amplitudes": [1.0, 0.5, 1.0], "kind_tokens": ["bell", "epr1"], "strategy": "canonical",
+        "backend": None, "axis": "n", "n_max": None, "max_d": None, "max_twice_j": None,
+        "max_size": None, "corrupt_cj": None,
+    }
+    assert RunConfig(**config).to_dict() == config
 
 
 def test_help_exits_zero(capsys):

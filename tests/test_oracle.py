@@ -1,14 +1,18 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from dense_reference import dense_expect_product
+from dense_reference import dense_expect_product, site_matrix
+from hypothesis import given, settings, strategies as st
 
 from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, Steering
 from spinmoments.oracle import (
     SiteOp,
     b_from_moments,
+    bound_expectation,
+    bound_table,
     bound_tags,
     expect_product,
     expect_table,
@@ -309,3 +313,82 @@ def test_hermitian_products_are_real_by_construction():
             vec /= np.linalg.norm(vec)
             for ops in itertools.product(DIAGONAL_OPS, repeat=n):
                 assert expect_product(vec, ops, j).imag == 0.0, (d, ops)
+
+
+@st.composite
+def bound_cases(draw):
+    """d = 2..6 with d^N <= 2^12, 1-3 offset-0 tags per site (at most 64 patterns),
+    and a random complex unit vector on a random support: a product of per-site
+    level sets, or GHZ-like (every site on the same level)."""
+    d = draw(st.integers(2, 6))
+    n = draw(st.integers(1, max(k for k in range(1, 13) if d**k <= 2**12)))
+    choices, patterns = [], 1
+    for _ in range(n):
+        alts = draw(st.lists(st.sampled_from(DIAGONAL_OPS), min_size=1, max_size=min(3, 64 // patterns)))
+        choices.append(tuple(alts))
+        patterns *= len(alts)
+    levels = draw(st.lists(st.sets(st.integers(0, d - 1), min_size=1), min_size=n, max_size=n))
+    ghz = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if ghz:
+        support = np.zeros((d,) * n, dtype=bool)
+        for level in levels[0]:
+            support[(level,) * n] = True
+    else:
+        support = np.ones(1, dtype=bool)
+        for site in levels:
+            support = np.multiply.outer(support, np.isin(np.arange(d), list(site)))
+    support = support.ravel()
+    vec = (rng.normal(size=d**n) + 1j * rng.normal(size=d**n)) * support
+    return SpinQuantum(d - 1), choices, vec / np.linalg.norm(vec), support, draw(st.sampled_from((1.0, 2.0)))
+
+
+def _weight_vector(ops, j, scale):
+    """prod_k <i_k| O_k |i_k> over the basis, in psi's C order."""
+    w = np.ones(1)
+    for op in ops:
+        w = np.multiply.outer(w, site_matrix(op, j, scale=scale).diagonal().real).ravel()
+    return w
+
+
+@settings(max_examples=100, deadline=None)
+@given(bound_cases())
+def test_bound_table_matches_dense_reference(case):
+    # every entry to 1e-12 relative to the sum of its terms' magnitudes (the
+    # entry itself unless C_J-shifted weights cancel), and exactly 0.0 where
+    # the weights vanish on the whole support, as the exhaustive R == 0 needs
+    j, choices, vec, support, scale = case
+    table = expect_table(vec, choices, j, scale=scale)
+    assert table.shape == tuple(map(len, choices)) and np.isrealobj(table)
+    prob = np.abs(vec) ** 2
+    for index in np.ndindex(table.shape):
+        ops = [alts[a] for alts, a in zip(choices, index)]
+        w = _weight_vector(ops, j, scale)
+        want = dense_expect_product(vec, ops, j, scale=scale)
+        assert abs(table[index] - want) <= 1e-12 * (np.abs(w) @ prob), (ops, scale)
+        if not np.any(w[support]):
+            assert table[index] == 0.0, (ops, scale)
+
+
+def _peak_over_psi(call, vec):
+    """tracemalloc peak of call(), caches warm, over the 16 d^N bytes of psi."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / vec.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_bound_reduction_transient_memory():
+    # 2J = 1, N = 16: a one-choice Bell R and the all-HZ table, (J+J-, J-J+) on
+    # every site, whose 2^16 entries are half of psi's bytes on their own
+    n = 16
+    rng = np.random.default_rng(20261021)
+    vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    vec /= np.linalg.norm(vec)
+    bell = _peak_over_psi(lambda: bound_expectation(vec, bound_tags(Bell(), n), HALF), vec)
+    hz = _peak_over_psi(lambda: bound_table(vec, [(SiteOp.PLUS_MINUS, SiteOp.MINUS_PLUS)] * n, HALF), vec)
+    assert bell <= 0.63, bell
+    assert hz <= 2.5, hz
