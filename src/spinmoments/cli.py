@@ -397,6 +397,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                     "rel_discrepancy": _rel_diff(b_oracle, b_analytic),
                 }
             )
+        del vec  # so the next point's vector is not allocated beside it
     if not rows:
         print("verify: empty grid (cap excludes every point)", file=sys.stderr)
         return 2

@@ -11,11 +11,20 @@ multiply-add leaves a residue where a sum cancels to 0.
 
 ``expect_table`` is the one contraction: given a tuple of alternative tags per
 site it returns every product at once, as an array with one axis per site, and
-``expect_product`` is its one-choice call.  A bound table (every offset 0) is
-reduced leading site first: site 0 folds in |psi|^2, squared from psi's float
-view block by block, and each later site is d in-place multiply-adds; with at
-most d alternatives per site no output exceeds d^N reals.  A ladder table reads
-psi through strided views, one axis per alternative, and loops over the leading
+``expect_product`` is its one-choice call.  psi and the table's shape alone set
+its route.  A sum over psi's nonzero amplitudes costs about entries + N per
+amplitude, so this support route runs when psi's nonzero 64-bit words times
+(entries + N) are at most d^N, as for one-choice products on all but the
+smallest correlated-family states (at most d nonzero amplitudes).  It finds them
+block by block, checks the norm on them and sums psi_i prod_k W_k[m_k(i)]
+conj(psi[i + sum_k delta_k d^(N-1-k)]) over them, W_k the band weights on all d
+ket rows (0 off the band), delta_k the bra - ket row shift (|psi_i|^2 when all
+are 0).  The dense route, for dense vectors and all-pattern ladder tables on
+large supports, reads all of psi.  A bound table (every offset 0) is reduced
+leading site first: site 0 folds in |psi|^2, squared from psi's float view block
+by block, and each later site is d in-place multiply-adds; with at most d
+alternatives per site no output exceeds d^N reals.  A ladder table reads psi
+through strided views, one axis per alternative, and loops over the leading
 sites' alternatives so that no chunk holds more than d^N complex products; the
 table itself has one entry per pattern, 2^N <= d^N for sign patterns.  So an
 exhaustive sign search stays within a few times the 16 d^N bytes of psi, where
@@ -51,11 +60,12 @@ _BLOCK = 1 << 13  # site-0 columns squared at a time, so the scratch stays in ca
 
 
 @lru_cache(maxsize=None)
-def _site_bands(j: SpinQuantum, scale: float) -> dict[SiteOp, tuple]:
-    """Per tag (offset, bra rows, ket rows, weights): mat[bra, ket] = diag(weights), 0 elsewhere."""
+def _site_bands(j: SpinQuantum, scale: float) -> tuple[dict[SiteOp, tuple], np.ndarray, np.ndarray]:
+    """Per tag (offset, bra rows, ket rows, weights, row): mat[bra, ket] = diag(weights), 0
+    elsewhere; per row, in tag order with IDENTITY last, weights on all d ket rows, bra - ket shift."""
     mats = build_spin_matrices(j)
     xx_yy = mats.jx @ mats.jx + mats.jy @ mats.jy
-    bands = {}
+    bands, rows = {}, np.zeros((len(SiteOp), j.dim))
     for op, offset, mat in (
         (SiteOp.PLUS, -1, scale * mats.jplus),
         (SiteOp.MINUS, 1, scale * mats.jminus),
@@ -69,8 +79,9 @@ def _site_bands(j: SpinQuantum, scale: float) -> dict[SiteOp, tuple]:
         if np.any(mat != np.diag(band, offset)) or np.any(band.imag):
             raise ArithmeticError(f"{op.value} is not a real band at offset {offset}")
         bra, ket = (slice(max(k, 0), j.dim + min(k, 0)) for k in (-offset, offset))
-        bands[op] = (offset, bra, ket, np.array(band.real))
-    return bands
+        rows[len(bands), ket] = band.real
+        bands[op] = (offset, bra, ket, np.array(band.real), len(bands))
+    return bands, rows, -np.array([band[0] for band in bands.values()])
 
 
 def expect_table(
@@ -86,24 +97,25 @@ def expect_table(
     entry (a_0, ..., a_{N-1}) takes choices[k][a_k] on site k, so with (plus,
     minus) alternatives on every site its C order is
     ``itertools.product((1, -1), repeat=N)``.  When every offset is 0 (exactly
-    the Hermitian products) the table is real, reduced leading site first with
-    |psi|^2 folded into site 0's pass; otherwise conj(psi[bra rows]) *
-    psi[ket rows] is reduced, chunked over the leading sites' alternatives (see
-    the module docstring).  The vector must have length d^N and unit norm.
+    the Hermitian products) the table is real.  The module docstring gives the
+    two routes, support and dense.  The vector must have length d^N and unit norm.
     """
     vec = np.asarray(state_vector, dtype=complex).ravel()
     d = j.dim
     n = len(choices)
     if n == 0 or d**n != vec.size:
         raise ValueError(f"vector has {vec.size} amplitudes, expected d^N = {d}^{n} = {d**n}")
-    flat = vec.view(np.float64)
-    nrm = math.sqrt(flat @ flat)
-    if abs(nrm - 1.0) > NORM_TOL:
-        raise ValueError(f"state vector must be normalised (|norm - 1| = {abs(nrm - 1.0):.3e})")
-
-    table = _site_bands(j, float(scale))
+    table, rows, shifts = _site_bands(j, float(scale))
     sites = [[table[op] for op in alts] for alts in choices]
     shape = tuple(map(len, sites))
+    for alts in (alts for alts in sites if len(alts) > 1):  # each must be a stride of psi (_pattern_view)
+        starts = [band[2].start for band in alts]
+        if len({len(band[3]) for band in alts}) > 1 or len({b - a for a, b in zip(starts, starts[1:])}) > 1:
+            raise ValueError("a site's alternatives must be bands of one length on evenly spaced rows")
+    if np.count_nonzero(vec.view(np.uint64)) * (math.prod(shape) + n) <= vec.size:
+        return _support_table(vec, sites, d, rows, shifts).reshape(shape)
+    flat = vec.view(np.float64)
+    _check_norm(flat)
     if not any(band[0] for alts in sites for band in alts):
         first, *later = map(np.atleast_2d, _weights(sites))
         out = _site0(flat.reshape(d, -1, 2), first)
@@ -128,6 +140,38 @@ def expect_table(
     return out
 
 
+def _check_norm(flat: np.ndarray) -> None:
+    nrm = math.sqrt(flat @ flat)
+    if abs(nrm - 1.0) > NORM_TOL:
+        raise ValueError(f"state vector must be normalised (|norm - 1| = {abs(nrm - 1.0):.3e})")
+
+
+def _support_table(vec: np.ndarray, sites: list[list[tuple]], d: int, rows: np.ndarray, shifts: np.ndarray):
+    """The table, flattened, as sums over psi's nonzero amplitudes (module docstring)."""
+    blocks = vec.reshape(-1, d ** min(len(sites), int(7 / math.log(d))))  # about 2^10 amplitudes each
+    if len(blocks) == 1:
+        ket = np.flatnonzero(vec)
+    else:  # searched only in the blocks holding a nonzero word
+        hit = np.flatnonzero(blocks.view(np.uint64).max(axis=1))
+        blk, col = np.nonzero(blocks[hit])
+        ket = hit[blk] * blocks.shape[1] + col
+    amp = vec[ket]
+    _check_norm(amp.view(np.float64))
+    place = d ** np.arange(len(sites) - 1, -1, -1)
+    digits = ket[:, None] // place % d
+    lead = np.array([alts[0][4] if len(alts) == 1 else -1 for alts in sites])  # -1: IDENTITY
+    acc = rows[lead, digits].prod(axis=1)[None]
+    off = np.array([shifts[lead] @ place])  # bra - ket; a bra off psi (clipped) has weight 0
+    for k, alts in enumerate(sites):
+        if len(alts) > 1:  # a new alternative axis, in site order
+            codes = [band[4] for band in alts]
+            acc = (acc[:, None] * rows[codes][:, digits[:, k]]).reshape(-1, len(ket))
+            off = (off[:, None] + shifts[codes] * place[k]).ravel()
+    if not off.any():
+        return (acc * (amp.real**2 + amp.imag**2)).sum(axis=-1)
+    return (acc * amp * np.conj(vec.take(ket + off[:, None], mode="clip"))).sum(axis=-1)
+
+
 def _weights(sites: list[list[tuple]]) -> list[np.ndarray]:
     """Per site its band weights: (band,) for one alternative, else (alternatives, band)."""
     return [alts[0][3] if len(alts) == 1 else np.stack([band[3] for band in alts]) for alts in sites]
@@ -136,19 +180,14 @@ def _weights(sites: list[list[tuple]]) -> list[np.ndarray]:
 def _pattern_view(psi: np.ndarray, sites: list[list[tuple]], side: int) -> np.ndarray:
     """psi at the bra (side 1) or ket (side 2) rows of every band, as a read-only
     view: one alternative axis per site with several, in site order, then one
-    band axis per site.  A site's alternatives must share one band length and
-    start on evenly spaced rows, so each alternative axis is a stride of psi
-    (J+ and J- are one row apart; diagonal alternatives repeat the same rows)."""
+    band axis per site; each alternative axis is a stride of psi (J+ and J-
+    are one row apart; diagonal alternatives repeat the same rows)."""
     base = psi[tuple(alts[0][side] for alts in sites)]
     shape, strides = [], []
     for alts, stride in zip(sites, psi.strides):
         if len(alts) > 1:
-            starts = [band[side].start for band in alts]
-            step = starts[1] - starts[0]
-            if len({len(band[3]) for band in alts}) > 1 or any(b - a != step for a, b in zip(starts, starts[1:])):
-                raise ValueError("a site's alternatives must be bands of one length on evenly spaced rows")
             shape.append(len(alts))
-            strides.append(step * stride)
+            strides.append((alts[1][side].start - alts[0][side].start) * stride)
     if not shape:
         return base
     return as_strided(base, tuple(shape) + base.shape, tuple(strides) + base.strides, writeable=False)

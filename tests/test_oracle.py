@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from dense_reference import dense_expect_product, site_matrix
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, Steering
+from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, Steering, canonical_signs
 from spinmoments.oracle import (
     SiteOp,
     b_from_moments,
@@ -392,3 +392,76 @@ def test_bound_reduction_transient_memory():
     hz = _peak_over_psi(lambda: bound_table(vec, [(SiteOp.PLUS_MINUS, SiteOp.MINUS_PLUS)] * n, HALF), vec)
     assert bell <= 0.63, bell
     assert hz <= 2.5, hz
+
+
+@st.composite
+def sparse_table_cases(draw):
+    """d = 2..6 with d^N <= 2^12; one-tag sites (any tag) and up to five ``PAIRS``
+    sites; a random complex unit vector on a product support, a GHZ-like one or
+    one basis state.  The two-tag sites are drawn freely, so that tables fall
+    on both sides of the route rule (nonzero words x (entries + N) <= d^N)."""
+    d = draw(st.integers(2, 6))
+    n = draw(st.integers(1, max(k for k in range(1, 13) if d**k <= 2**12)))
+    two = draw(st.sets(st.integers(0, n - 1), max_size=min(n, 5)))
+    choices = [draw(st.sampled_from(PAIRS)) if k in two else (draw(st.sampled_from(list(SiteOp))),) for k in range(n)]
+    support = np.zeros((d,) * n, dtype=bool)
+    kind = draw(st.sampled_from(("product", "ghz", "basis")))
+    if kind == "product":
+        levels = draw(st.lists(st.sets(st.integers(0, d - 1), min_size=1), min_size=n, max_size=n))
+        support[np.ix_(*map(sorted, levels))] = True
+    elif kind == "ghz":
+        for level in draw(st.sets(st.integers(0, d - 1), min_size=1)):
+            support[(level,) * n] = True
+    else:
+        support[tuple(draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)))] = True
+    support = support.ravel()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vec = (rng.normal(size=d**n) + 1j * rng.normal(size=d**n)) * support
+    return SpinQuantum(d - 1), choices, vec / np.linalg.norm(vec), support, draw(st.sampled_from((1.0, 2.0)))
+
+
+def _term_sum(vec, ops, j, scale):
+    """The sum of the product's terms in magnitude, <|psi|| |O_1| (x) ... (x) |O_N| ||psi|>."""
+    psi = np.abs(vec).reshape((j.dim,) * len(ops))
+    phi = psi
+    for k, op in enumerate(ops):
+        phi = np.moveaxis(np.tensordot(np.abs(site_matrix(op, j, scale=scale)), phi, axes=(1, k)), 0, k)
+    return float(np.sum(psi * phi))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_table_cases())
+def test_sparse_support_tables_match_dense_reference(case):
+    # ladder and mixed tables on either route: every entry to 1e-12 relative to
+    # the sum of its terms' magnitudes, bound entries exactly 0.0 where the
+    # weights vanish on the support, and the norm check still fires
+    j, choices, vec, support, scale = case
+    table = expect_table(vec, choices, j, scale=scale)
+    event(f"support route: {2 * support.sum() * (table.size + len(choices)) <= vec.size}")
+    assert table.shape == tuple(map(len, choices))
+    for index in np.ndindex(table.shape):
+        ops = [alts[a] for alts, a in zip(choices, index)]
+        want = dense_expect_product(vec, ops, j, scale=scale)
+        assert abs(table[index] - want) <= 1e-12 * _term_sum(vec, ops, j, scale), (ops, scale)
+        if np.isrealobj(table) and not np.any(_weight_vector(ops, j, scale)[support]):
+            assert table[index] == 0.0, (ops, scale)
+    with pytest.raises(ValueError, match="normalised"):
+        expect_table(2 * vec, choices, j, scale=scale)
+
+
+def test_support_route_transient_memory():
+    # 2J = 1, N = 20 uniform-max: 2 nonzero amplitudes of 2^20, so a Bell R and
+    # the canonical ladder product are sums over the support alone
+    n = 20
+    vec = dense_vector(make_state(UniformMax(), HALF, n))
+    signs, _ = canonical_signs(Bell(), n)
+    bell = _peak_over_psi(lambda: bound_expectation(vec, bound_tags(Bell(), n), HALF), vec)
+    ladder = _peak_over_psi(lambda: expect_product(vec, ladder_tags(signs), HALF), vec)
+    assert bell <= 0.2, bell
+    assert ladder <= 0.2, ladder
+    # a real vector with every amplitude nonzero has d^N nonzero words; a sum
+    # over its support would hold N numbers per amplitude, so it stays dense
+    real = np.random.default_rng(20261022).normal(size=2**16).astype(complex)
+    real /= np.linalg.norm(real)
+    dense = _peak_over_psi(lambda: bound_expectation(real, bound_tags(Bell(), 16), HALF), real)
+    assert dense <= 0.63, dense
