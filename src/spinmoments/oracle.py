@@ -15,20 +15,24 @@ site it returns every product at once, as an array with one axis per site, and
 its route.  A sum over psi's nonzero amplitudes costs about entries + N per
 amplitude, so this support route runs when psi's nonzero 64-bit words times
 (entries + N) are at most d^N, as for one-choice products on all but the
-smallest correlated-family states (at most d nonzero amplitudes).  It finds them
-block by block, checks the norm on them and sums psi_i prod_k W_k[m_k(i)]
-conj(psi[i + sum_k delta_k d^(N-1-k)]) over them, W_k the band weights on all d
-ket rows (0 off the band), delta_k the bra - ket row shift (|psi_i|^2 when all
-are 0).  The dense route, for dense vectors and all-pattern ladder tables on
-large supports, reads all of psi.  A bound table (every offset 0) is reduced
-leading site first: site 0 folds in |psi|^2, squared from psi's float view block
-by block, and each later site is d in-place multiply-adds; with at most d
-alternatives per site no output exceeds d^N reals.  A ladder table reads psi
-through strided views, one axis per alternative, and loops over the leading
-sites' alternatives so that no chunk holds more than d^N complex products; the
-table itself has one entry per pattern, 2^N <= d^N for sign patterns.  So an
-exhaustive sign search stays within a few times the 16 d^N bytes of psi, where
-gathering every pattern at once would take (2 (d - 1))^N products.
+smallest correlated-family states (at most d nonzero amplitudes).  One max over
+the words of each block of psi (about 2^10 amplitudes) is both the route test
+and the support search, so psi is read once: words are counted and amplitudes
+found only in the blocks it hits, and more hit blocks than d^N / (entries + N)
+go dense at once.  The support route checks the norm on the amplitudes found and
+sums psi_i prod_k W_k[m_k(i)] conj(psi[i + sum_k delta_k d^(N-1-k)]) over them,
+W_k the band weights on all d ket rows (0 off the band), delta_k the bra - ket
+row shift (|psi_i|^2 when all are 0).  The dense route, for dense vectors and
+all-pattern ladder tables on large supports, reads all of psi.  A bound table
+(every offset 0) is reduced leading site first: site 0 folds in |psi|^2, squared
+from psi's float view block by block, and each later site is d in-place
+multiply-adds; with at most d alternatives per site no output exceeds d^N reals.
+A ladder table reads psi through strided views, one axis per alternative, and
+loops over the leading sites' alternatives so that no chunk holds more than d^N
+complex products; the table itself has one entry per pattern, 2^N <= d^N for
+sign patterns.  So an exhaustive sign search stays within a few times the 16 d^N
+bytes of psi, where gathering every pattern at once would take (2 (d - 1))^N
+products.
 
 C_J is always ``cj_bound(j).c_j``: the oracle takes no override, so it cannot
 be handed the same wrong C_J as the closed forms it checks.
@@ -112,8 +116,9 @@ def expect_table(
         starts = [band[2].start for band in alts]
         if len({len(band[3]) for band in alts}) > 1 or len({b - a for a, b in zip(starts, starts[1:])}) > 1:
             raise ValueError("a site's alternatives must be bands of one length on evenly spaced rows")
-    if np.count_nonzero(vec.view(np.uint64)) * (math.prod(shape) + n) <= vec.size:
-        return _support_table(vec, sites, d, rows, shifts).reshape(shape)
+    ket = _support(vec, d, n, vec.size // (math.prod(shape) + n))
+    if ket is not None:
+        return _support_table(vec, ket, sites, d, rows, shifts).reshape(shape)
     flat = vec.view(np.float64)
     _check_norm(flat)
     if not any(band[0] for alts in sites for band in alts):
@@ -146,15 +151,24 @@ def _check_norm(flat: np.ndarray) -> None:
         raise ValueError(f"state vector must be normalised (|norm - 1| = {abs(nrm - 1.0):.3e})")
 
 
-def _support_table(vec: np.ndarray, sites: list[list[tuple]], d: int, rows: np.ndarray, shifts: np.ndarray):
-    """The table, flattened, as sums over psi's nonzero amplitudes (module docstring)."""
-    blocks = vec.reshape(-1, d ** min(len(sites), int(7 / math.log(d))))  # about 2^10 amplitudes each
+def _support(vec: np.ndarray, d: int, n: int, most: int) -> np.ndarray | None:
+    """``np.flatnonzero(vec)`` if psi has at most ``most`` nonzero 64-bit words, else
+    None, by the block search of the module docstring (in place when every block hits)."""
+    blocks = vec.reshape(-1, d ** min(n, int(7 / math.log(d))))
     if len(blocks) == 1:
-        ket = np.flatnonzero(vec)
-    else:  # searched only in the blocks holding a nonzero word
-        hit = np.flatnonzero(blocks.view(np.uint64).max(axis=1))
-        blk, col = np.nonzero(blocks[hit])
-        ket = hit[blk] * blocks.shape[1] + col
+        return np.flatnonzero(vec != 0) if np.count_nonzero(vec.view(np.uint64)) <= most else None
+    hit = np.flatnonzero(blocks.view(np.uint64).max(axis=1))
+    if len(hit) > most:  # each hit block holds a nonzero word
+        return None
+    held = blocks if len(hit) == len(blocks) else blocks[hit]
+    if np.count_nonzero(held.view(np.uint64)) > most:
+        return None
+    blk, col = np.divmod(np.flatnonzero(held != 0), blocks.shape[1])
+    return hit[blk] * blocks.shape[1] + col
+
+
+def _support_table(vec: np.ndarray, ket: np.ndarray, sites: list[list[tuple]], d: int, rows: np.ndarray, shifts: np.ndarray):
+    """The table, flattened, as sums over psi's nonzero amplitudes ket (module docstring)."""
     amp = vec[ket]
     _check_norm(amp.view(np.float64))
     place = d ** np.arange(len(sites) - 1, -1, -1)
@@ -218,16 +232,17 @@ def _next_site(prev: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _reduce(acc: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
     """Reduce acc's band axes, last site first, multiplying and summing.  An
-    (alternatives, band) weight lines up with its site's alternative axis, or
-    adds it in front of the later sites' ones, so the result has the
-    alternative axes in site order."""
+    (alternatives, band) weight lines up with its site's alternative axis, so
+    every product keeps acc's shape and is taken in place (acc is the caller's
+    own buffer), and a band of length 1 is dropped rather than summed."""
     later = 0
     for k in reversed(range(len(weights))):
         w = weights[k]
         if w.ndim == 2:  # (alternatives, band) against acc's last k + 1 + later axes
             w = w.reshape((w.shape[0],) + (1,) * (later + k) + (w.shape[1],))
             later += 1
-        acc = (acc * w).sum(axis=-1)
+        acc *= w
+        acc = acc[..., 0] if acc.shape[-1] == 1 else acc.sum(axis=-1)
     return acc
 
 

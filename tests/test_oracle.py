@@ -10,6 +10,7 @@ from hypothesis import event, given, settings, strategies as st
 from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, Steering, canonical_signs
 from spinmoments.oracle import (
     SiteOp,
+    _support,
     b_from_moments,
     bound_expectation,
     bound_table,
@@ -465,3 +466,95 @@ def test_support_route_transient_memory():
     real /= np.linalg.norm(real)
     dense = _peak_over_psi(lambda: bound_expectation(real, bound_tags(Bell(), 16), HALF), real)
     assert dense <= 0.63, dense
+
+
+def test_ladder_table_transient_memory():
+    # 2J = 1, N = 16: the all-sign-pattern ladder table, (J+, J-) on every
+    # site, on a dense vector; each site's product is taken in place and its
+    # band of length 1 dropped, so one chunk of d^N products and the table remain
+    n = 16
+    rng = np.random.default_rng(20261023)
+    vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    vec /= np.linalg.norm(vec)
+    ladder = _peak_over_psi(lambda: expect_table(vec, [(SiteOp.PLUS, SiteOp.MINUS)] * n, HALF), vec)
+    assert ladder <= 2.5, ladder
+
+
+@st.composite
+def support_search_cases(draw):
+    """A vector of one or several of the support search's blocks (d^min(N,
+    int(7 / ln d)) amplitudes, as in ``oracle._support``) whose nonzero
+    amplitudes lie in no block, one, some or every block; amplitudes real,
+    imaginary-only or complex; -0.0 parts (a nonzero word, a zero amplitude)
+    anywhere; and a cost (table entries + N) on either side of the rule."""
+    d = draw(st.integers(2, 6))
+    top = max(k for k in range(1, 14) if d**k <= 2**13)  # several blocks from N = int(7 / ln d) + 1
+    n = draw(st.one_of(st.integers(1, int(7 / math.log(d))), st.integers(int(7 / math.log(d)) + 1, top)))
+    size, block = d**n, d ** min(n, int(7 / math.log(d)))
+    spread = draw(st.sampled_from(("none", "one", "some", "every")))
+    if spread == "none":
+        hit = []
+    elif spread == "one":
+        hit = [draw(st.integers(0, size // block - 1))]
+    elif spread == "some":
+        hit = sorted(draw(st.sets(st.integers(0, size // block - 1), min_size=1)))
+    else:
+        hit = range(size // block)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    per_block = draw(st.sampled_from((1, 2, block)))
+    vec = np.zeros(size, dtype=complex)
+    for b in hit:
+        pos = b * block + rng.choice(block, size=rng.integers(1, per_block + 1), replace=False)
+        vec[pos] = {"real": 1, "imag": 1j, "complex": 1 + 1j}[draw(st.sampled_from(("real", "imag", "complex")))]
+        vec[pos] *= rng.normal(size=len(pos))
+    parts = vec.view(np.float64)
+    neg = rng.choice(parts.size, size=draw(st.integers(0, 4)), replace=False)
+    parts[neg] = np.where(parts[neg] == 0.0, -0.0, parts[neg])
+    event(f"{'one block' if size == block else 'several blocks'}, support in {spread}, -0.0 parts: {len(neg) > 0}")
+    words = np.count_nonzero(vec.view(np.uint64))
+    cost = draw(
+        st.one_of(
+            st.integers(1, size + 1),
+            st.integers(-2, 2).map(lambda k: max(1, size // max(words, 1) + k)),
+            st.integers(-2, 2).map(lambda k: max(1, size // max(len(hit), 1) + k)),
+        )
+    )
+    return d, n, vec, cost
+
+
+@settings(max_examples=200, deadline=None)
+@given(support_search_cases())
+def test_support_search_keeps_the_route_rule(case):
+    # the rule the route had before the block search: nonzero 64-bit words x
+    # (table entries + N) <= d^N; on the support route the search returns
+    # exactly flatnonzero(psi), so a -0.0 part counts as a word, not as support
+    d, n, vec, cost = case
+    ket = _support(vec, d, n, vec.size // cost)
+    support_route = np.count_nonzero(vec.view(np.uint64)) * cost <= vec.size
+    event(f"support route: {support_route}")
+    if support_route:
+        assert ket is not None and np.array_equal(ket, np.flatnonzero(vec))
+    else:
+        assert ket is None
+
+
+def test_support_route_reads_psi_once(monkeypatch):
+    # 2J = 1, N = 20 uniform-max: the block max is the one reduction over all
+    # of psi's words; the nonzero count and search see only the hit blocks
+    n = 20
+    vec = dense_vector(make_state(UniformMax(), HALF, n))
+    signs, _ = canonical_signs(Bell(), n)
+    seen = []
+    for name in ("count_nonzero", "flatnonzero", "nonzero"):
+        monkeypatch.setattr(np, name, _spy(getattr(np, name), seen))
+    bound_expectation(vec, bound_tags(Bell(), n), HALF)
+    expect_product(vec, ladder_tags(signs), HALF)
+    assert seen and max(seen) < vec.size, seen
+
+
+def _spy(func, seen):
+    def call(a, *args, **kwargs):
+        seen.append(np.size(a))
+        return func(a, *args, **kwargs)
+
+    return call
