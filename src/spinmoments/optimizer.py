@@ -11,8 +11,9 @@ of log D brackets it) over generalized eigenproblems whose metric
 M = c I + D / c is diagonal: each is the tridiagonal M^(-1/2) A M^(-1/2),
 assembled in the log domain so that N in the thousands cannot overflow.
 Its entries are non-negative, so the top eigenvector has one sign and is
-the optimal r.  The r_m = r_-m restriction folds A and D by r = P x (the
-HZ bound weights are not symmetric in m).  The reported B is exactly
+the optimal r; the search's 65-point grid is one stacked eigh.  The
+r_m = r_-m restriction folds A and D by r = P x (the HZ bound weights are
+not symmetric in m).  The reported B is exactly
 ``analytic.b_ratio(report.best_state(), kind)``, with C_J from ``cj_bound``;
 two adjacent zero bound weights make B unbounded (inf).  Where B* is a
 supremum approached only as c -> 0 (``ent-hz`` and ``epr2-hz`` at 2J = 2),
@@ -84,13 +85,19 @@ def _fold(log_a: np.ndarray, log_d: np.ndarray, symmetric: bool):
 
 
 def _log_top_eigenpair(log_diag, log_off, log_metric):
-    """(log lambda_max, |eigenvector|) of M^(-1/2) T M^(-1/2), M diagonal."""
+    """(log lambda_max, |eigenvector|) of M^(-1/2) T M^(-1/2), M diagonal, for
+    each row of log_metric (shape (..., k)), by one stacked eigh."""
     diag = log_diag - log_metric
-    off = log_off - 0.5 * (log_metric[:-1] + log_metric[1:])
-    shift = max(diag.max(), off.max(initial=-np.inf))
-    e = np.exp(off - shift)
-    w, v = np.linalg.eigh(np.diag(np.exp(diag - shift)) + np.diag(e, 1) + np.diag(e, -1))
-    return shift + math.log(w[-1]), np.abs(v[:, -1])
+    off = log_off - 0.5 * (log_metric[..., :-1] + log_metric[..., 1:])
+    shift = np.maximum(diag.max(-1), off.max(-1, initial=-np.inf))[..., None]
+    k = diag.shape[-1]
+    t = np.zeros(diag.shape[:-1] + (k * k,))  # flat k x k: diagonal, then both off-diagonals
+    t[..., :: k + 1] = np.exp(diag - shift)
+    t[..., 1 :: k + 1] = t[..., k :: k + 1] = np.exp(off - shift)
+    w, v = np.linalg.eigh(t.reshape(diag.shape + (k,)))
+    top = w[..., -1]  # math.log, not np.log: numpy's SIMD log can differ in the last bit
+    log_top = np.reshape([math.log(x) for x in top.flat], top.shape)
+    return shift[..., 0] + log_top, np.abs(v[..., -1])
 
 
 def optimize_amplitudes(
@@ -122,7 +129,8 @@ def optimize_amplitudes(
     else:
         fold, counts, log_fd, log_diag, log_off = _fold(log_a, log_d, symmetric)
 
-        def log_metric(log_c: float) -> np.ndarray:  # log(n_i c + D_i / c)
+        def log_metric(log_c):  # log(n_i c + D_i / c), a row per entry of log_c
+            log_c = np.expand_dims(log_c, -1)
             return np.logaddexp(np.log(counts) + log_c, log_fd - log_c)
 
         finite = 0.5 * log_d[np.isfinite(log_d)]

@@ -147,7 +147,7 @@ def expect_table(
 
 def _check_norm(flat: np.ndarray) -> None:
     nrm = math.sqrt(flat @ flat)
-    if abs(nrm - 1.0) > NORM_TOL:
+    if not abs(nrm - 1.0) <= NORM_TOL:  # NaN fails this too
         raise ValueError(f"state vector must be normalised (|norm - 1| = {abs(nrm - 1.0):.3e})")
 
 

@@ -122,9 +122,10 @@ def minimize_on_interval(f, lo: float, hi: float) -> tuple[float, float]:
     """(x, f(x)) at the minimum of a unimodal f on [lo, hi]: a grid locates
     the basin, a golden-section search polishes it within the two
     neighbouring cells down to a bracket of 1e-12 + 3e-8 |x|, and the better
-    of the two points is returned."""
+    of the two points is returned.  f must broadcast numpy-style: it is
+    called once on the whole grid array, then on scalars."""
     grid = np.linspace(lo, hi, _GRID_POINTS)
-    values = [f(x) for x in grid]
+    values = f(grid)
     k = int(np.argmin(values))
     a, b = grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)]
     c, e = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
@@ -197,8 +198,9 @@ def compute_cj(j: SpinQuantum) -> UncertaintyBound:
     if not j.dim % 2:
         two_jx[-1, -1] = lowering[half - 1]  # the |-1/2> <-> |+1/2> link, inside one pair
 
-    def lowest(a: float) -> float:
-        return float(np.linalg.eigvalsh(base - a * two_jx)[0]) + a * a
+    def lowest(a):  # broadcasts: one stacked eigvalsh for an array of a
+        a = np.asarray(a)
+        return np.linalg.eigvalsh(base - a[..., None, None] * two_jx)[..., 0] + a * a
 
     _, floor = minimize_on_interval(lowest, 0.0, jv)
     return UncertaintyBound(j=j, c_j=floor - _cj_allowance(j), source=BoundSource.COMPUTED)

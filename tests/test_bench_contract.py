@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from spinmoments import cli, oracle
-from spinmoments.criteria import evaluate
 from spinmoments.kinds import EntanglementHZ
 from spinmoments.spin_algebra import SpinQuantum, cj_bound
 from spinmoments.states import UniformMax, dense_vector, make_state
@@ -45,7 +44,10 @@ def test_expect_product_probe_reads_every_call(tracer, capsys, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "expect_product", spy)
-    evaluate(make_state(UniformMax(), SpinQuantum(2), 3), EntanglementHZ(), "exhaustive")
+    state = make_state(UniformMax(), SpinQuantum(2), 3)
+    oracle.lhs_moment(state, (-1, -1, -1))
+    oracle.rhs_moment(state, EntanglementHZ())
+    assert len(calls) == 2
     assert cli.main(["verify", "--max-twice-j", "1", "--max-size", "8"]) == 0
     capsys.readouterr()
     assert calls

@@ -7,7 +7,7 @@ from spinmoments import analytic
 from spinmoments.criteria import evaluate
 from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, Steering
 from spinmoments.optimizer import min_sites_for_violation, optimize_amplitudes, scan_curve
-from spinmoments.spin_algebra import SpinQuantum
+from spinmoments.spin_algebra import SpinQuantum, cj_bound
 from spinmoments.states import Bosonic, Custom, UniformMax, make_state
 
 ONE = SpinQuantum(2)
@@ -215,3 +215,28 @@ def test_scan_curve_optimized_includes_r():
 def test_scan_curve_validation():
     with pytest.raises(ValueError, match="state source"):
         scan_curve([Bell()], "optimal", [(1, 2)])
+
+
+# The polish bracket, 1e-12 + 3e-8 |log c|, is nearly absolute where the
+# optimal log c sits near 0 (ln 2 for Bell at 2J = 1, N = 2), so such
+# points take a few more golden-section steps.
+@pytest.mark.parametrize(
+    "tj, n, kind, most",
+    [
+        (1, 30, Bell(), 40),
+        (3, 30, Bell(), 40),
+        (4, 8, EntanglementHZ(), 40),
+        (9, 150, EntanglementCJ(), 40),
+        (6, 20, Steering(3, "hz"), 40),
+        (40, 1000, Bell(), 40),
+        (1, 2, Bell(), 42),
+    ],
+)
+def test_optimizer_solves_its_grid_in_one_stacked_call(eigen_solves, tj, n, kind, most):
+    cj_bound(SpinQuantum(tj))  # C_J's own solves are not the optimiser's
+    for symmetric in (True, False):
+        eigen_solves.clear()
+        optimize_amplitudes(SpinQuantum(tj), n, kind, symmetric=symmetric)
+        assert eigen_solves.count((65,)) == 1
+        assert all(shape in ((65,), ()) for shape in eigen_solves)
+        assert len(eigen_solves) <= most

@@ -260,6 +260,22 @@ def test_vector_validation():
         expect_product(np.ones(1), [], ONE)  # no sites
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_vectors_are_refused_on_both_routes(bad):
+    # 2J = 1, N = 12: every amplitude bad goes dense; one bad amplitude among
+    # zeros is a support of one word
+    n = 12
+    signs, _ = canonical_signs(Bell(), n)
+    lone = np.zeros(2**n, dtype=complex)
+    lone[5] = bad
+    for vec, dense in ((np.full(2**n, bad, dtype=complex), True), (lone, False)):
+        assert (_support(vec, 2, n, vec.size // (1 + n)) is None) is dense
+        with pytest.raises(ValueError, match="normalised"):
+            expect_product(vec, ladder_tags(signs), HALF)
+        with pytest.raises(ValueError, match="normalised"):
+            bound_expectation(vec, bound_tags(Bell(), n), HALF)
+
+
 def test_cap_propagates():
     st = make_state(GeneralizedGHZ(0.4), HALF, 25)
     with pytest.raises(CapExceededError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from spinmoments import spin_algebra
 from spinmoments.spin_algebra import (
     BoundSource,
     SpinQuantum,
@@ -118,6 +119,45 @@ def test_minimize_on_interval_polishes_the_grid_minimum(f, x_star):
     assert abs(x - x_star) <= 1e-7 * (hi - lo)
     assert fx == f(x)
     assert all(fx <= f(g) for g in np.linspace(lo, hi, 65))
+
+
+def test_minimize_on_interval_evaluates_the_grid_in_one_call():
+    shapes = []
+
+    def f(x):
+        shapes.append(np.shape(x))
+        return (x - 0.7071) ** 2
+
+    minimize_on_interval(f, -1.0, 3.0)
+    assert shapes[0] == (65,)
+    assert len(shapes) > 1 and all(shape == () for shape in shapes[1:])
+
+
+@pytest.mark.parametrize("twice_j", [3, 9, 40, 200])
+def test_compute_cj_solves_its_grid_in_one_stacked_call(eigen_solves, twice_j):
+    compute_cj.__wrapped__(SpinQuantum(twice_j))  # past the cache
+    assert eigen_solves.count((65,)) == 1
+    assert all(shape in ((65,), ()) for shape in eigen_solves)
+    assert len(eigen_solves) <= 40
+
+
+def test_cj_grid_rows_equal_single_point_solves(monkeypatch):
+    # each row of the stacked eigvalsh is bit-identical to a solve at that a alone
+    searches = []
+
+    def spy(f, lo, hi):
+        searches.append((f, lo, hi))
+        return minimize_on_interval(f, lo, hi)
+
+    monkeypatch.setattr(spin_algebra, "minimize_on_interval", spy)
+    for twice_j in range(3, 41):
+        compute_cj.__wrapped__(SpinQuantum(twice_j))
+    assert len(searches) == 38
+    for lowest, lo, hi in searches:
+        grid = np.linspace(lo, hi, 65)
+        stacked = lowest(grid)
+        assert stacked.shape == (65,)
+        assert all(lowest(a) == stacked[i] for i, a in enumerate(grid))
 
 
 def test_cj_bound_within_quoted_half_unit():
