@@ -16,8 +16,10 @@ sums over m with per-site eigenvalue factors
 R's site layout comes from ``kinds.bound_runs``: each tag's factor is raised
 to its run length.  Every sum sum_m w_m prod(base^power) is reduced by
 factoring out the largest log term, so k^N factors cannot overflow: spin 10
-with 30 sites is routine.  C_J is ``cj_bound(j).c_j``, subtracted from q before
-exponentiation; only the ``b_ratio`` chain takes a ``c_j`` override, for
+with 30 sites is routine.  The weights and moments broadcast over N: one
+``log_moments`` call scores a sweep of states of one J, a row per N, and one
+state is its one-row call.  C_J is ``cj_bound(j).c_j``, subtracted from q before
+exponentiation; only ``b_ratio`` and ``log_sweep`` take a ``c_j`` override, for
 ``verify --corrupt-cj`` to offset the closed forms against the oracle.
 
 All eigenvalue factors are quarter-integers assembled from integer
@@ -62,30 +64,18 @@ def _log(x: np.ndarray) -> np.ndarray:
         return np.log(x)
 
 
-def log_ladder_weights(j: SpinQuantum, n_sites: int) -> np.ndarray:
+def log_ladder_weights(j: SpinQuantum, n_sites: int | np.ndarray) -> np.ndarray:
     """log of the ladder weights g_m^(N/2), g_m = (J-m)(J+m+1), m = -J..J-1.
 
     L = (sum_m r_m r_(m+1) g_m^(N/2))^2 / n^2; every g_m is positive.
     """
-    return 0.5 * n_sites * np.log(_eigenvalue_factors(j)[SiteOp.MINUS_PLUS][:-1])
-
-
-def log_ladder_moment(state: SymmetricCorrelatedState) -> float:
-    """log L for the all-minus (equivalently all-plus) ladder product.
-
-    The nonzero contributions pair adjacent amplitudes: the base between
-    m and m+1 is (J-m)(J+m+1), raised to the power N/2.
-    """
-    log_r = state.log_amplitudes
-    signs = state.signs
-    log_terms = log_r[:-1] + log_r[1:] + log_ladder_weights(state.j, state.n_sites)
-    log_abs_sum = _logsumexp(log_terms, signs[:-1] * signs[1:])
-    return 2 * (log_abs_sum - state.log_norm_sq)
+    log_g = np.log(_eigenvalue_factors(j)[SiteOp.MINUS_PLUS][:-1])
+    return 0.5 * np.asarray(n_sites, dtype=float)[..., None] * log_g
 
 
 def log_bound_weights(
     j: SpinQuantum,
-    n_sites: int,
+    n_sites: int | np.ndarray,
     kind: kinds.CriterionKind,
     *,
     c_j: float | None = None,
@@ -93,13 +83,12 @@ def log_bound_weights(
 ) -> np.ndarray:
     """log of the per-m bound weights D_m, R = sum_m r_m^2 D_m / n (-inf where
     an HZ ladder factor vanishes): per run of ``kinds.bound_runs``, its length
-    times the log of its tag's factor.  Only the number of plus l-signs matters.
+    times the log of its tag's factor, per N.  Only the number of plus l-signs matters.
     """
-    powers = dict.fromkeys(_SUM_ORDER, 0)
-    for tag, sites in kinds.bound_runs(kind, n_sites, l_signs):
-        powers[tag] += sites
+    runs = [kinds.bound_runs(kind, int(n), l_signs) for n in np.ravel(n_sites).tolist()]
+    powers = {tag: [sum(k for t, k in row if t is tag) for row in runs] for tag in _SUM_ORDER}
     fac = _eigenvalue_factors(j)
-    if powers[SiteOp.CJ_SHIFTED]:
+    if any(powers[SiteOp.CJ_SHIFTED]):
         cj = cj_bound(j).c_j if c_j is None else float(c_j)
         shifted = fac[SiteOp.X2_PLUS_Y2] - cj
         if np.any(shifted <= 0):
@@ -108,23 +97,33 @@ def log_bound_weights(
                 f"{fac[SiteOp.X2_PLUS_Y2].min()} for twice_j = {j.twice_j}"
             )
 
-    log_d = np.zeros(j.dim)
+    log_d = np.zeros((len(runs), j.dim))
     for tag, power in powers.items():
-        if power > 0:  # a zero power must not meet a log of zero
-            log_d = log_d + power * _log(shifted if tag is SiteOp.CJ_SHIFTED else fac[tag])
-    return log_d
+        if any(power):  # a zero power must not meet a log of zero, so its rows are skipped
+            rows = slice(None) if all(power) else np.flatnonzero(power)
+            log_f = _log(shifted if tag is SiteOp.CJ_SHIFTED else fac[tag])
+            log_d[rows] += np.array(power, dtype=float)[rows, None] * log_f
+    return log_d.reshape(np.shape(n_sites) + (j.dim,))
 
 
-def log_bound_moment(
-    state: SymmetricCorrelatedState,
-    kind: kinds.CriterionKind,
-    *,
-    c_j: float | None = None,
-    l_signs: Sequence[int] | None = None,
-) -> float:
-    """log R for the requested criterion kind (see ``log_bound_weights``)."""
-    log_d = log_bound_weights(state.j, state.n_sites, kind, c_j=c_j, l_signs=l_signs)
-    return _logsumexp(2 * state.log_amplitudes + log_d) - state.log_norm_sq
+def log_moments(j, n_sites, log_amplitudes, signs, kind, *, c_j=None, l_signs=None):
+    """(log L, log R) of the states of spin j with log|r_m| and signs along the
+    last axis and N = n_sites (an int, or an array with a row per N): floats for
+    one state, arrays for a sweep.  ``log_lhs_rhs`` and every sweep run here.
+    """
+    log_norm_sq = _logsumexp(2 * log_amplitudes)
+    log_terms = log_amplitudes[..., :-1] + log_amplitudes[..., 1:] + log_ladder_weights(j, n_sites)
+    log_l = 2 * (_logsumexp(log_terms, signs[..., :-1] * signs[..., 1:]) - log_norm_sq)
+    log_d = log_bound_weights(j, n_sites, kind, c_j=c_j, l_signs=l_signs)
+    return log_l, _logsumexp(2 * log_amplitudes + log_d) - log_norm_sq
+
+
+def log_sweep(states, kind, *, c_j=None) -> tuple[list[float], list[float]]:
+    """log L and log R of each of states (one J), by one ``log_moments`` call.
+    N goes in as floats: an int-to-float array cast would take a 64 KiB buffer."""
+    rows = [(float(s.n_sites), s.log_amplitudes, s.signs) for s in states]
+    log_l, log_r = log_moments(states[0].j, *map(np.array, zip(*rows)), kind, c_j=c_j)
+    return log_l.tolist(), log_r.tolist()
 
 
 def log_lhs_rhs(
@@ -134,10 +133,21 @@ def log_lhs_rhs(
     c_j: float | None = None,
     l_signs: Sequence[int] | None = None,
 ) -> tuple[float, float]:
-    return (
-        log_ladder_moment(state),
-        log_bound_moment(state, kind, c_j=c_j, l_signs=l_signs),
+    """(log L, log R) of one state: the one-row ``log_moments`` call."""
+    return log_moments(
+        state.j, state.n_sites, state.log_amplitudes, state.signs, kind, c_j=c_j, l_signs=l_signs
     )
+
+
+def log_ladder_moment(state: SymmetricCorrelatedState) -> float:
+    """log L for the all-minus (equivalently all-plus) ladder product: adjacent
+    amplitudes r_m r_(m+1) paired under the ladder weights."""
+    return log_lhs_rhs(state, kinds.Bell())[0]
+
+
+def log_bound_moment(state, kind, *, c_j=None, l_signs=None) -> float:
+    """log R for the requested criterion kind (see ``log_bound_weights``)."""
+    return log_lhs_rhs(state, kind, c_j=c_j, l_signs=l_signs)[1]
 
 
 def exp_or_inf(log_x: float) -> float:

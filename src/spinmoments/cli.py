@@ -373,31 +373,36 @@ def _verify_points(cfg: RunConfig):
 def cmd_verify(cfg: RunConfig) -> int:
     kind_list = [kinds.Bell(), kinds.EntanglementHZ(), kinds.EntanglementCJ(), kinds.Steering(1, "cj")]
     columns = ["family", "twice_j", "n", "kind", "b_oracle", "b_analytic", "rel_discrepancy"]
-    rows = []
+    rows, sweeps = [], {}
     for family, tj, n in _verify_points(cfg):
+        sweeps.setdefault((family, tj), []).append(n)
+    for (family, tj), n_values in sweeps.items():  # closed forms first: a bad C_J stops the run
         j = SpinQuantum(tj)
-        state = make_state(family, j, n)
-        vec = dense_vector(state, cap=cfg.cap)
-        signs, _ = kinds.canonical_signs(kinds.Bell(), n)  # one ladder moment serves every kind
-        lhs = abs(oracle.expect_product(vec, kinds.ladder_tags(signs), j)) ** 2
-        c_j = None if cfg.corrupt_cj is None else cj_bound(j).c_j + cfg.corrupt_cj
-        for kind in kind_list:
-            rhs = oracle.bound_expectation(vec, kinds.bound_tags(kind, n), j)
-            b_oracle = oracle.b_from_moments(lhs, rhs)
-            b_analytic = analytic.b_ratio(state, kind, c_j=c_j)  # kinds without C_J ignore it
-            rows.append(
-                {
-                    "family": family_label(family),
-                    "family_name": _family_name(family),  # stderr only
-                    "twice_j": tj,
-                    "n": n,
-                    "kind": kinds.kind_token(kind),
-                    "b_oracle": b_oracle,
-                    "b_analytic": b_analytic,
-                    "rel_discrepancy": _rel_diff(b_oracle, b_analytic),
-                }
-            )
-        del vec  # so the next point's vector is not allocated beside it
+        states = [make_state(family, j, n) for n in n_values]
+        c_j = None if cfg.corrupt_cj is None else cj_bound(j).c_j + cfg.corrupt_cj  # kinds without C_J ignore it
+        logs = [zip(*analytic.log_sweep(states, kind, c_j=c_j)) for kind in kind_list]
+        for state, *point_logs in zip(states, *logs):
+            n = state.n_sites
+            vec = dense_vector(state, cap=cfg.cap)
+            signs, _ = kinds.canonical_signs(kinds.Bell(), n)  # one ladder moment serves every kind
+            lhs = abs(oracle.expect_product(vec, kinds.ladder_tags(signs), j)) ** 2
+            for kind, (log_l, log_r) in zip(kind_list, point_logs):
+                rhs = oracle.bound_expectation(vec, kinds.bound_tags(kind, n), j)
+                b_oracle = oracle.b_from_moments(lhs, rhs)
+                b_analytic = analytic.b_from_logs(log_l, log_r)
+                rows.append(
+                    {
+                        "family": family_label(family),
+                        "family_name": _family_name(family),  # stderr only
+                        "twice_j": tj,
+                        "n": n,
+                        "kind": kinds.kind_token(kind),
+                        "b_oracle": b_oracle,
+                        "b_analytic": b_analytic,
+                        "rel_discrepancy": _rel_diff(b_oracle, b_analytic),
+                    }
+                )
+            del vec  # so the next point's vector is not allocated beside it
     if not rows:
         print("verify: empty grid (cap excludes every point)", file=sys.stderr)
         return 2

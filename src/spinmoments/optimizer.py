@@ -128,18 +128,21 @@ def optimize_amplitudes(
         r = np.maximum(r, r[::-1]) if symmetric else r
     else:
         fold, counts, log_fd, log_diag, log_off = _fold(log_a, log_d, symmetric)
+        solved = {}  # log c -> top eigenvector, for every point the search solves
 
         def log_metric(log_c):  # log(n_i c + D_i / c), a row per entry of log_c
             log_c = np.expand_dims(log_c, -1)
             return np.logaddexp(np.log(counts) + log_c, log_fd - log_c)
 
+        def objective(log_c):
+            log_top, x = _log_top_eigenpair(log_diag, log_off, log_metric(log_c))
+            pairs = zip(log_c.tolist(), x) if isinstance(log_c, np.ndarray) else [(float(log_c), x)]
+            solved.update(pairs)
+            return -log_top
+
         finite = 0.5 * log_d[np.isfinite(log_d)]
-        log_c, _ = minimize_on_interval(
-            lambda u: -_log_top_eigenpair(log_diag, log_off, log_metric(u))[0],
-            finite.min() - _LOG_C_PAD,
-            finite.max() + _LOG_C_PAD,
-        )
-        _, x = _log_top_eigenpair(log_diag, log_off, log_metric(log_c))
+        log_c, _ = minimize_on_interval(objective, finite.min() - _LOG_C_PAD, finite.max() + _LOG_C_PAD)
+        x = solved[log_c]
         with np.errstate(divide="ignore"):
             log_r = (np.log(x) - 0.5 * log_metric(log_c))[fold]
         r = np.exp(log_r - log_r.max())
@@ -184,35 +187,37 @@ def scan_curve(
 
     state_source is a states family instance, or the string "optimized" to
     re-optimise the amplitudes at every point and kind.  Rows carry the
-    CLI's scan columns.
+    CLI's scan columns.  A family's rows are scored by one ``analytic.log_sweep``
+    per (twice_j, kind), once every state is built and t checked in row order.
     """
     optimized = isinstance(state_source, str)
     if optimized and state_source != "optimized":
         raise ValueError(f"unknown state source {state_source!r}")
 
-    rows = []
+    rows, logs, sweeps = [], [], {}
     for tj, n in points:
         j = SpinQuantum(tj)
+        if kinds_list and not optimized:
+            state = make_state(state_source, j, n)
+            source, r_vec = family_label(state_source), tuple(float(v) for v in state.unit_amplitudes)
         for kind in kinds_list:
             if optimized:
                 report = optimize_amplitudes(j, n, kind)
-                source, r_vec, log_l, log_r = "optimized", report.best_r, report.log_l, report.log_r
+                source, r_vec = "optimized", tuple(float(v) for v in report.best_r)
             else:
-                state = make_state(state_source, j, n)
-                source, r_vec = family_label(state_source), state.unit_amplitudes
-                log_l, log_r = analytic.log_lhs_rhs(state, kind)
-            rows.append(
-                {
-                    "twice_j": tj,
-                    "n": n,
-                    "t": kinds.quantum_sites(kind, n),
-                    "family": source,
-                    "kind": kinds.kind_token(kind),
-                    "L": analytic.exp_or_inf(log_l),
-                    "R": analytic.exp_or_inf(log_r),
-                    "B": analytic.b_from_logs(log_l, log_r),
-                    "violated": criteria.violated(log_l, log_r),
-                    "r_vector": tuple(float(v) for v in r_vec),
-                }
-            )
+                sweeps.setdefault((tj, kind), []).append((len(rows), state))
+            logs.append((report.log_l, report.log_r) if optimized else None)
+            token, t = kinds.kind_token(kind), kinds.quantum_sites(kind, n)
+            rows.append({"twice_j": tj, "n": n, "t": t, "family": source, "kind": token, "r_vector": r_vec})
+    for (_, kind), members in sweeps.items():
+        index, states = zip(*members)
+        for i, log_l, log_r in zip(index, *analytic.log_sweep(states, kind)):
+            logs[i] = log_l, log_r
+    for row, (log_l, log_r) in zip(rows, logs):
+        row.update(
+            L=analytic.exp_or_inf(log_l),
+            R=analytic.exp_or_inf(log_r),
+            B=analytic.b_from_logs(log_l, log_r),
+            violated=criteria.violated(log_l, log_r),
+        )
     return rows

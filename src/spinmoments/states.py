@@ -144,16 +144,16 @@ def _from_amplitudes(
     )
 
 
-def _logsumexp(log_terms: np.ndarray, signs: np.ndarray | None = None) -> float:
-    """log|sum_i s_i exp(t_i)| with the largest term factored out (s_i = 1
-    when signs is None); -inf when every term is zero or they cancel exactly."""
-    hi = np.max(log_terms)
-    if np.isneginf(hi):
-        return float("-inf")
-    terms = np.exp(log_terms - hi)
-    total = np.sum(terms if signs is None else signs * terms)
+def _logsumexp(log_terms: np.ndarray, signs: np.ndarray | None = None):
+    """log|sum_i s_i exp(t_i)| over the last axis, broadcast over the leading ones,
+    with each row's largest term factored out (s_i = 1 when signs is None); -inf
+    where every term is zero or they cancel exactly.  A 1-D input gives a float."""
+    hi = log_terms.max(axis=-1, keepdims=True)
+    terms = np.exp(log_terms - np.where(hi == -np.inf, 0.0, hi))
+    total = (terms if signs is None else signs * terms).sum(axis=-1)
     with np.errstate(divide="ignore"):
-        return float(hi + np.log(abs(total)))
+        log_sum = hi[..., 0] + np.log(np.abs(total))
+    return float(log_sum) if log_sum.ndim == 0 else log_sum
 
 
 def make_state(family: StateFamily, j: SpinQuantum, n_sites: int) -> SymmetricCorrelatedState:

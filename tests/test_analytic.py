@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from spinmoments import analytic, oracle
+from spinmoments import analytic, kinds, oracle
 from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, SiteOp, Steering
-from spinmoments.spin_algebra import SpinQuantum
+from spinmoments.spin_algebra import SpinQuantum, cj_bound
 from spinmoments.states import (
     Bosonic,
     Custom,
@@ -273,3 +274,108 @@ def test_large_spin_large_n_finite():
     for kind in (Bell(), EntanglementCJ(), Steering(3)):
         b = analytic.b_ratio(st, kind, c_j=2.4453176)
         assert math.isfinite(b) and b > 0
+
+
+# ---------------------------------------------------------------------------
+# sweeps: one array pass per (2J, kind) equals the state-by-state closed forms
+
+
+def _row_by_row(state, kind, c_j):
+    """(log L, log R) of one state by 1-D reductions, one row at a time: the
+    reference the array pass must reproduce bit for bit."""
+
+    def logsumexp(log_terms, signs=None):
+        hi = np.max(log_terms)
+        if np.isneginf(hi):
+            return -math.inf
+        terms = np.exp(log_terms - hi)
+        with np.errstate(divide="ignore"):
+            return float(hi + np.log(abs(np.sum(terms if signs is None else signs * terms))))
+
+    fac = analytic._eigenvalue_factors(state.j)
+    log_r, signs = state.log_amplitudes, state.signs
+    log_norm_sq = logsumexp(2 * log_r)
+    ladder = log_r[:-1] + log_r[1:] + 0.5 * state.n_sites * np.log(fac[SiteOp.MINUS_PLUS][:-1])
+    log_l = 2 * (logsumexp(ladder, signs[:-1] * signs[1:]) - log_norm_sq)
+    powers = dict.fromkeys(analytic._SUM_ORDER, 0)
+    for tag, sites in kinds.bound_runs(kind, state.n_sites):
+        powers[tag] += sites
+    cj = cj_bound(state.j).c_j if c_j is None else c_j
+    log_d = np.zeros(state.dim)
+    for tag, power in powers.items():
+        if power:
+            factor = fac[SiteOp.X2_PLUS_Y2] - cj if tag is SiteOp.CJ_SHIFTED else fac[tag]
+            with np.errstate(divide="ignore"):
+                log_d = log_d + power * np.log(factor)
+    return log_l, logsumexp(2 * log_r + log_d) - log_norm_sq
+
+
+_AMPLITUDES = st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.5]) | st.floats(-3, 3, allow_subnormal=False)
+
+
+@st.composite
+def sweeps(draw):
+    tj = draw(st.integers(1, 12))
+    label = draw(
+        st.sampled_from(
+            ["uniform-max", "bosonic", "custom"] + ["ghz"] * (tj == 1) + ["spin1r"] * (tj == 2)
+        )
+    )
+    if label == "ghz":  # theta = 0 is a product state; theta = 2 a negative amplitude
+        family = GeneralizedGHZ(draw(st.sampled_from([0.0, 0.3, math.pi / 4, 2.0])))
+    elif label == "spin1r":
+        family = SpinOneR(draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])))
+    elif label == "custom":
+        amplitudes = st.lists(_AMPLITUDES, min_size=tj + 1, max_size=tj + 1)
+        family = Custom(tuple(draw(amplitudes.filter(lambda r: any(r)))))
+    else:
+        family = {"uniform-max": UniformMax(), "bosonic": Bosonic()}[label]
+    n_values = draw(st.lists(st.integers(2, 300), min_size=1, max_size=6))
+    token = draw(st.sampled_from(["bell", "ent-hz", "ent-cj", "epr", "epr-hz"]))
+    if token.startswith("epr"):
+        t = draw(st.integers(0, min(n_values)))
+        token = token.replace("epr", f"epr{t}")
+    # the C_J override ranges over values below the floor J of Jx^2 + Jy^2
+    c_j = draw(st.none() | st.floats(-0.5, 0.49 * tj, allow_subnormal=False))
+    return SpinQuantum(tj), family, n_values, kinds.parse_kind(token), c_j
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweeps())
+# always run: a zero J+ J- factor at 2J = 1 under an override, and a custom
+# vector with a zero and a negative amplitude against eprT-hz with T = N
+@example((HALF, GeneralizedGHZ(0.3), [2, 3, 300], EntanglementHZ(), 0.1))
+@example((SpinQuantum(3), Custom((1.0, 0.0, -0.5, 2.0)), [4, 7, 40], Steering(4, "hz"), None))
+@example((ONE, SpinOneR(0.0), [2, 5, 9], Steering(2), 0.3))
+def test_sweep_rows_equal_one_state_closed_forms(case):
+    j, family, n_values, kind, c_j = case
+    states = [make_state(family, j, n) for n in n_values]
+    log_l, log_r = analytic.log_sweep(states, kind, c_j=c_j)
+    assert len(log_l) == len(log_r) == len(states)
+    for state, row in zip(states, zip(log_l, log_r)):
+        one = analytic.log_lhs_rhs(state, kind, c_j=c_j)
+        assert all(type(v) is float for v in row + one)
+        assert row == one == _row_by_row(state, kind, c_j)
+
+
+def test_weights_broadcast_over_n():
+    # N = 1 gives ent-hz no J- J+ site, whose factor is zero at m = J: the
+    # zero power must stay out of that row while the others take the log
+    j, n_values = SpinQuantum(3), np.array([1, 2, 3, 7, 40])
+    ladder = analytic.log_ladder_weights(j, n_values)
+    assert ladder.shape == (5, 3)
+    for kind in (Bell(), EntanglementHZ(), EntanglementCJ(), Steering(1, "hz"), Steering(1)):
+        bound = analytic.log_bound_weights(j, n_values, kind)
+        assert bound.shape == (5, 4)
+        for i, n in enumerate(n_values.tolist()):
+            assert np.array_equal(ladder[i], analytic.log_ladder_weights(j, n))
+            assert np.array_equal(bound[i], analytic.log_bound_weights(j, n, kind))
+
+
+def test_sweep_raises_what_the_first_row_raises():
+    states = [make_state(UniformMax(), ONE, n) for n in (2, 5)]
+    with pytest.raises(ValueError, match="t_sites = 3 exceeds n_sites = 2"):
+        analytic.log_sweep(states, Steering(3))
+    with pytest.raises(ValueError, match="not below the Jx\\^2 \\+ Jy\\^2 spectrum floor"):
+        analytic.log_sweep(states, Steering(1), c_j=1.5)
+    assert analytic.log_sweep(states, Bell(), c_j=1.5) == analytic.log_sweep(states, Bell())

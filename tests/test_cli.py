@@ -302,6 +302,100 @@ def test_scan_optimized_scores_each_row_once(capsys, monkeypatch):
     assert out == render(RunConfig("scan"), columns, rows)
 
 
+@pytest.mark.parametrize(
+    "spin, family, n_range, kind_tokens",
+    [
+        (("--twice-j", "3"), ("--family", "bosonic"), "2..12", "bell,epr1,ent-cj,ent-hz,epr2-hz"),
+        (("--j", "1/2"), ("--family", "ghz", "--theta", "0.7"), "2..12", "bell,ent-hz,ent-cj,epr1,epr1-hz"),
+    ],
+)
+def test_scan_family_rows_equal_state_by_state_evaluation(capsys, spin, family, n_range, kind_tokens):
+    from spinmoments import criteria, kinds
+    from spinmoments.cli import render
+    from spinmoments.spin_algebra import SpinQuantum
+    from spinmoments.states import Bosonic, GeneralizedGHZ, family_label, make_state
+
+    rc, out, _ = run_cli(capsys, "scan", "--axis", "n", *spin, *family, "--n", n_range, "--kinds", kind_tokens)
+    assert rc == 0
+    j = SpinQuantum(int(spin[1]) if spin[0] == "--twice-j" else 1)
+    source = Bosonic() if family[1] == "bosonic" else GeneralizedGHZ(float(family[3]))
+    lo, _, hi = n_range.partition("..")
+    columns = ["twice_j", "n", "t", "family", "kind", "L", "R", "B", "violated", "r_vector"]
+    rows = []
+    for n in range(int(lo), int(hi) + 1):
+        for token in kind_tokens.split(","):
+            kind, state = kinds.parse_kind(token), make_state(source, j, n)
+            res = criteria.evaluate(state, kind)
+            rows.append({
+                "twice_j": j.twice_j, "n": n, "t": kinds.quantum_sites(kind, n),
+                "family": family_label(source), "kind": token,
+                "L": res.lhs, "R": res.rhs, "B": res.b, "violated": res.violated,
+                "r_vector": tuple(float(v) for v in state.unit_amplitudes),
+            })
+    assert out == render(RunConfig("scan"), columns, rows)
+
+
+def test_scan_family_builds_each_state_once_and_scores_each_kind_once(capsys, monkeypatch):
+    from spinmoments import analytic, optimizer
+
+    calls = {"make_state": 0, "log_moments": 0}
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    spy(optimizer, "make_state")
+    spy(analytic, "log_moments")
+    rc, out, _ = run_cli(
+        capsys, "scan", "--axis", "n", "--twice-j", "9", "--family", "bosonic",
+        "--kinds", "bell,epr1,ent-cj,ent-hz", "--n", "2..200",
+    )
+    assert rc == 0
+    assert len(parse_csv(out)) == 796
+    assert calls == {"make_state": 199, "log_moments": 4}
+
+
+def test_scan_reports_the_first_bad_row(capsys):
+    rc, out, err = run_cli(
+        capsys, "scan", "--axis", "n", "--twice-j", "2", "--family", "uniform-max",
+        "--kinds", "epr1,epr3", "--n", "2..5",
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == "spinmoments: t_sites = 3 exceeds n_sites = 2\n"
+
+
+def test_verify_scores_each_family_spin_and_kind_once(capsys, monkeypatch):
+    from spinmoments import analytic
+
+    original, calls = analytic.log_moments, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])  # the N values of one (family, 2J, kind) sweep
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "log_moments", counting)
+    rc, out, _ = run_cli(capsys, "verify", "--max-twice-j", "2", "--max-size", "64")
+    assert rc == 0
+    # uniform-max and bosonic at 2J = 1, 2; two ghz at 2J = 1; three spin1r at 2J = 2
+    assert len(calls) == 9 * 4
+    assert sum(len(n_values) for n_values in calls) == len(parse_csv(out)) == 120
+
+
+def test_verify_reports_a_cj_above_the_floor_at_the_first_point(capsys):
+    rc, out, err = run_cli(capsys, "verify", "--max-twice-j", "4", "--corrupt-cj", "10")
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        "spinmoments: C_J = 10.25 is not below the Jx^2 + Jy^2 spectrum floor 0.5 for twice_j = 1\n"
+    )
+
+
 def test_verify_empty_grid(capsys):
     rc, _, err = run_cli(capsys, "verify", "--max-size", "3")
     assert rc == 2

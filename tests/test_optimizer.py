@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from spinmoments import analytic
+from spinmoments import analytic, optimizer
 from spinmoments.criteria import evaluate
 from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, Steering
 from spinmoments.optimizer import min_sites_for_violation, optimize_amplitudes, scan_curve
-from spinmoments.spin_algebra import SpinQuantum, cj_bound
-from spinmoments.states import Bosonic, Custom, UniformMax, make_state
+from spinmoments.spin_algebra import SpinQuantum, cj_bound, minimize_on_interval
+from spinmoments.states import Bosonic, Custom, GeneralizedGHZ, UniformMax, make_state
 
 ONE = SpinQuantum(2)
 
@@ -217,6 +217,24 @@ def test_scan_curve_validation():
         scan_curve([Bell()], "optimal", [(1, 2)])
 
 
+@pytest.mark.parametrize(
+    "kinds_list, family, points, message",
+    [
+        ([Steering(1), Steering(3)], UniformMax(), [(2, 5), (2, 2), (2, 1)], "t_sites = 3 exceeds n_sites = 2"),
+        ([Steering(1), Steering(3)], UniformMax(), [(2, 5), (2, 1), (2, 2)], "n_sites must be >= 2, got 1"),
+        ([Bell()], GeneralizedGHZ(0.3), [(1, 3), (2, 3), (1, 1)], "GeneralizedGHZ requires spin 1/2"),
+        ([Bell()], UniformMax(), [(1, 3), (0, 3), (1, 1)], "twice_j must be >= 1"),
+    ],
+)
+def test_scan_curve_raises_the_first_bad_point_in_order(kinds_list, family, points, message):
+    with pytest.raises(ValueError, match=message):
+        scan_curve(kinds_list, family, points)
+
+
+def test_scan_curve_without_kinds_builds_no_state():
+    assert scan_curve([], GeneralizedGHZ(0.3), [(2, 1)]) == []
+
+
 # The polish bracket, 1e-12 + 3e-8 |log c|, is nearly absolute where the
 # optimal log c sits near 0 (ln 2 for Bell at 2J = 1, N = 2), so such
 # points take a few more golden-section steps.
@@ -240,3 +258,35 @@ def test_optimizer_solves_its_grid_in_one_stacked_call(eigen_solves, tj, n, kind
         assert eigen_solves.count((65,)) == 1
         assert all(shape in ((65,), ()) for shape in eigen_solves)
         assert len(eigen_solves) <= most
+
+
+@pytest.mark.parametrize(
+    "tj, n, kind",
+    [
+        (1, 2, Bell()),
+        (3, 30, Bell()),
+        (4, 8, EntanglementHZ()),
+        (6, 20, Steering(3, "hz")),
+        (9, 150, EntanglementCJ()),
+    ],
+)
+def test_optimizer_reuses_the_searched_eigenvector(eigen_solves, monkeypatch, tj, n, kind):
+    # one stacked solve for the grid and one per scalar objective call: the
+    # returned point's eigenvector comes from the search, not a further solve
+    cj_bound(SpinQuantum(tj))
+    scalar_calls = []
+
+    def counting(f, lo, hi):
+        def spy(x):
+            scalar_calls.append(np.ndim(x) == 0)
+            return f(x)
+
+        return minimize_on_interval(spy, lo, hi)
+
+    monkeypatch.setattr(optimizer, "minimize_on_interval", counting)
+    for symmetric in (True, False):
+        eigen_solves.clear()
+        scalar_calls.clear()
+        optimize_amplitudes(SpinQuantum(tj), n, kind, symmetric=symmetric)
+        assert scalar_calls.count(False) == 1
+        assert len(eigen_solves) == 1 + scalar_calls.count(True)

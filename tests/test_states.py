@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,27 @@ def test_logsumexp_matches_fsum_of_rescaled_terms(log_terms, signs):
 def test_logsumexp_exact_cancellation_and_zero_terms():
     assert _logsumexp(np.array([700.0, 700.0]), np.array([1.0, -1.0])) == -math.inf
     assert _logsumexp(np.array([-math.inf, -math.inf])) == -math.inf
+
+
+def test_logsumexp_reduces_rows_independently_without_warnings():
+    log_terms = np.array(
+        [
+            [700.0, 699.5, 698.0, -math.inf],
+            [-math.inf, -math.inf, -math.inf, -math.inf],  # every term zero
+            [700.0, 700.0, -math.inf, -math.inf],  # cancels exactly
+            [-700.0, -699.0, -720.0, -701.0],
+        ]
+    )
+    signs = np.array([[1, -1, 1, 1], [1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1]], dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batched = _logsumexp(log_terms, signs)
+        unsigned = _logsumexp(log_terms)
+    assert isinstance(batched, np.ndarray) and batched.shape == (4,)
+    assert batched.tolist() == [_logsumexp(t, s) for t, s in zip(log_terms, signs)]
+    assert unsigned.tolist() == [_logsumexp(t) for t in log_terms]
+    assert batched[1] == batched[2] == -math.inf
+    assert all(type(v) is float for v in (_logsumexp(log_terms[0]), _logsumexp(log_terms[1])))
 
 
 def test_large_bosonic_stays_in_log_domain():
