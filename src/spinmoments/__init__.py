@@ -31,10 +31,12 @@ from .states import (
     GeneralizedGHZ,
     SpinOneR,
     StateFamily,
+    SupportVector,
     SymmetricCorrelatedState,
     UniformMax,
     dense_vector,
     make_state,
+    support_vector,
 )
 from .kinds import Bell, CriterionKind, EntanglementCJ, EntanglementHZ, SiteOp, Steering, parse_kind
 from .oracle import expect_product, lhs_moment, rhs_moment
@@ -72,10 +74,12 @@ __all__ = [
     "GeneralizedGHZ",
     "SpinOneR",
     "StateFamily",
+    "SupportVector",
     "SymmetricCorrelatedState",
     "UniformMax",
     "dense_vector",
     "make_state",
+    "support_vector",
     "Bell",
     "CriterionKind",
     "EntanglementCJ",

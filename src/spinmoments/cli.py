@@ -43,9 +43,9 @@ from .states import (
     GeneralizedGHZ,
     SpinOneR,
     UniformMax,
-    dense_vector,
     family_label,
     make_state,
+    support_vector,
 )
 
 VERIFY_TOL = 1e-9
@@ -383,7 +383,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         logs = [zip(*analytic.log_sweep(states, kind, c_j=c_j)) for kind in kind_list]
         for state, *point_logs in zip(states, *logs):
             n = state.n_sites
-            vec = dense_vector(state, cap=cfg.cap)
+            vec = support_vector(state, cap=cfg.cap)
             signs, _ = kinds.canonical_signs(kinds.Bell(), n)  # one ladder moment serves every kind
             lhs = abs(oracle.expect_product(vec, kinds.ladder_tags(signs), j)) ** 2
             for kind, (log_l, log_r) in zip(kind_list, point_logs):
@@ -402,7 +402,6 @@ def cmd_verify(cfg: RunConfig) -> int:
                         "rel_discrepancy": _rel_diff(b_oracle, b_analytic),
                     }
                 )
-            del vec  # so the next point's vector is not allocated beside it
     if not rows:
         print("verify: empty grid (cap excludes every point)", file=sys.stderr)
         return 2

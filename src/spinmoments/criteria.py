@@ -41,7 +41,7 @@ from enum import Enum
 import numpy as np
 
 from . import analytic, kinds, oracle
-from .states import SymmetricCorrelatedState, dense_vector
+from .states import SymmetricCorrelatedState, support_vector
 
 EXHAUSTIVE_MAX_SITES = 16
 VERDICT_BAND = 1e-11
@@ -127,7 +127,7 @@ def evaluate(
     else:
         raise ValueError(f"unknown strategy {strategy!r}; expected 'canonical' or 'exhaustive'")
 
-    vec = dense_vector(state, cap=cap)
+    vec = support_vector(state, cap=cap)
     ladder = np.abs(oracle.expect_table(vec, _choices(kinds.ladder_tags, s_alts), state.j)) ** 2
     bound_choices = _choices(lambda l: kinds.bound_tags(kind, n, l), l_alts)
     bound = oracle.bound_table(vec, bound_choices, state.j)

@@ -1,4 +1,4 @@
-"""Brute-force moment evaluation on dense d^N vectors, one banded contraction.
+"""Brute-force moment evaluation on d^N vectors, one banded contraction.
 
 The tags and R's layout come from ``kinds``; the contraction, its band weights
 and the 0/0 rule of ``b_from_moments`` are this module's own.
@@ -11,28 +11,29 @@ multiply-add leaves a residue where a sum cancels to 0.
 
 ``expect_table`` is the one contraction: given a tuple of alternative tags per
 site it returns every product at once, as an array with one axis per site, and
-``expect_product`` is its one-choice call.  psi and the table's shape alone set
-its route.  A sum over psi's nonzero amplitudes costs about entries + N per
-amplitude, so this support route runs when psi's nonzero 64-bit words times
-(entries + N) are at most d^N, as for one-choice products on all but the
-smallest correlated-family states (at most d nonzero amplitudes).  One max over
-the words of each block of psi (about 2^10 amplitudes) is both the route test
-and the support search, so psi is read once: words are counted and amplitudes
-found only in the blocks it hits, and more hit blocks than d^N / (entries + N)
-go dense at once.  The support route checks the norm on the amplitudes found and
-sums psi_i prod_k W_k[m_k(i)] conj(psi[i + sum_k delta_k d^(N-1-k)]) over them,
-W_k the band weights on all d ket rows (0 off the band), delta_k the bra - ket
-row shift (|psi_i|^2 when all are 0).  The dense route, for dense vectors and
-all-pattern ladder tables on large supports, reads all of psi.  A bound table
-(every offset 0) is reduced leading site first: site 0 folds in |psi|^2, squared
-from psi's float view block by block, and each later site is d in-place
-multiply-adds; with at most d alternatives per site no output exceeds d^N reals.
-A ladder table reads psi through strided views, one axis per alternative, and
-loops over the leading sites' alternatives so that no chunk holds more than d^N
-complex products; the table itself has one entry per pattern, 2^N <= d^N for
-sign patterns.  So an exhaustive sign search stays within a few times the 16 d^N
-bytes of psi, where gathering every pattern at once would take (2 (d - 1))^N
-products.
+``expect_product`` is its one-choice call.  A state enters as its
+``states.support_vector``, at most d nonzero amplitudes, and takes the support
+route with no d^N array.  A dense vector's route is set by it and the table's
+shape: a sum over psi's nonzero amplitudes costs about entries + N per
+amplitude, so the support route runs when psi's nonzero 64-bit words times
+(entries + N) are at most d^N.  One max over the words of each block of psi
+(about 2^10 amplitudes) is both the route test and the support search, so psi
+is read once: words are counted and amplitudes found only in the blocks it
+hits, and more hit blocks than d^N / (entries + N) go dense at once.  The
+support route checks the norm on the amplitudes and sums psi_i prod_k
+W_k[m_k(i)] conj(psi[i + sum_k delta_k d^(N-1-k)]) over them, W_k the band
+weights on all d ket rows (0 off the band), delta_k the bra - ket row shift
+(|psi_i|^2 when all are 0), each bra amplitude looked up in the ascending
+support (0 off it), holding a few numbers per entry and amplitude.  The dense
+route, for dense vectors on large supports, reads all of psi.  A bound table (every offset 0) is
+reduced leading site first: site 0 folds in |psi|^2, squared from psi's float
+view block by block, and each later site is d in-place multiply-adds; with at
+most d alternatives per site no output exceeds d^N reals.  A ladder table reads
+psi through strided views, one axis per alternative, and loops over the leading
+sites' alternatives so that no chunk holds more than d^N complex products; the
+table itself has one entry per pattern, 2^N <= d^N for sign patterns.  So an
+exhaustive sign search on a dense vector stays within a few times its 16 d^N
+bytes, where gathering every pattern at once would take (2 (d - 1))^N products.
 
 C_J is always ``cj_bound(j).c_j``: the oracle takes no override, so it cannot
 be handed the same wrong C_J as the closed forms it checks.
@@ -56,7 +57,7 @@ from numpy.lib.stride_tricks import as_strided
 from . import kinds
 from .kinds import SiteOp, bound_tags, ladder_tags
 from .spin_algebra import SpinQuantum, build_spin_matrices, cj_bound
-from .states import SymmetricCorrelatedState, dense_vector
+from .states import SupportVector, SymmetricCorrelatedState, support_vector
 
 IMAG_TOL = 1e-10
 NORM_TOL = 1e-10
@@ -89,7 +90,7 @@ def _site_bands(j: SpinQuantum, scale: float) -> tuple[dict[SiteOp, tuple], np.n
 
 
 def expect_table(
-    state_vector: np.ndarray,
+    state_vector: np.ndarray | SupportVector,
     choices: Sequence[Sequence[SiteOp]],
     j: SpinQuantum,
     *,
@@ -102,9 +103,10 @@ def expect_table(
     minus) alternatives on every site its C order is
     ``itertools.product((1, -1), repeat=N)``.  When every offset is 0 (exactly
     the Hermitian products) the table is real.  The module docstring gives the
-    two routes, support and dense.  The vector must have length d^N and unit norm.
+    entries, support and dense.  The vector must have length d^N and unit norm.
     """
-    vec = np.asarray(state_vector, dtype=complex).ravel()
+    sparse = isinstance(state_vector, SupportVector)
+    vec = state_vector if sparse else np.asarray(state_vector, dtype=complex).ravel()
     d = j.dim
     n = len(choices)
     if n == 0 or d**n != vec.size:
@@ -116,9 +118,9 @@ def expect_table(
         starts = [band[2].start for band in alts]
         if len({len(band[3]) for band in alts}) > 1 or len({b - a for a, b in zip(starts, starts[1:])}) > 1:
             raise ValueError("a site's alternatives must be bands of one length on evenly spaced rows")
-    ket = _support(vec, d, n, vec.size // (math.prod(shape) + n))
+    ket = vec.index if sparse else _support(vec, d, n, vec.size // (math.prod(shape) + n))
     if ket is not None:
-        return _support_table(vec, ket, sites, d, rows, shifts).reshape(shape)
+        return _support_table(ket, vec.values if sparse else vec[ket], sites, d, rows, shifts).reshape(shape)
     flat = vec.view(np.float64)
     _check_norm(flat)
     if not any(band[0] for alts in sites for band in alts):
@@ -167,15 +169,14 @@ def _support(vec: np.ndarray, d: int, n: int, most: int) -> np.ndarray | None:
     return hit[blk] * blocks.shape[1] + col
 
 
-def _support_table(vec: np.ndarray, ket: np.ndarray, sites: list[list[tuple]], d: int, rows: np.ndarray, shifts: np.ndarray):
-    """The table, flattened, as sums over psi's nonzero amplitudes ket (module docstring)."""
-    amp = vec[ket]
+def _support_table(ket: np.ndarray, amp: np.ndarray, sites: list[list[tuple]], d: int, rows: np.ndarray, shifts: np.ndarray):
+    """The table, flattened, as sums over psi's nonzero amplitudes amp at ascending ket (module docstring)."""
     _check_norm(amp.view(np.float64))
     place = d ** np.arange(len(sites) - 1, -1, -1)
     digits = ket[:, None] // place % d
     lead = np.array([alts[0][4] if len(alts) == 1 else -1 for alts in sites])  # -1: IDENTITY
     acc = rows[lead, digits].prod(axis=1)[None]
-    off = np.array([shifts[lead] @ place])  # bra - ket; a bra off psi (clipped) has weight 0
+    off = np.array([shifts[lead] @ place])  # bra - ket; a bra off psi has weight 0
     for k, alts in enumerate(sites):
         if len(alts) > 1:  # a new alternative axis, in site order
             codes = [band[4] for band in alts]
@@ -183,7 +184,14 @@ def _support_table(vec: np.ndarray, ket: np.ndarray, sites: list[list[tuple]], d
             off = (off[:, None] + shifts[codes] * place[k]).ravel()
     if not off.any():
         return (acc * (amp.real**2 + amp.imag**2)).sum(axis=-1)
-    return (acc * amp * np.conj(vec.take(ket + off[:, None], mode="clip"))).sum(axis=-1)
+    bra = ket + off[:, None]
+    pos = np.searchsorted(ket, bra)
+    pos[ket.take(pos, mode="clip") != bra] = len(ket)  # a bra off psi: the 0 appended below
+    del bra, off  # freed before the complex entries x amplitudes products below
+    acc = acc.astype(complex, order="C")  # products in place: mixed types or orders take buffers
+    acc *= amp
+    acc *= np.append(np.conj(amp), 0)[pos]
+    return acc.sum(axis=-1)
 
 
 def _weights(sites: list[list[tuple]]) -> list[np.ndarray]:
@@ -247,7 +255,7 @@ def _reduce(acc: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
 
 
 def expect_product(
-    state_vector: np.ndarray,
+    state_vector: np.ndarray | SupportVector,
     ops: Sequence[SiteOp],
     j: SpinQuantum,
     *,
@@ -267,7 +275,7 @@ def lhs_moment(
     """L = |<prod_k J_k^{s_k}>|^2 for the given per-site ladder signs."""
     if len(signs) != state.n_sites:
         raise ValueError(f"signs must have length N = {state.n_sites}, got {len(signs)}")
-    vec = dense_vector(state, cap=cap)
+    vec = support_vector(state, cap=cap)
     value = expect_product(vec, ladder_tags(signs), state.j, scale=scale)
     return abs(value) ** 2
 
@@ -281,13 +289,13 @@ def rhs_moment(
     scale: float = 1.0,
 ) -> float:
     """R for the criterion kind (see ``bound_expectation``)."""
-    vec = dense_vector(state, cap=cap)
+    vec = support_vector(state, cap=cap)
     tags = bound_tags(kind, state.n_sites, l_signs)
     return bound_expectation(vec, tags, state.j, scale=scale)
 
 
 def bound_expectation(
-    state_vector: np.ndarray,
+    state_vector: np.ndarray | SupportVector,
     tags: Sequence[SiteOp],
     j: SpinQuantum,
     *,
@@ -297,7 +305,7 @@ def bound_expectation(
     return float(_nonnegative(expect_product(state_vector, tags, j, scale=scale).real))
 
 
-def bound_table(state_vector: np.ndarray, choices: Sequence[Sequence[SiteOp]], j: SpinQuantum) -> np.ndarray:
+def bound_table(state_vector: np.ndarray | SupportVector, choices: Sequence[Sequence[SiteOp]], j: SpinQuantum) -> np.ndarray:
     """Every bound moment R over the per-site choices (see ``expect_table``).
 
     Every factor operator is positive semidefinite, so a genuinely negative

@@ -5,10 +5,9 @@ m = -J..+J (index 0 <-> m = -J).  Amplitudes are kept both linearly and as
 log|r_m| so that the closed-form sums stay finite for large J and N (the
 bosonic family raises factorials to the power N-2).
 
-``dense_vector`` expands a state into the full d^N product basis for the
-brute-force oracle.  Index convention, fixed once here so the oracle and
-the states agree bit-exactly: site-major base-d digits, digit value m + J.
-The component |J,m>^(x)N therefore sits at index (m+J) * (d^N - 1)/(d - 1).
+``support_vector`` hands the brute-force oracle a state's at most d nonzero
+amplitudes in the d^N product basis, and ``dense_vector`` scatters them into
+the full vector.  The index convention is fixed once, in ``support_vector``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ DEFAULT_DENSE_CAP = 2**20
 
 
 class CapExceededError(ValueError):
-    """Dense expansion would exceed the configured amplitude cap."""
+    """d^N would exceed the configured amplitude cap."""
 
     def __init__(self, dim: int, n_sites: int, cap: int):
         super().__init__(
@@ -186,22 +185,37 @@ def make_state(family: StateFamily, j: SpinQuantum, n_sites: int) -> SymmetricCo
     raise TypeError(f"unknown state family: {family!r}")
 
 
-def dense_vector(state: SymmetricCorrelatedState, cap: int | None = None) -> np.ndarray:
-    """Expand to the unit-norm d^N product-basis vector (complex).
+@dataclass(frozen=True)
+class SupportVector:
+    """The nonzero ``values`` of a unit-norm vector of ``size`` d^N, at ascending int64 flat ``index``."""
 
-    Only the d all-digits-equal components are nonzero; component m carries
-    amplitude r_m / sqrt(n), computed through the log domain so very large
-    raw amplitudes normalise cleanly.
+    index: np.ndarray
+    values: np.ndarray
+    size: int
+
+
+def support_vector(state: SymmetricCorrelatedState, cap: int | None = None) -> SupportVector:
+    """The nonzero amplitudes of the unit-norm d^N product-basis vector.
+
+    Index convention, fixed once here so the oracle and the states agree
+    bit-exactly: site-major base-d digits, digit value m + J, so |J,m>^(x)N
+    sits at (m+J) (d^N - 1)/(d - 1).  Component m is r_m / sqrt(n), through
+    the log domain, and exact zeros are dropped.  d^N above 2^62 is refused
+    like the cap: an index plus a bra - ket shift must stay within int64.
     """
-    if cap is None:
-        cap = DEFAULT_DENSE_CAP
-    d = state.dim
-    n = state.n_sites
-    size = d**n
-    if size > cap:
+    cap = min(DEFAULT_DENSE_CAP if cap is None else cap, 2**62)
+    d, n = state.dim, state.n_sites
+    if d**n > cap:
         raise CapExceededError(d, n, cap)
-    vec = np.zeros(size, dtype=complex)
-    stride = (size - 1) // (d - 1)  # sum of d^i over sites: all-equal-digit index step
-    vec[np.arange(d) * stride] = state.unit_amplitudes
+    amp = state.unit_amplitudes.astype(complex)
+    keep = np.flatnonzero(amp)
+    return SupportVector(keep * ((d**n - 1) // (d - 1)), amp[keep], d**n)
+
+
+def dense_vector(state: SymmetricCorrelatedState, cap: int | None = None) -> np.ndarray:
+    """``support_vector`` scattered into the full complex d^N vector."""
+    sup = support_vector(state, cap)
+    vec = np.zeros(sup.size, dtype=complex)
+    vec[sup.index] = sup.values
     vec.setflags(write=False)
     return vec

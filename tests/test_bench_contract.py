@@ -15,7 +15,7 @@ import pytest
 from spinmoments import cli, oracle
 from spinmoments.kinds import EntanglementHZ
 from spinmoments.spin_algebra import SpinQuantum, cj_bound
-from spinmoments.states import UniformMax, dense_vector, make_state
+from spinmoments.states import SupportVector, UniformMax, dense_vector, make_state
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -50,12 +50,14 @@ def test_expect_product_probe_reads_every_call(tracer, capsys, monkeypatch):
     assert len(calls) == 2
     assert cli.main(["verify", "--max-twice-j", "1", "--max-size", "8"]) == 0
     capsys.readouterr()
-    assert calls
+    assert len(calls) > 2  # verify still reaches oracle.expect_product
     probe = tracer.PROBES["oracle.expect_product"]
     counters = Counter()
     for args, kwargs in calls:
-        ops = args[1] if len(args) > 1 else kwargs["ops"]
+        vec, ops, j = args[:3]
         assert all(isinstance(op.value, str) for op in ops)
+        # the probe reads the state's support as d^N amplitudes
+        assert isinstance(vec, SupportVector) and vec.size == j.dim ** len(ops)
         probe(counters, args, kwargs, None)
     assert counters["oracle.amp_site_ops"] > 0
 

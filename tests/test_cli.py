@@ -429,6 +429,38 @@ def test_infeasible_oracle_exits_3(capsys):
     assert "capped" in err
 
 
+HUGE_CAP = "100000000000000000000"  # 1e20, above every int64
+
+
+def test_index_range_bounds_the_cap(capsys):
+    # 3^40 > 2^63: flat int64 indices would wrap, so the oracle refuses it
+    # like the cap (exit 3) rather than print a wrapped-index B
+    rc, out, err = run_cli(
+        capsys, "eval", "--j", "1", "--n", "40", "--family", "uniform-max",
+        "--kind", "bell", "--backend", "oracle", "--cap", HUGE_CAP,
+    )
+    assert rc == 3 and out == ""
+    assert f"above the cap of {2**62}" in err
+
+
+@pytest.mark.parametrize("kind", ["bell", "ent-cj"])
+def test_oracle_runs_far_beyond_a_dense_vector(capsys, kind):
+    # 2J = 2, N = 30: 3^30 amplitudes (3.3 PB as a dense vector), 3 nonzero
+    rows = {}
+    for backend in ("oracle", "analytic"):
+        rc, out, _ = run_cli(
+            capsys, "eval", "--j", "1", "--n", "30", "--family", "uniform-max",
+            "--kind", kind, "--backend", backend, "--cap", HUGE_CAP,
+        )
+        assert rc == 0
+        rows[backend] = parse_csv(out)[0]
+    oracle_row, analytic_row = rows["oracle"], rows["analytic"]
+    for column in ("L", "R", "B"):
+        assert float(oracle_row[column]) == pytest.approx(float(analytic_row[column]), rel=1e-10), column
+    for column in ("violated", "s_signs", "l_signs"):
+        assert oracle_row[column] == analytic_row[column], column
+
+
 @pytest.mark.parametrize("error", [RuntimeError("optimiser diverged"), ZeroDivisionError("0/0")])
 def test_internal_error_exits_4(capsys, monkeypatch, error):
     from spinmoments import cli

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -308,21 +309,40 @@ def test_sign_choice_tokens():
     assert sc.l_token() == "+-"
 
 
-def test_canonical_oracle_builds_one_dense_vector(monkeypatch):
-    from spinmoments import criteria, oracle, states
+def _spy_everywhere(monkeypatch, name: str) -> list:
+    """Calls of ``states.<name>``, spied on in every spinmoments module that holds it."""
+    from spinmoments import states
 
-    calls = []
+    calls, original = [], getattr(states, name)
 
-    def counting(*args, **kwargs):
+    def spy(*args, **kwargs):
         calls.append(args)
-        return states.dense_vector(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    for module in (criteria, oracle):
-        monkeypatch.setattr(module, "dense_vector", counting)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "spinmoments" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_state_paths_build_no_dense_vector(monkeypatch, capsys):
+    # the oracle gets each state's support: no dense d^N vector on any state
+    # path, and one support per oracle evaluate
+    from spinmoments import cli
+
+    dense = _spy_everywhere(monkeypatch, "dense_vector")
+    supports = _spy_everywhere(monkeypatch, "support_vector")
+    st = make_state(Bosonic(), ONE, 4)
     for kind in (Bell(), EntanglementHZ(), Steering(2, "hz"), EntanglementCJ()):
-        calls.clear()
-        evaluate(make_state(Bosonic(), ONE, 4), kind, backend=Backend.ORACLE)
-        assert len(calls) == 1, kind
+        for strategy in ("canonical", "exhaustive"):
+            supports.clear()
+            evaluate(st, kind, strategy, backend=Backend.ORACLE)
+            assert len(supports) == 1, (kind, strategy)
+    assert cli.main(["verify", "--max-twice-j", "2"]) == 0
+    capsys.readouterr()
+    oracle.lhs_moment(st, (-1,) * 4)
+    oracle.rhs_moment(st, EntanglementHZ())
+    assert supports and dense == []
 
 
 @pytest.mark.parametrize("backend", [Backend.ANALYTIC, Backend.ORACLE])

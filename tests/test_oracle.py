@@ -28,9 +28,11 @@ from spinmoments.states import (
     Custom,
     GeneralizedGHZ,
     SpinOneR,
+    SupportVector,
     UniformMax,
     dense_vector,
     make_state,
+    support_vector,
 )
 
 HALF = SpinQuantum(1)
@@ -482,6 +484,72 @@ def test_support_route_transient_memory():
     real /= np.linalg.norm(real)
     dense = _peak_over_psi(lambda: bound_expectation(real, bound_tags(Bell(), 16), HALF), real)
     assert dense <= 0.63, dense
+
+
+def test_state_paths_stay_far_below_the_state_size():
+    # 2J = 1, N = 20 uniform-max: the state hands the oracle its 2 amplitudes,
+    # so a bound and a ladder product never see a d^N array (16 MiB of psi)
+    n = 20
+    st_ = make_state(UniformMax(), HALF, n)
+    signs, _ = canonical_signs(Bell(), n)
+    for call in (lambda: rhs_moment(st_, Bell()), lambda: lhs_moment(st_, signs)):
+        call()  # caches warm
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+
+
+@st.composite
+def state_table_cases(draw):
+    """A ``Custom`` state, d = 2..6 with d^N <= 2^12, whose random amplitudes
+    include exact zeros; per site one tag (any), a ladder pair or 2-3 offset-0
+    tags, at most 64 entries in all; and a random scale."""
+    d = draw(st.integers(2, 6))
+    n = draw(st.integers(2, max(k for k in range(2, 13) if d**k <= 2**12)))
+    amps = draw(st.lists(st.just(0.0) | st.floats(-4, -1e-3) | st.floats(1e-3, 4), min_size=d, max_size=d).filter(any))
+    choices, entries = [], 1
+    for _ in range(n):
+        alts = draw(
+            st.sampled_from(list(SiteOp)).map(lambda op: (op,))
+            | st.sampled_from(PAIRS[:2])
+            | st.lists(st.sampled_from(DIAGONAL_OPS), min_size=2, max_size=3).map(tuple)
+        )
+        if entries * len(alts) > 64:
+            alts = alts[:1]
+        choices.append(alts)
+        entries *= len(alts)
+    scale = draw(st.floats(0.25, 4))
+    return make_state(Custom(tuple(amps)), SpinQuantum(d - 1), n), choices, scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(state_table_cases())
+def test_state_support_tables_match_the_dense_vector(case):
+    # a state's support gives the dense reference to 1e-12 of the terms'
+    # magnitudes, and its dense vector's table bit for bit wherever that vector
+    # takes the support route too (the dense route multiplies in another order,
+    # so it may differ in the last bit); a NaN or non-normalised support is refused
+    state, choices, scale = case
+    j, sup, vec = state.j, support_vector(state), dense_vector(state)
+    assert sup.size == vec.size and np.array_equal(sup.index, np.flatnonzero(vec))
+    table = expect_table(sup, choices, j, scale=scale)
+    dense = expect_table(vec, choices, j, scale=scale)
+    assert table.dtype == dense.dtype and table.shape == tuple(map(len, choices))
+    support_route = _support(vec, j.dim, len(choices), vec.size // (table.size + len(choices))) is not None
+    event(f"dense vector on the support route: {support_route}")
+    if support_route:
+        assert table.tobytes() == dense.tobytes()
+    for index in np.ndindex(table.shape):
+        ops = [alts[a] for alts, a in zip(choices, index)]
+        want = dense_expect_product(vec, ops, j, scale=scale)
+        assert abs(table[index] - want) <= 1e-12 * _term_sum(vec, ops, j, scale), (ops, scale)
+    for bad in (2 * sup.values, np.full_like(sup.values, np.nan)):
+        with pytest.raises(ValueError, match="normalised"):
+            expect_table(SupportVector(sup.index, bad, sup.size), choices, j, scale=scale)
 
 
 def test_ladder_table_transient_memory():
