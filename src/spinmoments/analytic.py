@@ -17,9 +17,10 @@ R's site layout comes from ``kinds.bound_runs``: each tag's factor is raised
 to its run length.  Every sum sum_m w_m prod(base^power) is reduced by
 factoring out the largest log term, so k^N factors cannot overflow: spin 10
 with 30 sites is routine.  The weights and moments broadcast over N: one
-``log_moments`` call scores a sweep of states of one J, a row per N, and one
-state is its one-row call.  C_J is ``cj_bound(j).c_j``, subtracted from q before
-exponentiation; only ``b_ratio`` and ``log_sweep`` take a ``c_j`` override, for
+``log_moments`` call scores a sweep of states of one J, a row per N (and a list
+of kinds, log L once and a log R row per kind), and one state is its one-row
+call.  C_J is ``cj_bound(j).c_j``, subtracted from q before exponentiation;
+only ``b_ratio`` and ``log_sweep`` take a ``c_j`` override, for
 ``verify --corrupt-cj`` to offset the closed forms against the oracle.
 
 All eigenvalue factors are quarter-integers assembled from integer
@@ -109,20 +110,22 @@ def log_bound_weights(
 def log_moments(j, n_sites, log_amplitudes, signs, kind, *, c_j=None, l_signs=None):
     """(log L, log R) of the states of spin j with log|r_m| and signs along the
     last axis and N = n_sites (an int, or an array with a row per N): floats for
-    one state, arrays for a sweep.  ``log_lhs_rhs`` and every sweep run here.
+    one state, arrays for a sweep; a list of kinds stacks their log D, so log R
+    gains a leading row per kind.  ``log_lhs_rhs`` and every sweep run here.
     """
     log_norm_sq = _logsumexp(2 * log_amplitudes)
     log_terms = log_amplitudes[..., :-1] + log_amplitudes[..., 1:] + log_ladder_weights(j, n_sites)
     log_l = 2 * (_logsumexp(log_terms, signs[..., :-1] * signs[..., 1:]) - log_norm_sq)
-    log_d = log_bound_weights(j, n_sites, kind, c_j=c_j, l_signs=l_signs)
-    return log_l, _logsumexp(2 * log_amplitudes + log_d) - log_norm_sq
+    many = isinstance(kind, list)
+    log_d = [log_bound_weights(j, n_sites, k, c_j=c_j, l_signs=l_signs) for k in (kind if many else [kind])]
+    return log_l, _logsumexp(2 * log_amplitudes + (np.stack(log_d) if many else log_d[0])) - log_norm_sq
 
 
-def log_sweep(states, kind, *, c_j=None) -> tuple[list[float], list[float]]:
-    """log L and log R of each of states (one J), by one ``log_moments`` call.
-    N goes in as floats: an int-to-float array cast would take a 64 KiB buffer."""
+def log_sweep(states, kind_list, *, c_j=None) -> tuple[list[float], list[list[float]]]:
+    """log L of each of states (one J) and a log R list per kind, by one ``log_moments``
+    call.  N goes in as floats: an int-to-float array cast would take a 64 KiB buffer."""
     rows = [(float(s.n_sites), s.log_amplitudes, s.signs) for s in states]
-    log_l, log_r = log_moments(states[0].j, *map(np.array, zip(*rows)), kind, c_j=c_j)
+    log_l, log_r = log_moments(states[0].j, *map(np.array, zip(*rows)), list(kind_list), c_j=c_j)
     return log_l.tolist(), log_r.tolist()
 
 

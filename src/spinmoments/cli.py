@@ -380,20 +380,21 @@ def cmd_verify(cfg: RunConfig) -> int:
         j = SpinQuantum(tj)
         states = [make_state(family, j, n) for n in n_values]
         c_j = None if cfg.corrupt_cj is None else cj_bound(j).c_j + cfg.corrupt_cj  # kinds without C_J ignore it
-        logs = [zip(*analytic.log_sweep(states, kind, c_j=c_j)) for kind in kind_list]
-        for state, *point_logs in zip(states, *logs):
+        log_l, log_r = analytic.log_sweep(states, kind_list, c_j=c_j)  # log R: a list per kind
+        label, name = family_label(family), _family_name(family)
+        for state, state_log_l, *state_log_r in zip(states, log_l, *log_r):
             n = state.n_sites
             vec = support_vector(state, cap=cfg.cap)
             signs, _ = kinds.canonical_signs(kinds.Bell(), n)  # one ladder moment serves every kind
             lhs = abs(oracle.expect_product(vec, kinds.ladder_tags(signs), j)) ** 2
-            for kind, (log_l, log_r) in zip(kind_list, point_logs):
-                rhs = oracle.bound_expectation(vec, kinds.bound_tags(kind, n), j)
-                b_oracle = oracle.b_from_moments(lhs, rhs)
-                b_analytic = analytic.b_from_logs(log_l, log_r)
+            rhs = oracle.bound_rows(vec, [kinds.bound_tags(kind, n) for kind in kind_list], j).tolist()
+            for kind, kind_rhs, kind_log_r in zip(kind_list, rhs, state_log_r):
+                b_oracle = oracle.b_from_moments(lhs, kind_rhs)
+                b_analytic = analytic.b_from_logs(state_log_l, kind_log_r)
                 rows.append(
                     {
-                        "family": family_label(family),
-                        "family_name": _family_name(family),  # stderr only
+                        "family": label,
+                        "family_name": name,  # stderr only
                         "twice_j": tj,
                         "n": n,
                         "kind": kinds.kind_token(kind),

@@ -211,8 +211,9 @@ def scan_curve(
             rows.append({"twice_j": tj, "n": n, "t": t, "family": source, "kind": token, "r_vector": r_vec})
     for (_, kind), members in sweeps.items():
         index, states = zip(*members)
-        for i, log_l, log_r in zip(index, *analytic.log_sweep(states, kind)):
-            logs[i] = log_l, log_r
+        log_l, (log_r,) = analytic.log_sweep(states, [kind])
+        for i, pair in zip(index, zip(log_l, log_r)):
+            logs[i] = pair
     for row, (log_l, log_r) in zip(rows, logs):
         row.update(
             L=analytic.exp_or_inf(log_l),

@@ -24,16 +24,20 @@ support route checks the norm on the amplitudes and sums psi_i prod_k
 W_k[m_k(i)] conj(psi[i + sum_k delta_k d^(N-1-k)]) over them, W_k the band
 weights on all d ket rows (0 off the band), delta_k the bra - ket row shift
 (|psi_i|^2 when all are 0), each bra amplitude looked up in the ascending
-support (0 off it), holding a few numbers per entry and amplitude.  The dense
-route, for dense vectors on large supports, reads all of psi.  A bound table (every offset 0) is
-reduced leading site first: site 0 folds in |psi|^2, squared from psi's float
-view block by block, and each later site is d in-place multiply-adds; with at
-most d alternatives per site no output exceeds d^N reals.  A ladder table reads
-psi through strided views, one axis per alternative, and loops over the leading
-sites' alternatives so that no chunk holds more than d^N complex products; the
-table itself has one entry per pattern, 2^N <= d^N for sign patterns.  So an
-exhaustive sign search on a dense vector stays within a few times its 16 d^N
-bytes, where gathering every pattern at once would take (2 (d - 1))^N products.
+support (0 off it), holding a few numbers per entry and amplitude.  Its
+leading site tags come as a (rows x N) code matrix, one table block per row:
+``expect_table`` passes one row and ``bound_rows`` one per bound moment, so all
+of a state's R come from one pass (digits, place values, norm check and clamp
+once).  The dense route, for dense vectors on large supports, reads all of psi.
+A bound table (every offset 0) is reduced leading site first: site 0 folds in
+|psi|^2, squared from psi's float view block by block, and each later site is d
+in-place multiply-adds; with at most d alternatives per site no output exceeds
+d^N reals.  A ladder table reads psi through strided views, one axis per
+alternative, and loops over the leading sites' alternatives so that no chunk
+holds more than d^N complex products; the table itself has one entry per
+pattern, 2^N <= d^N for sign patterns.  So an exhaustive sign search on a dense
+vector stays within a few times its 16 d^N bytes, where gathering every pattern
+at once would take (2 (d - 1))^N products.
 
 C_J is always ``cj_bound(j).c_j``: the oracle takes no override, so it cannot
 be handed the same wrong C_J as the closed forms it checks.
@@ -120,7 +124,8 @@ def expect_table(
             raise ValueError("a site's alternatives must be bands of one length on evenly spaced rows")
     ket = vec.index if sparse else _support(vec, d, n, vec.size // (math.prod(shape) + n))
     if ket is not None:
-        return _support_table(ket, vec.values if sparse else vec[ket], sites, d, rows, shifts).reshape(shape)
+        lead = np.array([[alts[0][4] if len(alts) == 1 else -1 for alts in sites]])  # -1: IDENTITY
+        return _support_table(ket, vec.values if sparse else vec[ket], lead, sites, d, rows, shifts).reshape(shape)
     flat = vec.view(np.float64)
     _check_norm(flat)
     if not any(band[0] for alts in sites for band in alts):
@@ -169,14 +174,16 @@ def _support(vec: np.ndarray, d: int, n: int, most: int) -> np.ndarray | None:
     return hit[blk] * blocks.shape[1] + col
 
 
-def _support_table(ket: np.ndarray, amp: np.ndarray, sites: list[list[tuple]], d: int, rows: np.ndarray, shifts: np.ndarray):
-    """The table, flattened, as sums over psi's nonzero amplitudes amp at ascending ket (module docstring)."""
+def _support_table(
+    ket: np.ndarray, amp: np.ndarray, lead: np.ndarray, sites: Sequence, d: int, rows: np.ndarray, shifts: np.ndarray
+):
+    """The table, flattened, as sums over psi's nonzero amplitudes amp at ascending ket
+    (module docstring), one block per row of the (rows, N) leading site codes ``lead``."""
     _check_norm(amp.view(np.float64))
-    place = d ** np.arange(len(sites) - 1, -1, -1)
+    place = d ** np.arange(lead.shape[1] - 1, -1, -1)
     digits = ket[:, None] // place % d
-    lead = np.array([alts[0][4] if len(alts) == 1 else -1 for alts in sites])  # -1: IDENTITY
-    acc = rows[lead, digits].prod(axis=1)[None]
-    off = np.array([shifts[lead] @ place])  # bra - ket; a bra off psi has weight 0
+    acc = rows[lead[:, None], digits].prod(axis=-1)
+    off = shifts[lead] @ place  # bra - ket per row; a bra off psi has weight 0
     for k, alts in enumerate(sites):
         if len(alts) > 1:  # a new alternative axis, in site order
             codes = [band[4] for band in alts]
@@ -303,6 +310,34 @@ def bound_expectation(
 ) -> float:
     """A bound moment R = <prod of bound tags> (see ``bound_table``)."""
     return float(_nonnegative(expect_product(state_vector, tags, j, scale=scale).real))
+
+
+def bound_rows(
+    state_vector: np.ndarray | SupportVector,
+    tag_rows: Sequence[Sequence[SiteOp]],
+    j: SpinQuantum,
+    *,
+    scale: float = 1.0,
+) -> np.ndarray:
+    """One clamped bound moment R per row of N zero-offset tags, all from one pass over
+    psi's support: on a state's support, entry i is ``bound_expectation(state_vector,
+    tag_rows[i], j, scale=scale)`` bit for bit.  A ladder tag, a row whose length is
+    not N or no row at all raises ValueError.  An ndarray enters by its nonzero
+    support, with no route rule: the pass holds about rows x N numbers per amplitude.
+    """
+    sparse = isinstance(state_vector, SupportVector)
+    vec = state_vector if sparse else np.asarray(state_vector, dtype=complex).ravel()
+    table, rows, shifts = _site_bands(j, float(scale))
+    for tags in tag_rows or [()]:  # no row at all is refused as an empty one
+        if not tags or j.dim ** len(tags) != vec.size:
+            n = len(tags)
+            raise ValueError(f"a row of {n} tags needs d^N = {j.dim}^{n} amplitudes, the vector has {vec.size}")
+        if any(table[op][0] for op in tags):
+            raise ValueError("bound_rows takes zero-offset (bound) tags, not ladder tags")
+    lead = np.array([[table[op][4] for op in tags] for tags in tag_rows])
+    ket = vec.index if sparse else np.flatnonzero(vec)
+    amp = vec.values if sparse else vec[ket]
+    return _nonnegative(_support_table(ket, amp, lead, (), j.dim, rows, shifts))
 
 
 def bound_table(state_vector: np.ndarray | SupportVector, choices: Sequence[Sequence[SiteOp]], j: SpinQuantum) -> np.ndarray:

@@ -24,13 +24,12 @@ DEFAULT_DENSE_CAP = 2**20
 
 
 class CapExceededError(ValueError):
-    """d^N would exceed the configured amplitude cap."""
+    """d^N exceeds the configured amplitude cap or the oracle's int64 index range."""
 
     def __init__(self, dim: int, n_sites: int, cap: int):
-        super().__init__(
-            f"dense vector needs d^N = {dim}^{n_sites} = {dim**n_sites} "
-            f"amplitudes, above the cap of {cap}"
-        )
+        size = dim**n_sites
+        bound = f"the cap of {cap} amplitudes" if size > cap else f"the oracle's int64 index range of 2^62 = {2**62}"
+        super().__init__(f"d^N = {dim}^{n_sites} = {size} exceeds {bound}")
         self.dim = dim
         self.n_sites = n_sites
         self.cap = cap
@@ -203,9 +202,9 @@ def support_vector(state: SymmetricCorrelatedState, cap: int | None = None) -> S
     the log domain, and exact zeros are dropped.  d^N above 2^62 is refused
     like the cap: an index plus a bra - ket shift must stay within int64.
     """
-    cap = min(DEFAULT_DENSE_CAP if cap is None else cap, 2**62)
+    cap = DEFAULT_DENSE_CAP if cap is None else cap
     d, n = state.dim, state.n_sites
-    if d**n > cap:
+    if d**n > min(cap, 2**62):
         raise CapExceededError(d, n, cap)
     amp = state.unit_amplitudes.astype(complex)
     keep = np.flatnonzero(amp)

@@ -331,31 +331,34 @@ def sweeps(draw):
     else:
         family = {"uniform-max": UniformMax(), "bosonic": Bosonic()}[label]
     n_values = draw(st.lists(st.integers(2, 300), min_size=1, max_size=6))
-    token = draw(st.sampled_from(["bell", "ent-hz", "ent-cj", "epr", "epr-hz"]))
-    if token.startswith("epr"):
-        t = draw(st.integers(0, min(n_values)))
-        token = token.replace("epr", f"epr{t}")
+    tokens = draw(st.lists(st.sampled_from(["bell", "ent-hz", "ent-cj", "epr", "epr-hz"]), min_size=1, max_size=4))
+    for i, token in enumerate(tokens):
+        if token.startswith("epr"):
+            t = draw(st.integers(0, min(n_values)))
+            tokens[i] = token.replace("epr", f"epr{t}")
     # the C_J override ranges over values below the floor J of Jx^2 + Jy^2
     c_j = draw(st.none() | st.floats(-0.5, 0.49 * tj, allow_subnormal=False))
-    return SpinQuantum(tj), family, n_values, kinds.parse_kind(token), c_j
+    return SpinQuantum(tj), family, n_values, [kinds.parse_kind(token) for token in tokens], c_j
 
 
 @settings(max_examples=300, deadline=None)
 @given(sweeps())
 # always run: a zero J+ J- factor at 2J = 1 under an override, and a custom
 # vector with a zero and a negative amplitude against eprT-hz with T = N
-@example((HALF, GeneralizedGHZ(0.3), [2, 3, 300], EntanglementHZ(), 0.1))
-@example((SpinQuantum(3), Custom((1.0, 0.0, -0.5, 2.0)), [4, 7, 40], Steering(4, "hz"), None))
-@example((ONE, SpinOneR(0.0), [2, 5, 9], Steering(2), 0.3))
+@example((HALF, GeneralizedGHZ(0.3), [2, 3, 300], [EntanglementHZ()], 0.1))
+@example((SpinQuantum(3), Custom((1.0, 0.0, -0.5, 2.0)), [4, 7, 40], [Steering(4, "hz"), Bell()], None))
+@example((ONE, SpinOneR(0.0), [2, 5, 9], [Steering(2), EntanglementCJ(), EntanglementHZ()], 0.3))
 def test_sweep_rows_equal_one_state_closed_forms(case):
-    j, family, n_values, kind, c_j = case
+    j, family, n_values, kind_list, c_j = case
     states = [make_state(family, j, n) for n in n_values]
-    log_l, log_r = analytic.log_sweep(states, kind, c_j=c_j)
-    assert len(log_l) == len(log_r) == len(states)
-    for state, row in zip(states, zip(log_l, log_r)):
-        one = analytic.log_lhs_rhs(state, kind, c_j=c_j)
-        assert all(type(v) is float for v in row + one)
-        assert row == one == _row_by_row(state, kind, c_j)
+    log_l, log_r_lists = analytic.log_sweep(states, kind_list, c_j=c_j)
+    assert len(log_r_lists) == len(kind_list)
+    for kind, log_r in zip(kind_list, log_r_lists):
+        assert len(log_l) == len(log_r) == len(states)
+        for state, row in zip(states, zip(log_l, log_r)):
+            one = analytic.log_lhs_rhs(state, kind, c_j=c_j)
+            assert all(type(v) is float for v in row + one)
+            assert row == one == _row_by_row(state, kind, c_j)
 
 
 def test_weights_broadcast_over_n():
@@ -374,8 +377,10 @@ def test_weights_broadcast_over_n():
 
 def test_sweep_raises_what_the_first_row_raises():
     states = [make_state(UniformMax(), ONE, n) for n in (2, 5)]
-    with pytest.raises(ValueError, match="t_sites = 3 exceeds n_sites = 2"):
-        analytic.log_sweep(states, Steering(3))
-    with pytest.raises(ValueError, match="not below the Jx\\^2 \\+ Jy\\^2 spectrum floor"):
-        analytic.log_sweep(states, Steering(1), c_j=1.5)
-    assert analytic.log_sweep(states, Bell(), c_j=1.5) == analytic.log_sweep(states, Bell())
+    for others in ([], [Bell()], [Bell(), EntanglementHZ()]):  # the bad kind alone or after good ones
+        with pytest.raises(ValueError, match="t_sites = 3 exceeds n_sites = 2"):
+            analytic.log_sweep(states, others + [Steering(3)])
+        with pytest.raises(ValueError, match="not below the Jx\\^2 \\+ Jy\\^2 spectrum floor"):
+            analytic.log_sweep(states, others + [Steering(1)], c_j=1.5)
+        free = others + [Bell(), EntanglementHZ()]  # no C_J factor: the override is ignored
+        assert analytic.log_sweep(states, free, c_j=1.5) == analytic.log_sweep(states, free)

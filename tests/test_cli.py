@@ -370,21 +370,72 @@ def test_scan_reports_the_first_bad_row(capsys):
     assert err == "spinmoments: t_sites = 3 exceeds n_sites = 2\n"
 
 
-def test_verify_scores_each_family_spin_and_kind_once(capsys, monkeypatch):
-    from spinmoments import analytic
+VERIFY_KINDS = ["bell", "ent-hz", "ent-cj", "epr1"]
+
+
+def test_verify_scores_each_family_and_spin_once(capsys, monkeypatch):
+    from spinmoments import analytic, kinds
 
     original, calls = analytic.log_moments, []
 
     def counting(*args, **kwargs):
-        calls.append(args[1])  # the N values of one (family, 2J, kind) sweep
+        calls.append((args[1], args[4]))  # the N values and the kinds of one (family, 2J) sweep
         return original(*args, **kwargs)
 
     monkeypatch.setattr(analytic, "log_moments", counting)
     rc, out, _ = run_cli(capsys, "verify", "--max-twice-j", "2", "--max-size", "64")
     assert rc == 0
     # uniform-max and bosonic at 2J = 1, 2; two ghz at 2J = 1; three spin1r at 2J = 2
-    assert len(calls) == 9 * 4
-    assert sum(len(n_values) for n_values in calls) == len(parse_csv(out)) == 120
+    assert len(calls) == 9
+    assert sum(len(n_values) for n_values, _ in calls) * 4 == len(parse_csv(out)) == 120
+    for _, kind_list in calls:  # all four kinds in one call, in row order
+        assert [kinds.kind_token(kind) for kind in kind_list] == VERIFY_KINDS
+
+
+def test_verify_makes_one_ladder_and_one_bound_call_per_state(capsys, monkeypatch):
+    # one expect_product (the canonical ladder moment) and one bound_rows (all four
+    # kinds) per state, and each b_oracle cell is the state's moments through the
+    # public one-state oracle calls, formatted as the CSV formats it
+    from spinmoments import cli, kinds, oracle
+    from spinmoments.spin_algebra import SpinQuantum
+    from spinmoments.states import Bosonic, GeneralizedGHZ, SpinOneR, UniformMax, make_state
+
+    seen = {"expect_product": [], "bound_rows": [], "bound_expectation": []}
+
+    def spy(name):
+        original = getattr(oracle, name)
+
+        def call(*args, **kwargs):
+            seen[name].append(args)
+            return original(*args, **kwargs)
+
+        return call
+
+    for name in seen:
+        monkeypatch.setattr(oracle, name, spy(name))
+    rc, out, _ = run_cli(capsys, "verify", "--max-twice-j", "2", "--max-size", "64")
+    assert rc == 0
+    assert {name: len(calls) for name, calls in seen.items()} == {
+        "expect_product": 30, "bound_rows": 30, "bound_expectation": 0
+    }
+    assert all(len(args[1]) == len(VERIFY_KINDS) for args in seen["bound_rows"])
+    families = [
+        (UniformMax(), (1, 2)), (Bosonic(), (1, 2)), (GeneralizedGHZ(math.pi / 4), (1,)),
+        (GeneralizedGHZ(0.7), (1,)), (SpinOneR(0.5), (2,)), (SpinOneR(1.0), (2,)), (SpinOneR(2.0), (2,)),
+    ]
+    last_n = {1: 6, 2: 3}  # d^N <= 64
+    states = [
+        make_state(family, SpinQuantum(tj), n)
+        for family, tjs in families for tj in tjs for n in range(2, last_n[tj] + 1)
+    ]
+    rows = parse_csv(out)
+    assert len(states) == 30 and len(rows) == 4 * len(states)
+    for row, (state, token) in zip(rows, ((state, token) for state in states for token in VERIFY_KINDS)):
+        assert (row["twice_j"], row["n"], row["kind"]) == (str(state.j.twice_j), str(state.n_sites), token)
+        signs, _ = kinds.canonical_signs(kinds.Bell(), state.n_sites)
+        lhs = oracle.lhs_moment(state, signs)
+        rhs = oracle.rhs_moment(state, kinds.parse_kind(token))
+        assert row["b_oracle"] == cli._fmt_value(oracle.b_from_moments(lhs, rhs))
 
 
 def test_verify_reports_a_cj_above_the_floor_at_the_first_point(capsys):
@@ -440,7 +491,16 @@ def test_index_range_bounds_the_cap(capsys):
         "--kind", "bell", "--backend", "oracle", "--cap", HUGE_CAP,
     )
     assert rc == 3 and out == ""
-    assert f"above the cap of {2**62}" in err
+    assert err == (
+        f"spinmoments: d^N = 3^40 = {3**40} exceeds the oracle's int64 index range of 2^62 = {2**62}\n"
+    )
+    # a cap just below the index range is the bound the message names
+    rc, out, err = run_cli(
+        capsys, "eval", "--j", "1", "--n", "40", "--family", "uniform-max",
+        "--kind", "bell", "--backend", "oracle", "--cap", str(2**62 - 1),
+    )
+    assert rc == 3 and out == ""
+    assert err == f"spinmoments: d^N = 3^40 = {3**40} exceeds the cap of {2**62 - 1} amplitudes\n"
 
 
 @pytest.mark.parametrize("kind", ["bell", "ent-cj"])
@@ -507,7 +567,9 @@ def test_config_has_no_seed_or_restarts(capsys, monkeypatch):
 def test_verify_negative_bound_moment_exits_4(capsys, monkeypatch):
     from spinmoments import oracle
 
-    monkeypatch.setattr(oracle, "expect_product", lambda *args, **kwargs: -1.0 + 0j)
+    # every table the oracle sums, the ladder product's and the bound rows', comes out negated
+    original = oracle._support_table
+    monkeypatch.setattr(oracle, "_support_table", lambda *args: -original(*args))
     rc, out, err = run_cli(capsys, "verify", "--max-twice-j", "1", "--max-size", "8")
     assert rc == 4
     assert out == ""

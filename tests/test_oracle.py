@@ -13,6 +13,7 @@ from spinmoments.oracle import (
     _support,
     b_from_moments,
     bound_expectation,
+    bound_rows,
     bound_table,
     bound_tags,
     expect_product,
@@ -550,6 +551,47 @@ def test_state_support_tables_match_the_dense_vector(case):
     for bad in (2 * sup.values, np.full_like(sup.values, np.nan)):
         with pytest.raises(ValueError, match="normalised"):
             expect_table(SupportVector(sup.index, bad, sup.size), choices, j, scale=scale)
+
+
+@st.composite
+def bound_rows_cases(draw):
+    """A ``Custom`` state, d = 2..6 and N = 2..8 with d^N <= 2^12, whose random
+    amplitudes include exact zeros; 1-6 rows of N offset-0 tags (IDENTITY among
+    them); and a random scale."""
+    d = draw(st.integers(2, 6))
+    n = draw(st.integers(2, max(k for k in range(2, 9) if d**k <= 2**12)))
+    amps = draw(st.lists(st.just(0.0) | st.floats(-4, -1e-3) | st.floats(1e-3, 4), min_size=d, max_size=d).filter(any))
+    tag_rows = draw(st.lists(st.lists(st.sampled_from(DIAGONAL_OPS), min_size=n, max_size=n), min_size=1, max_size=6))
+    scale = draw(st.floats(0.25, 4))
+    return make_state(Custom(tuple(amps)), SpinQuantum(d - 1), n), tag_rows, scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(bound_rows_cases())
+def test_bound_rows_equal_one_row_bound_moments(case):
+    # each row of the one pass is the one-row bound moment bit for bit, and the
+    # dense reference to 1e-12 of the terms' sum; a NaN amplitude, a ladder tag
+    # and a row of the wrong length are refused
+    state, tag_rows, scale = case
+    j, sup, vec = state.j, support_vector(state), dense_vector(state)
+    values = bound_rows(sup, tag_rows, j, scale=scale)
+    assert values.shape == (len(tag_rows),) and values.dtype == np.float64
+    for value, tags in zip(values.tolist(), tag_rows):
+        assert value == bound_expectation(sup, tags, j, scale=scale)
+        want = dense_expect_product(vec, tags, j, scale=scale).real
+        assert abs(value - want) <= 1e-12 * _term_sum(vec, tags, j, scale), (tags, scale)
+    assert np.array_equal(bound_rows(vec, tag_rows, j, scale=scale), values)  # an ndarray enters by its support
+    nan = SupportVector(sup.index, np.full_like(sup.values, np.nan), sup.size)
+    for bad in (nan, np.where(vec != 0, np.nan, 0)):
+        with pytest.raises(ValueError, match="normalised"):
+            bound_rows(bad, tag_rows, j, scale=scale)
+    n = state.n_sites
+    for ladder in (SiteOp.PLUS, SiteOp.MINUS):
+        with pytest.raises(ValueError, match="ladder"):
+            bound_rows(sup, tag_rows + [[ladder] + tag_rows[0][1:]], j, scale=scale)
+    for length in (n - 1, n + 1):
+        with pytest.raises(ValueError, match="amplitudes"):
+            bound_rows(sup, tag_rows + [[SiteOp.IDENTITY] * length], j, scale=scale)
 
 
 def test_ladder_table_transient_memory():
