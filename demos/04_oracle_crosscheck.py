@@ -1,11 +1,12 @@
-"""The dense oracle vs the closed forms, plus two consistency properties.
+"""The brute-force oracle vs the closed forms, plus two consistency properties.
 
 Every closed-form ratio in this package is a one-line power sum over the
-magnetic quantum number m.  The oracle knows none of that: it expands the
-state into all d^N product-basis amplitudes and applies each site operator
-to its own tensor axis.  Where both run, they must agree -- this is the
-package's principal self-check, and `spinmoments verify` sweeps it over
-every built-in family, criterion and feasible (J, N).
+magnetic quantum number m.  The oracle knows none of that: it takes the
+state's nonzero amplitudes in the d^N product basis and sums every product
+of site operators, each a band of its spin matrix, over them.  Where both
+run, they must agree -- this is the package's principal self-check, and
+`spinmoments verify` sweeps it over every built-in family, criterion and
+feasible (J, N).
 
 Also shown:
 

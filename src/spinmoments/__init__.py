@@ -9,7 +9,8 @@ strength: entanglement (all sites quantum), LHS(T,N) failure / EPR steering
 (T quantum sites), Bell nonlocality (none).
 
 Two independent evaluation routes: closed-form log-domain sums valid for
-any N, and a dense tensor-contraction oracle used to verify them.
+any N, and a brute-force oracle that sums every site-operator product over
+the state's support in the d^N product basis, used to verify them.
 """
 
 __version__ = "0.1.0"

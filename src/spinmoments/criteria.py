@@ -102,7 +102,7 @@ def evaluate(
     """Evaluate one criterion on one state.
 
     canonical defaults to the analytic backend (exact for every correlated
-    state); pass backend=Backend.ORACLE to force the dense contraction.
+    state); pass backend=Backend.ORACLE to force the brute-force oracle.
     exhaustive always runs on the oracle and needs d^N within the cap and
     N <= 16.
     """

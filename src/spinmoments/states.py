@@ -186,11 +186,25 @@ def make_state(family: StateFamily, j: SpinQuantum, n_sites: int) -> SymmetricCo
 
 @dataclass(frozen=True)
 class SupportVector:
-    """The nonzero ``values`` of a unit-norm vector of ``size`` d^N, at ascending int64 flat ``index``."""
+    """The nonzero ``values`` of a unit-norm vector of ``size`` d^N, at ascending int64 flat ``index``.
+
+    The oracle trusts the index, so a malformed one is refused here with ValueError:
+    not a 1-D signed integer array, not strictly ascending, outside [0, size), or of
+    another length than ``values``.
+    """
 
     index: np.ndarray
     values: np.ndarray
     size: int
+
+    def __post_init__(self):
+        index = self.index
+        if not (isinstance(index, np.ndarray) and index.ndim == 1 and index.dtype.kind == "i"):
+            raise ValueError("a support's index must be a 1-D signed integer array")
+        if (index[1:] <= index[:-1]).any() or (index.size and not 0 <= index[0] <= index[-1] < self.size):
+            raise ValueError(f"a support's index must be strictly ascending within [0, {self.size})")
+        if np.shape(self.values) != index.shape:
+            raise ValueError(f"a support has {index.size} indices but values of shape {np.shape(self.values)}")
 
 
 def support_vector(state: SymmetricCorrelatedState, cap: int | None = None) -> SupportVector:

@@ -5,12 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from dense_reference import dense_expect_product, site_matrix
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, Steering, canonical_signs
 from spinmoments.oracle import (
     SiteOp,
-    _support,
     b_from_moments,
     bound_expectation,
     bound_rows,
@@ -107,7 +106,7 @@ def _choice_lists(rng, n):
 
 def test_expect_table_matches_per_pattern_products():
     # every entry against expect_product on its pattern and the dense reference;
-    # d = 2..6 with d^N <= 2^12, so the ladder pairs also run chunked
+    # d = 2..6 with d^N <= 2^12, on random vectors with full support
     rng = np.random.default_rng(20261020)
     for d in range(2, 7):
         j = SpinQuantum(d - 1)
@@ -139,11 +138,29 @@ def test_expect_table_order_is_plus_first():
         assert table.flat[flat_index] == pytest.approx(expect_product(vec, ladder_tags(signs), ONE), abs=1e-15)
 
 
-def test_expect_table_rejects_alternatives_off_one_stride():
-    vec = dense_vector(make_state(UniformMax(), ONE, 2))
-    for alts in ((SiteOp.PLUS, SiteOp.X2_PLUS_Y2), (SiteOp.PLUS, SiteOp.MINUS, SiteOp.PLUS)):
-        with pytest.raises(ValueError, match="evenly spaced"):
-            expect_table(vec, [alts, (SiteOp.MINUS,)], ONE)
+def test_expect_table_takes_uneven_alternatives():
+    # a site's alternatives may be any tags: bands of different lengths, on rows
+    # not evenly spaced, or one tag twice; every entry against expect_product on
+    # its pattern and the dense reference, on a random vector and a state's support
+    rng = np.random.default_rng(20261024)
+    uneven = [
+        (SiteOp.PLUS, SiteOp.IDENTITY),
+        (SiteOp.MINUS, SiteOp.X2_PLUS_Y2, SiteOp.PLUS),
+        (SiteOp.CJ_SHIFTED,),
+        (SiteOp.PLUS, SiteOp.MINUS, SiteOp.PLUS),
+    ]
+    for d in (2, 3, 4):
+        j = SpinQuantum(d - 1)
+        vec = rng.normal(size=d**4) + 1j * rng.normal(size=d**4)
+        state = make_state(Custom(tuple(rng.normal(size=d))), j, 4)
+        for psi in (vec / np.linalg.norm(vec), support_vector(state)):
+            dense = psi if isinstance(psi, np.ndarray) else dense_vector(state)
+            table = expect_table(psi, uneven, j)
+            assert table.shape == (2, 3, 1, 3)
+            for index in np.ndindex(table.shape):
+                ops = [alts[a] for alts, a in zip(uneven, index)]
+                for want in (expect_product(psi, ops, j), dense_expect_product(dense, ops, j)):
+                    assert abs(table[index] - want) <= 1e-12 * _term_sum(dense, ops, j, 1.0), (d, ops)
 
 
 def test_mixed_ladder_signs_vanish_on_correlated_states():
@@ -265,14 +282,12 @@ def test_vector_validation():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_vectors_are_refused_on_both_routes(bad):
-    # 2J = 1, N = 12: every amplitude bad goes dense; one bad amplitude among
-    # zeros is a support of one word
+    # 2J = 1, N = 12: every amplitude bad, or one bad amplitude among zeros
     n = 12
     signs, _ = canonical_signs(Bell(), n)
     lone = np.zeros(2**n, dtype=complex)
     lone[5] = bad
-    for vec, dense in ((np.full(2**n, bad, dtype=complex), True), (lone, False)):
-        assert (_support(vec, 2, n, vec.size // (1 + n)) is None) is dense
+    for vec in (np.full(2**n, bad, dtype=complex), lone):
         with pytest.raises(ValueError, match="normalised"):
             expect_product(vec, ladder_tags(signs), HALF)
         with pytest.raises(ValueError, match="normalised"):
@@ -324,7 +339,7 @@ def test_cj_shifted_uses_current_bound():
 
 
 def test_hermitian_products_are_real_by_construction():
-    # every product of offset-0 tags is reduced on the float64 view of psi
+    # every product of offset-0 tags is a real weighted sum of |psi_i|^2
     rng = np.random.default_rng(20261019)
     for d in range(2, 7):
         j = SpinQuantum(d - 1)
@@ -390,36 +405,27 @@ def test_bound_table_matches_dense_reference(case):
             assert table[index] == 0.0, (ops, scale)
 
 
-def _peak_over_psi(call, vec):
-    """tracemalloc peak of call(), caches warm, over the 16 d^N bytes of psi."""
+def _peak(call):
+    """tracemalloc peak of call(), in bytes, caches warm."""
     call()
     tracemalloc.start()
     try:
         call()
-        return tracemalloc.get_traced_memory()[1] / vec.nbytes
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_bound_reduction_transient_memory():
-    # 2J = 1, N = 16: a one-choice Bell R and the all-HZ table, (J+J-, J-J+) on
-    # every site, whose 2^16 entries are half of psi's bytes on their own
-    n = 16
-    rng = np.random.default_rng(20261021)
-    vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    vec /= np.linalg.norm(vec)
-    bell = _peak_over_psi(lambda: bound_expectation(vec, bound_tags(Bell(), n), HALF), vec)
-    hz = _peak_over_psi(lambda: bound_table(vec, [(SiteOp.PLUS_MINUS, SiteOp.MINUS_PLUS)] * n, HALF), vec)
-    assert bell <= 0.63, bell
-    assert hz <= 2.5, hz
+def _peak_over_psi(call, vec):
+    """``_peak`` over the 16 d^N bytes of psi."""
+    return _peak(call) / vec.nbytes
 
 
 @st.composite
 def sparse_table_cases(draw):
     """d = 2..6 with d^N <= 2^12; one-tag sites (any tag) and up to five ``PAIRS``
     sites; a random complex unit vector on a product support, a GHZ-like one or
-    one basis state.  The two-tag sites are drawn freely, so that tables fall
-    on both sides of the route rule (nonzero words x (entries + N) <= d^N)."""
+    one basis state."""
     d = draw(st.integers(2, 6))
     n = draw(st.integers(1, max(k for k in range(1, 13) if d**k <= 2**12)))
     two = draw(st.sets(st.integers(0, n - 1), max_size=min(n, 5)))
@@ -452,12 +458,11 @@ def _term_sum(vec, ops, j, scale):
 @settings(max_examples=100, deadline=None)
 @given(sparse_table_cases())
 def test_sparse_support_tables_match_dense_reference(case):
-    # ladder and mixed tables on either route: every entry to 1e-12 relative to
+    # ladder and mixed tables: every entry to 1e-12 relative to
     # the sum of its terms' magnitudes, bound entries exactly 0.0 where the
     # weights vanish on the support, and the norm check still fires
     j, choices, vec, support, scale = case
     table = expect_table(vec, choices, j, scale=scale)
-    event(f"support route: {2 * support.sum() * (table.size + len(choices)) <= vec.size}")
     assert table.shape == tuple(map(len, choices))
     for index in np.ndindex(table.shape):
         ops = [alts[a] for alts, a in zip(choices, index)]
@@ -479,12 +484,6 @@ def test_support_route_transient_memory():
     ladder = _peak_over_psi(lambda: expect_product(vec, ladder_tags(signs), HALF), vec)
     assert bell <= 0.2, bell
     assert ladder <= 0.2, ladder
-    # a real vector with every amplitude nonzero has d^N nonzero words; a sum
-    # over its support would hold N numbers per amplitude, so it stays dense
-    real = np.random.default_rng(20261022).normal(size=2**16).astype(complex)
-    real /= np.linalg.norm(real)
-    dense = _peak_over_psi(lambda: bound_expectation(real, bound_tags(Bell(), 16), HALF), real)
-    assert dense <= 0.63, dense
 
 
 def test_state_paths_stay_far_below_the_state_size():
@@ -494,14 +493,30 @@ def test_state_paths_stay_far_below_the_state_size():
     st_ = make_state(UniformMax(), HALF, n)
     signs, _ = canonical_signs(Bell(), n)
     for call in (lambda: rhs_moment(st_, Bell()), lambda: lhs_moment(st_, signs)):
-        call()  # caches warm
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _peak(call)
         assert peak < 64 * 1024, peak
+
+
+def test_support_pass_memory_scales_with_amplitudes():
+    # tracemalloc peak, caches warm, of a 2^10-entry ladder table ((J+, J-) on
+    # ten sites) and HZ bound table ((J+J-, J-J+) on ten sites) against
+    # amplitudes x (entries + N) numbers of 8 bytes.  A ladder table last holds
+    # its complex products, the gathered conj bra amplitudes (16 bytes each)
+    # and their positions (8), 5 numbers per entry and amplitude; the N term is
+    # the digits and their weights, 2 per site and amplitude.  Measured 5.01-
+    # 5.06 (ladder) and 3.75-3.76 (bound) here, up to 5.4 on 2^8 entries; 6
+    # leaves room for allocator rounding.  A state's support needs the same at
+    # d^N = 3^12 and 3^39, and a sparse ndarray is allowed d^N bytes more for
+    # its nonzero scan (np.flatnonzero itself allocates only the index).
+    for n in (12, 39):
+        state = make_state(Bosonic(), ONE, n)
+        sup = support_vector(state, cap=2**62)
+        for psi in [sup] if n == 39 else [sup, dense_vector(state)]:
+            scan = psi.size if isinstance(psi, np.ndarray) else 0
+            for call, pair, rest in ((expect_table, PAIRS[0], SiteOp.MINUS), (bound_table, PAIRS[2], SiteOp.IDENTITY)):
+                choices = [pair] * 10 + [(rest,)] * (n - 10)
+                peak = _peak(lambda: call(psi, choices, ONE))
+                assert peak <= 6 * 8 * len(sup.values) * (2**10 + n) + scan, (n, call.__name__, peak)
 
 
 @st.composite
@@ -531,19 +546,15 @@ def state_table_cases(draw):
 @given(state_table_cases())
 def test_state_support_tables_match_the_dense_vector(case):
     # a state's support gives the dense reference to 1e-12 of the terms'
-    # magnitudes, and its dense vector's table bit for bit wherever that vector
-    # takes the support route too (the dense route multiplies in another order,
-    # so it may differ in the last bit); a NaN or non-normalised support is refused
+    # magnitudes, and its dense vector's table bit for bit (both enter by the
+    # same support); a NaN or non-normalised support is refused
     state, choices, scale = case
     j, sup, vec = state.j, support_vector(state), dense_vector(state)
     assert sup.size == vec.size and np.array_equal(sup.index, np.flatnonzero(vec))
     table = expect_table(sup, choices, j, scale=scale)
     dense = expect_table(vec, choices, j, scale=scale)
     assert table.dtype == dense.dtype and table.shape == tuple(map(len, choices))
-    support_route = _support(vec, j.dim, len(choices), vec.size // (table.size + len(choices))) is not None
-    event(f"dense vector on the support route: {support_route}")
-    if support_route:
-        assert table.tobytes() == dense.tobytes()
+    assert table.tobytes() == dense.tobytes()
     for index in np.ndindex(table.shape):
         ops = [alts[a] for alts, a in zip(choices, index)]
         want = dense_expect_product(vec, ops, j, scale=scale)
@@ -592,95 +603,3 @@ def test_bound_rows_equal_one_row_bound_moments(case):
     for length in (n - 1, n + 1):
         with pytest.raises(ValueError, match="amplitudes"):
             bound_rows(sup, tag_rows + [[SiteOp.IDENTITY] * length], j, scale=scale)
-
-
-def test_ladder_table_transient_memory():
-    # 2J = 1, N = 16: the all-sign-pattern ladder table, (J+, J-) on every
-    # site, on a dense vector; each site's product is taken in place and its
-    # band of length 1 dropped, so one chunk of d^N products and the table remain
-    n = 16
-    rng = np.random.default_rng(20261023)
-    vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    vec /= np.linalg.norm(vec)
-    ladder = _peak_over_psi(lambda: expect_table(vec, [(SiteOp.PLUS, SiteOp.MINUS)] * n, HALF), vec)
-    assert ladder <= 2.5, ladder
-
-
-@st.composite
-def support_search_cases(draw):
-    """A vector of one or several of the support search's blocks (d^min(N,
-    int(7 / ln d)) amplitudes, as in ``oracle._support``) whose nonzero
-    amplitudes lie in no block, one, some or every block; amplitudes real,
-    imaginary-only or complex; -0.0 parts (a nonzero word, a zero amplitude)
-    anywhere; and a cost (table entries + N) on either side of the rule."""
-    d = draw(st.integers(2, 6))
-    top = max(k for k in range(1, 14) if d**k <= 2**13)  # several blocks from N = int(7 / ln d) + 1
-    n = draw(st.one_of(st.integers(1, int(7 / math.log(d))), st.integers(int(7 / math.log(d)) + 1, top)))
-    size, block = d**n, d ** min(n, int(7 / math.log(d)))
-    spread = draw(st.sampled_from(("none", "one", "some", "every")))
-    if spread == "none":
-        hit = []
-    elif spread == "one":
-        hit = [draw(st.integers(0, size // block - 1))]
-    elif spread == "some":
-        hit = sorted(draw(st.sets(st.integers(0, size // block - 1), min_size=1)))
-    else:
-        hit = range(size // block)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    per_block = draw(st.sampled_from((1, 2, block)))
-    vec = np.zeros(size, dtype=complex)
-    for b in hit:
-        pos = b * block + rng.choice(block, size=rng.integers(1, per_block + 1), replace=False)
-        vec[pos] = {"real": 1, "imag": 1j, "complex": 1 + 1j}[draw(st.sampled_from(("real", "imag", "complex")))]
-        vec[pos] *= rng.normal(size=len(pos))
-    parts = vec.view(np.float64)
-    neg = rng.choice(parts.size, size=draw(st.integers(0, 4)), replace=False)
-    parts[neg] = np.where(parts[neg] == 0.0, -0.0, parts[neg])
-    event(f"{'one block' if size == block else 'several blocks'}, support in {spread}, -0.0 parts: {len(neg) > 0}")
-    words = np.count_nonzero(vec.view(np.uint64))
-    cost = draw(
-        st.one_of(
-            st.integers(1, size + 1),
-            st.integers(-2, 2).map(lambda k: max(1, size // max(words, 1) + k)),
-            st.integers(-2, 2).map(lambda k: max(1, size // max(len(hit), 1) + k)),
-        )
-    )
-    return d, n, vec, cost
-
-
-@settings(max_examples=200, deadline=None)
-@given(support_search_cases())
-def test_support_search_keeps_the_route_rule(case):
-    # the rule the route had before the block search: nonzero 64-bit words x
-    # (table entries + N) <= d^N; on the support route the search returns
-    # exactly flatnonzero(psi), so a -0.0 part counts as a word, not as support
-    d, n, vec, cost = case
-    ket = _support(vec, d, n, vec.size // cost)
-    support_route = np.count_nonzero(vec.view(np.uint64)) * cost <= vec.size
-    event(f"support route: {support_route}")
-    if support_route:
-        assert ket is not None and np.array_equal(ket, np.flatnonzero(vec))
-    else:
-        assert ket is None
-
-
-def test_support_route_reads_psi_once(monkeypatch):
-    # 2J = 1, N = 20 uniform-max: the block max is the one reduction over all
-    # of psi's words; the nonzero count and search see only the hit blocks
-    n = 20
-    vec = dense_vector(make_state(UniformMax(), HALF, n))
-    signs, _ = canonical_signs(Bell(), n)
-    seen = []
-    for name in ("count_nonzero", "flatnonzero", "nonzero"):
-        monkeypatch.setattr(np, name, _spy(getattr(np, name), seen))
-    bound_expectation(vec, bound_tags(Bell(), n), HALF)
-    expect_product(vec, ladder_tags(signs), HALF)
-    assert seen and max(seen) < vec.size, seen
-
-
-def _spy(func, seen):
-    def call(a, *args, **kwargs):
-        seen.append(np.size(a))
-        return func(a, *args, **kwargs)
-
-    return call

@@ -11,11 +11,13 @@ from spinmoments.states import (
     Custom,
     GeneralizedGHZ,
     SpinOneR,
+    SupportVector,
     UniformMax,
     _logsumexp,
     dense_vector,
     family_label,
     make_state,
+    support_vector,
 )
 
 HALF = SpinQuantum(1)
@@ -199,3 +201,25 @@ def test_family_labels():
     assert family_label(UniformMax()) == "uniform-max"
     assert family_label(GeneralizedGHZ(0.1)) == "ghz"
     assert family_label(Custom((1.0, 1.0))) == "custom"
+
+
+def test_support_vector_refuses_a_malformed_index():
+    # 2J = 2, N = 3 uniform-max: the oracle trusts the index, and read in
+    # reverse it would give <J-^(x)3> = 0 instead of 1.8856, so every malformed
+    # support is refused when it is built; the state's own support passes
+    from spinmoments.oracle import SiteOp, expect_product
+
+    sup = support_vector(make_state(UniformMax(), ONE, 3))
+    own = SupportVector(sup.index, sup.values, sup.size)
+    assert expect_product(own, [SiteOp.MINUS] * 3, ONE).real == pytest.approx(4 * math.sqrt(2) / 3, rel=1e-14)
+    for index, values, match in (
+        (sup.index[::-1].copy(), sup.values, "ascending"),  # reversed
+        (np.array([0, 0, 26]), sup.values, "ascending"),  # a duplicate
+        (np.array([0, 13, 40]), sup.values, r"\[0, 27\)"),  # past the size
+        (np.array([-1, 13, 26]), sup.values, r"\[0, 27\)"),  # below 0
+        (sup.index, sup.values[:2], "values"),  # fewer values than indices
+        (sup.index.astype(float), sup.values, "integer"),  # not an integer array
+        (sup.index[None, :], sup.values, "integer"),  # not 1-D
+    ):
+        with pytest.raises(ValueError, match=match):
+            SupportVector(index, values, sup.size)
