@@ -34,7 +34,7 @@ CASES = [
 ]
 KINDS = [("bell", Bell()), ("epr1", Steering(1)), ("ent-cj", EntanglementCJ())]
 
-print("closed form vs dense contraction")
+print("closed form vs support sum")
 print(f"{'state':<20} {'kind':<7} {'B closed':>14} {'B oracle':>14} {'rel diff':>10}")
 for label, state in CASES:
     n = state.n_sites

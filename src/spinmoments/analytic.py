@@ -142,17 +142,6 @@ def log_lhs_rhs(
     )
 
 
-def log_ladder_moment(state: SymmetricCorrelatedState) -> float:
-    """log L for the all-minus (equivalently all-plus) ladder product: adjacent
-    amplitudes r_m r_(m+1) paired under the ladder weights."""
-    return log_lhs_rhs(state, kinds.Bell())[0]
-
-
-def log_bound_moment(state, kind, *, c_j=None, l_signs=None) -> float:
-    """log R for the requested criterion kind (see ``log_bound_weights``)."""
-    return log_lhs_rhs(state, kind, c_j=c_j, l_signs=l_signs)[1]
-
-
 def exp_or_inf(log_x: float) -> float:
     if log_x == _LOG_ZERO:
         return 0.0

@@ -11,14 +11,19 @@ of log D brackets it) over generalized eigenproblems whose metric
 M = c I + D / c is diagonal: each is the tridiagonal M^(-1/2) A M^(-1/2),
 assembled in the log domain so that N in the thousands cannot overflow.
 Its entries are non-negative, so the top eigenvector has one sign and is
-the optimal r; the search's 65-point grid is one stacked eigh.  The
-r_m = r_-m restriction folds A and D by r = P x (the HZ bound weights are
-not symmetric in m).  The reported B is exactly
+the optimal r; the search's 65-point grid is one stacked eigh.  It folds
+r_m = r_-m (r = P x) exactly when ``kinds.bound_runs`` has as many J+J- sites
+as J-J+ sites (every non-HZ kind, and HZ bounds with T = 2): q(m) is even in
+m and f+(m) = f-(-m), so D is then mirror symmetric like A, and so is the top
+eigenvector.  Other layouts are solved over the full d-vector (at d <= 3
+their zero end weights can leave D symmetric; the full solve finds the same
+B).  The layout decides, not log D, whose summed logs need not be bitwise
+symmetric.  The reported B is exactly
 ``analytic.b_ratio(report.best_state(), kind)``, with C_J from ``cj_bound``;
 two adjacent zero bound weights make B unbounded (inf).  Where B* is a
-supremum approached only as c -> 0 (``ent-hz`` and ``epr2-hz`` at 2J = 2),
-B is exact but the reported r, and with it L, R and a scan's ``r_vector``,
-is set by ``_LOG_C_PAD``, not by the problem.  No random starts:
+supremum approached only as c -> 0 (HZ bounds with T >= 2 at 2J = 2, and
+``epr1-hz`` at 2J = 1), B is exact but the reported r, and with it L, R and a
+scan's ``r_vector``, is set by ``_LOG_C_PAD``, not by the problem.  No random starts:
 ``restarts`` and ``seed`` are validated and ignored.
 
 The drivers decide "violated" by ``criteria.violated`` on log L and log R;
@@ -67,11 +72,17 @@ class MinSitesResult:
     n_max_searched: int
 
 
-def _fold(log_a: np.ndarray, log_d: np.ndarray, symmetric: bool):
-    """Fold map k -> i, pair counts, and log D, log diag and log off-diagonal
-    of the folded tridiagonal P^T A P, all summed in the log domain."""
+def _mirror_symmetric(kind: kinds.CriterionKind, n_sites: int) -> bool:
+    """Whether D_m = D_-m: R has as many J+J- sites as J-J+ sites."""
+    balance = {kinds.SiteOp.PLUS_MINUS: 1, kinds.SiteOp.MINUS_PLUS: -1}
+    return sum(balance.get(tag, 0) * k for tag, k in kinds.bound_runs(kind, n_sites)) == 0
+
+
+def _fold(log_a: np.ndarray, log_d: np.ndarray, mirror: bool):
+    """Fold map k -> i (r_m = r_-m if mirror), pair counts, and log D, log diag and
+    log off-diagonal of the folded tridiagonal P^T A P, all summed in the log domain."""
     k = np.arange(log_d.size)
-    fold = np.minimum(k, k[::-1]) if symmetric else k
+    fold = np.minimum(k, k[::-1]) if mirror else k
     size = int(fold.max()) + 1
     log_fd = np.full(size, -np.inf)
     np.logaddexp.at(log_fd, fold, log_d)
@@ -105,16 +116,13 @@ def optimize_amplitudes(
     n_sites: int,
     kind: kinds.CriterionKind,
     *,
-    symmetric: bool = True,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
 ) -> OptimizationReport:
-    """Maximise the analytic B over non-negative amplitudes r.
-
-    The symmetric flag (default on, matching the r_m = r_{-m} restriction
-    of the built-in families) folds the search space to ceil(d/2)
-    dimensions; pass symmetric=False to probe the full d-vector.
-    ``restarts`` (>= 1) and ``seed`` are ignored: the route is exact.
+    """Maximise the analytic B over non-negative amplitudes r: over ceil(d/2)
+    folded r_m = r_-m exactly when R has as many J+J- sites as J-J+ sites (D is
+    then mirror symmetric), else over the full d-vector.  ``restarts`` (>= 1)
+    and ``seed`` are ignored: the route is exact.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -125,9 +133,9 @@ def optimize_amplitudes(
         r = np.zeros(j.dim)
         k = int(np.argmax(zero_pair))
         r[k : k + 2] = 1.0
-        r = np.maximum(r, r[::-1]) if symmetric else r
     else:
-        fold, counts, log_fd, log_diag, log_off = _fold(log_a, log_d, symmetric)
+        mirror = _mirror_symmetric(kind, n_sites)
+        fold, counts, log_fd, log_diag, log_off = _fold(log_a, log_d, mirror)
         solved = {}  # log c -> top eigenvector, for every point the search solves
 
         def log_metric(log_c):  # log(n_i c + D_i / c), a row per entry of log_c
@@ -167,17 +175,14 @@ def min_sites_for_violation(
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    best_seen = -math.inf
+    best_seen, min_n = -math.inf, None
     for n in range(2, n_max + 1):
         report = optimize_amplitudes(j, n, kind, restarts=restarts, seed=seed)
         best_seen = max(best_seen, report.best_b)
         if report.violated:
-            return MinSitesResult(
-                dim=j.dim, kind=kind, min_n=n, b_at_min_n=report.best_b, n_max_searched=n_max
-            )
-    return MinSitesResult(
-        dim=j.dim, kind=kind, min_n=None, b_at_min_n=best_seen, n_max_searched=n_max
-    )
+            best_seen, min_n = report.best_b, n
+            break
+    return MinSitesResult(dim=j.dim, kind=kind, min_n=min_n, b_at_min_n=best_seen, n_max_searched=n_max)
 
 
 def scan_curve(

@@ -98,13 +98,15 @@ def expect_table(
     entry (a_0, ..., a_{N-1}) takes choices[k][a_k] on site k, so with (plus,
     minus) alternatives on every site its C order is
     ``itertools.product((1, -1), repeat=N)``.  A site's alternatives may be any
-    tags.  When every offset is 0 (exactly the Hermitian products) the table is
-    real.  The vector must have length d^N and unit norm.
+    tags, but at least one.  When every offset is 0 (exactly the Hermitian
+    products) the table is real.  The vector must have length d^N and unit norm.
     """
     ket, amp, size = _support_of(state_vector)
     n = len(choices)
     if n == 0 or j.dim**n != size:
         raise ValueError(f"vector has {size} amplitudes, expected d^N = {j.dim}^{n} = {j.dim**n}")
+    if any(len(alts) == 0 for alts in choices):
+        raise ValueError(f"site {[len(alts) for alts in choices].index(0)} has no alternative tags")
     codes, rows, shifts = _site_bands(j, float(scale))
     sites = [[codes[op] for op in alts] for alts in choices]
     lead = np.array([[alts[0] if len(alts) == 1 else -1 for alts in sites]])  # -1: IDENTITY

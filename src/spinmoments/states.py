@@ -188,9 +188,9 @@ def make_state(family: StateFamily, j: SpinQuantum, n_sites: int) -> SymmetricCo
 class SupportVector:
     """The nonzero ``values`` of a unit-norm vector of ``size`` d^N, at ascending int64 flat ``index``.
 
-    The oracle trusts the index, so a malformed one is refused here with ValueError:
-    not a 1-D signed integer array, not strictly ascending, outside [0, size), or of
-    another length than ``values``.
+    The oracle trusts the index and reads the values as complex128, so a malformed support
+    is refused here with ValueError: values not complex128, or an index not a 1-D signed
+    integer array, not strictly ascending, outside [0, size), or of another length than them.
     """
 
     index: np.ndarray
@@ -205,6 +205,9 @@ class SupportVector:
             raise ValueError(f"a support's index must be strictly ascending within [0, {self.size})")
         if np.shape(self.values) != index.shape:
             raise ValueError(f"a support has {index.size} indices but values of shape {np.shape(self.values)}")
+        dtype = getattr(self.values, "dtype", type(self.values).__name__)
+        if dtype != np.complex128:
+            raise ValueError(f"a support's values must be complex128, not {dtype}")
 
 
 def support_vector(state: SymmetricCorrelatedState, cap: int | None = None) -> SupportVector:

@@ -1,4 +1,5 @@
-"""Every demo runs to completion in a fresh interpreter and prints something."""
+"""Every demo runs to completion in a fresh interpreter and prints exactly its
+committed output, ``tests/demo_output/<demo>.txt``."""
 
 import os
 import subprocess
@@ -9,10 +10,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PINNED = Path(__file__).resolve().parent / "demo_output"
 
 
 def test_demos_are_found():
     assert len(DEMOS) >= 4
+    assert sorted(path.stem for path in PINNED.glob("*.txt")) == [demo.stem for demo in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
@@ -23,4 +26,4 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=ROOT, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    assert proc.stdout == (PINNED / f"{demo.stem}.txt").read_text()

@@ -5,7 +5,7 @@ import pytest
 
 from spinmoments import analytic, optimizer
 from spinmoments.criteria import evaluate
-from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, Steering
+from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, Steering, parse_kind
 from spinmoments.optimizer import min_sites_for_violation, optimize_amplitudes, scan_curve
 from spinmoments.spin_algebra import SpinQuantum, cj_bound, minimize_on_interval
 from spinmoments.states import Bosonic, Custom, GeneralizedGHZ, UniformMax, make_state
@@ -34,14 +34,10 @@ def test_best_beats_deterministic_starts():
 
 
 def test_report_is_self_consistent():
-    # the reported B is exactly the B of the reported state
-    cases = [
-        (tj, n, kind, symmetric)
-        for tj, n, kind in ((2, 5, Bell()), (3, 6, EntanglementHZ()), (4, 7, Steering(2, "hz")))
-        for symmetric in (True, False)
-    ]
-    for tj, n, kind, symmetric in cases:
-        report = optimize_amplitudes(SpinQuantum(tj), n, kind, symmetric=symmetric)
+    # the reported B is exactly the B of the reported state, folded or not
+    cases = ((2, 5, Bell()), (3, 6, EntanglementHZ()), (4, 7, Steering(2, "hz")), (4, 7, Steering(1, "hz")))
+    for tj, n, kind in cases:
+        report = optimize_amplitudes(SpinQuantum(tj), n, kind)
         assert np.sum(report.best_r**2) == pytest.approx(1.0, abs=1e-12)
         assert np.all(report.best_r >= 0)
         assert report.best_b == analytic.b_ratio(report.best_state(), kind)
@@ -71,8 +67,8 @@ def test_seed_reproducibility():
 
 def test_spin_half_hz_is_unbounded():
     # R vanishes identically for spin 1/2 with mixed l signs
-    for symmetric in (True, False):
-        report = optimize_amplitudes(SpinQuantum(1), 4, EntanglementHZ(), symmetric=symmetric)
+    for kind in (EntanglementHZ(), Steering(2, "hz"), Steering(3, "hz")):
+        report = optimize_amplitudes(SpinQuantum(1), 4, kind)
         assert report.best_b == math.inf
         assert np.array_equal(report.best_r, np.full(2, 1 / math.sqrt(2)))
 
@@ -90,12 +86,45 @@ def test_symmetry_constraint_respected():
     assert np.array_equal(report.best_r, report.best_r[::-1])
 
 
-def test_asymmetric_search_matches_symmetric_here():
-    # the built-in families are symmetric; releasing the constraint must not
-    # lose ground, and for these criteria it has nothing extra to find
-    sym = optimize_amplitudes(ONE, 4, Bell(), restarts=8, seed=0)
-    asym = optimize_amplitudes(ONE, 4, Bell(), symmetric=False, restarts=8, seed=0)
-    assert asym.best_b == pytest.approx(sym.best_b, abs=1e-7)
+def test_the_fold_has_no_keyword():
+    with pytest.raises(TypeError, match="symmetric"):
+        optimize_amplitudes(ONE, 4, Bell(), symmetric=False)
+
+
+@pytest.mark.parametrize(
+    "kind, n, mirror",
+    [
+        (Bell(), 5, True),
+        (EntanglementCJ(), 5, True),
+        (Steering(3), 5, True),
+        (Steering(0, "hz"), 5, True),
+        (Steering(2, "hz"), 5, True),
+        (EntanglementHZ(), 2, True),
+        (EntanglementHZ(), 3, False),
+        (Steering(1, "hz"), 5, False),
+        (Steering(3, "hz"), 5, False),
+    ],
+)
+def test_fold_exactly_when_the_layout_balances_the_hz_tags(kind, n, mirror):
+    # the layout rule (as many J+J- sites as J-J+ sites) agrees with the
+    # weights themselves at d = 8, and decides whether r comes out folded
+    assert optimizer._mirror_symmetric(kind, n) == mirror
+    d = np.exp(analytic.log_bound_weights(SpinQuantum(7), n, kind))
+    assert np.allclose(d, d[::-1], rtol=1e-13, atol=0) == mirror
+    report = optimize_amplitudes(SpinQuantum(7), n, kind)
+    assert np.array_equal(report.best_r, report.best_r[::-1]) == mirror
+
+
+@pytest.mark.parametrize(
+    "token, min_n",
+    [("epr1-hz", [2, 2, 8, 9, None]), ("ent-hz", [2, 2, 2, 11, None])],
+)
+def test_hz_min_sites_reach_the_unfolded_optimum(token, min_n):
+    # with r_m = r_-m forced, epr1-hz needs N = 3 at d = 2 and 3, and ent-hz
+    # finds no N <= 12 at d = 5
+    kind = parse_kind(token)
+    found = [min_sites_for_violation(SpinQuantum(d - 1), kind, 12).min_n for d in range(2, 7)]
+    assert found == min_n
 
 
 def test_spin1_bell_matches_dense_1d_grid():
@@ -109,7 +138,7 @@ def test_spin1_bell_matches_dense_1d_grid():
         assert report.best_b == pytest.approx(best_grid, abs=1e-8)
 
 
-def _simplex_grid_best(j, n, kind, points_per_axis, symmetric=True):
+def _simplex_grid_best(j, n, kind, points_per_axis, mirror=True):
     """Coarse simplex scan (>= 10^4 points) refined once around the best cell.
 
     B is evaluated for the whole grid at once from the closed-form weights
@@ -117,7 +146,7 @@ def _simplex_grid_best(j, n, kind, points_per_axis, symmetric=True):
     is cross-checked against analytic.b_ratio.
     """
     k = np.arange(j.dim)
-    fold = np.minimum(k, k[::-1]) if symmetric else k
+    fold = np.minimum(k, k[::-1]) if mirror else k
     ladder = np.exp(analytic.log_ladder_weights(j, n))
     bound = np.exp(analytic.log_bound_weights(j, n, kind))
 
@@ -152,15 +181,17 @@ def test_optimizer_not_beaten_by_simplex_grid(tj, n):
     assert report.best_b >= grid_best * (1 - 1e-12)
 
 
-@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "full"])
+@pytest.mark.parametrize("mirror", [True, False], ids=["symmetric", "full"])
 @pytest.mark.parametrize("kind", [EntanglementHZ(), Steering(2, "hz")], ids=["ent-hz", "epr2-hz"])
 @pytest.mark.parametrize("tj,n", [(2, 4), (3, 5)])
-def test_hz_optimizer_not_beaten_by_simplex_grid(tj, n, kind, symmetric):
-    # HZ bound weights vanish at m = +-J and are not symmetric in m
+def test_hz_optimizer_not_beaten_by_simplex_grid(tj, n, kind, mirror):
+    # HZ bound weights vanish at m = +-J; ent-hz's are not mirror symmetric,
+    # epr2-hz's are: either way the optimum beats the finer grid over r_m = r_-m
+    # and the grid over the full d-vector
     j = SpinQuantum(tj)
-    n_free = (j.dim + 1) // 2 if symmetric else j.dim
-    grid_best = _simplex_grid_best(j, n, kind, _points_per_axis(n_free), symmetric)
-    report = optimize_amplitudes(j, n, kind, symmetric=symmetric)
+    n_free = (j.dim + 1) // 2 if mirror else j.dim
+    grid_best = _simplex_grid_best(j, n, kind, _points_per_axis(n_free), mirror)
+    report = optimize_amplitudes(j, n, kind)
     assert report.best_b >= grid_best * (1 - 1e-12)
 
 
@@ -252,12 +283,11 @@ def test_scan_curve_without_kinds_builds_no_state():
 )
 def test_optimizer_solves_its_grid_in_one_stacked_call(eigen_solves, tj, n, kind, most):
     cj_bound(SpinQuantum(tj))  # C_J's own solves are not the optimiser's
-    for symmetric in (True, False):
-        eigen_solves.clear()
-        optimize_amplitudes(SpinQuantum(tj), n, kind, symmetric=symmetric)
-        assert eigen_solves.count((65,)) == 1
-        assert all(shape in ((65,), ()) for shape in eigen_solves)
-        assert len(eigen_solves) <= most
+    eigen_solves.clear()
+    optimize_amplitudes(SpinQuantum(tj), n, kind)
+    assert eigen_solves.count((65,)) == 1
+    assert all(shape in ((65,), ()) for shape in eigen_solves)
+    assert len(eigen_solves) <= most
 
 
 @pytest.mark.parametrize(
@@ -284,9 +314,6 @@ def test_optimizer_reuses_the_searched_eigenvector(eigen_solves, monkeypatch, tj
         return minimize_on_interval(spy, lo, hi)
 
     monkeypatch.setattr(optimizer, "minimize_on_interval", counting)
-    for symmetric in (True, False):
-        eigen_solves.clear()
-        scalar_calls.clear()
-        optimize_amplitudes(SpinQuantum(tj), n, kind, symmetric=symmetric)
-        assert scalar_calls.count(False) == 1
-        assert len(eigen_solves) == 1 + scalar_calls.count(True)
+    optimize_amplitudes(SpinQuantum(tj), n, kind)
+    assert scalar_calls.count(False) == 1
+    assert len(eigen_solves) == 1 + scalar_calls.count(True)

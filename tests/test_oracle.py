@@ -280,6 +280,15 @@ def test_vector_validation():
         expect_product(np.ones(1), [], ONE)  # no sites
 
 
+def test_a_site_without_alternatives_is_refused():
+    # 2J = 2, N = 3: the empty middle site is named, on a support and an ndarray alike
+    sup = support_vector(make_state(UniformMax(), ONE, 3))
+    choices = [(SiteOp.MINUS,), (), (SiteOp.MINUS,)]
+    for vec in (sup, dense_vector(make_state(UniformMax(), ONE, 3))):
+        with pytest.raises(ValueError, match="site 1 has no alternative"):
+            expect_table(vec, choices, ONE)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_vectors_are_refused_on_both_routes(bad):
     # 2J = 1, N = 12: every amplitude bad, or one bad amplitude among zeros
@@ -305,7 +314,7 @@ def test_cap_override_reaches_spin_5_half():
     got = lhs_moment(st, (-1,) * 8, cap=6**8)
     from spinmoments import analytic
 
-    want_log = analytic.log_ladder_moment(st)
+    want_log = analytic.log_lhs_rhs(st, Bell())[0]
     assert got == pytest.approx(math.exp(want_log), rel=1e-10)
 
 

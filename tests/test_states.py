@@ -220,6 +220,8 @@ def test_support_vector_refuses_a_malformed_index():
         (sup.index, sup.values[:2], "values"),  # fewer values than indices
         (sup.index.astype(float), sup.values, "integer"),  # not an integer array
         (sup.index[None, :], sup.values, "integer"),  # not 1-D
+        (sup.index, sup.values.astype(np.complex64), "complex64"),  # read as float64 pairs, it fails the norm
+        (sup.index, sup.values.real.astype(np.float32), "float32"),
     ):
         with pytest.raises(ValueError, match=match):
             SupportVector(index, values, sup.size)
