@@ -20,7 +20,7 @@ with 30 sites is routine.  The weights and moments broadcast over N: one
 ``log_moments`` call scores a sweep of states of one J, a row per N (and a list
 of kinds, log L once and a log R row per kind), and one state is its one-row
 call.  C_J is ``cj_bound(j).c_j``, subtracted from q before exponentiation;
-only ``b_ratio`` and ``log_sweep`` take a ``c_j`` override, for
+the one override is ``log_sweep``'s ``c_j``, passed down to the weights, for
 ``verify --corrupt-cj`` to offset the closed forms against the oracle.
 
 All eigenvalue factors are quarter-integers assembled from integer
@@ -133,13 +133,10 @@ def log_lhs_rhs(
     state: SymmetricCorrelatedState,
     kind: kinds.CriterionKind,
     *,
-    c_j: float | None = None,
     l_signs: Sequence[int] | None = None,
 ) -> tuple[float, float]:
     """(log L, log R) of one state: the one-row ``log_moments`` call."""
-    return log_moments(
-        state.j, state.n_sites, state.log_amplitudes, state.signs, kind, c_j=c_j, l_signs=l_signs
-    )
+    return log_moments(state.j, state.n_sites, state.log_amplitudes, state.signs, kind, l_signs=l_signs)
 
 
 def exp_or_inf(log_x: float) -> float:
@@ -162,8 +159,8 @@ def b_from_logs(log_l: float, log_r: float) -> float:
     return exp_or_inf(0.5 * (log_l - log_r))
 
 
-def b_ratio(state, kind, *, c_j=None, l_signs=None) -> float:
-    return b_from_logs(*log_lhs_rhs(state, kind, c_j=c_j, l_signs=l_signs))
+def b_ratio(state, kind, *, l_signs=None) -> float:
+    return b_from_logs(*log_lhs_rhs(state, kind, l_signs=l_signs))
 
 
 def b_bell(state: SymmetricCorrelatedState) -> float:

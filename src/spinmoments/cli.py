@@ -7,18 +7,17 @@ Subcommands
     min-sites  smallest violating N per dimension, optimised amplitudes
     cj-table   uncertainty bound C_J per spin
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 infeasible
-(oracle cap or exhaustive-search bound), 4 internal error (any other
-exception, reported on one stderr line).  Output is CSV (default) or JSON
-with identical values; floats carry 12 significant digits and rows are
-emitted in a fixed order, so output bytes are reproducible for a fixed
-config.  The amplitude optimiser is an exact eigenvalue search, so
---seed and --restarts reach no computation: both are accepted for old
-command lines (--restarts must still be >= 1) and go no further than the
-parser.
+Exit codes: 0 success, 1 verification failure, 2 usage error (an unwritable
+--output too), 3 infeasible (the oracle's d > 1024 or d^N > 2^62, or the
+exhaustive search's N > 16), 4 internal error (any other exception, reported
+on one stderr line).  Output is CSV (default) or JSON with identical values;
+floats carry 12 significant digits and rows are emitted in a fixed order, so
+output bytes are reproducible for a fixed config.  The amplitude optimiser is
+an exact eigenvalue search, so --seed and --restarts reach no computation:
+both are accepted for old command lines (--restarts must still be >= 1) and
+go no further than the parser.
 
-Spin is given as --j 1/2 style rationals or --twice-j integers.  The env
-var SPINMOMENTS_CAP overrides the default oracle cap; --cap beats it.
+Spin is given as --j 1/2 style rationals or --twice-j integers.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ class RunConfig:
     command: str
     fmt: str = "csv"
     output: str = "-"
-    cap: int = DEFAULT_DENSE_CAP
     twice_j: int | None = None
     n_values: list[int] = field(default_factory=list)
     d_values: list[int] = field(default_factory=list)
@@ -132,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     ignored = "ignored (the optimiser is exact); kept for old command lines"
     common.add_argument("--seed", type=int, help=ignored)
     common.add_argument("--restarts", type=int, help=ignored + " (must be >= 1)")
-    common.add_argument("--cap", type=int, default=None, help="oracle amplitude cap (d^N)")
 
     spin = argparse.ArgumentParser(add_help=False)
     spin.add_argument("--j", help="spin as 1/2, 1, 3/2, ...")
@@ -153,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[common], help="oracle vs closed forms")
     p_verify.add_argument("--max-twice-j", type=int, default=9)
-    p_verify.add_argument("--max-size", type=int, help="d^N grid bound (default: cap)")
+    p_verify.add_argument("--max-size", type=int, help="d^N grid bound (default: 2^20)")
     p_verify.add_argument(
         "--corrupt-cj",
         type=float,
@@ -183,10 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.restarts is not None and args.restarts < 1:
         raise UsageError("--restarts must be >= 1")
-    cap = args.cap
-    if cap is None:
-        cap = int(os.environ.get("SPINMOMENTS_CAP") or DEFAULT_DENSE_CAP)
-    cfg = {"command": args.command, "fmt": args.format, "output": args.output, "cap": cap}
+    cfg = {"command": args.command, "fmt": args.format, "output": args.output}
     if args.command == "eval":
         cfg.update(
             twice_j=_parse_spin(args.j, args.twice_j),
@@ -288,9 +282,12 @@ def emit(cfg: RunConfig, columns: list[str], rows: list[dict]) -> None:
     text = render(cfg, columns, rows)
     if cfg.output == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(cfg.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --output {cfg.output}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +319,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     state = make_state(_build_family(cfg), j, n)
     kind = kinds.parse_kind(cfg.kind_tokens[0])
     backend = None if cfg.backend is None else criteria.Backend(cfg.backend)
-    result = criteria.evaluate(state, kind, cfg.strategy, backend=backend, cap=cfg.cap)
+    result = criteria.evaluate(state, kind, cfg.strategy, backend=backend)
     columns = ["twice_j", "n", "family", "kind", "t", "L", "R", "B", "violated", "s_signs", "l_signs", "backend"]
     rows = [
         {
@@ -354,7 +351,7 @@ def _rel_diff(a: float, b: float) -> float:
 
 def _verify_points(cfg: RunConfig):
     """Deterministic sweep grid: (family, twice_j, n) for every feasible N."""
-    max_size = cfg.cap if cfg.max_size is None else min(cfg.max_size, cfg.cap)
+    max_size = DEFAULT_DENSE_CAP if cfg.max_size is None else cfg.max_size
     spins = list(range(1, cfg.max_twice_j + 1))
     specs = [(UniformMax(), spins), (Bosonic(), spins)]
     if 1 in spins:
@@ -384,7 +381,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         label, name = family_label(family), _family_name(family)
         for state, state_log_l, *state_log_r in zip(states, log_l, *log_r):
             n = state.n_sites
-            vec = support_vector(state, cap=cfg.cap)
+            vec = support_vector(state)
             signs, _ = kinds.canonical_signs(kinds.Bell(), n)  # one ladder moment serves every kind
             lhs = abs(oracle.expect_product(vec, kinds.ladder_tags(signs), j)) ** 2
             rhs = oracle.bound_rows(vec, [kinds.bound_tags(kind, n) for kind in kind_list], j).tolist()
@@ -404,7 +401,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                     }
                 )
     if not rows:
-        print("verify: empty grid (cap excludes every point)", file=sys.stderr)
+        print("verify: empty grid (--max-size excludes every point)", file=sys.stderr)
         return 2
     emit(cfg, columns, rows)
     top = max(rows, key=lambda row: row["rel_discrepancy"])  # the first of any tie

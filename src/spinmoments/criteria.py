@@ -97,14 +97,13 @@ def evaluate(
     strategy: str = "canonical",
     *,
     backend: Backend | None = None,
-    cap: int | None = None,
 ) -> CriterionResult:
     """Evaluate one criterion on one state.
 
     canonical defaults to the analytic backend (exact for every correlated
     state); pass backend=Backend.ORACLE to force the brute-force oracle.
-    exhaustive always runs on the oracle and needs d^N within the cap and
-    N <= 16.
+    exhaustive always runs on the oracle and needs N <= 16.  The oracle
+    refuses d > 1024 and d^N > 2^62 (``states.CapExceededError``).
     """
     n = state.n_sites
     signs = SignChoice(*kinds.canonical_signs(kind, n))  # validates t_sites <= N
@@ -127,7 +126,7 @@ def evaluate(
     else:
         raise ValueError(f"unknown strategy {strategy!r}; expected 'canonical' or 'exhaustive'")
 
-    vec = support_vector(state, cap=cap)
+    vec = support_vector(state)
     ladder = np.abs(oracle.expect_table(vec, _choices(kinds.ladder_tags, s_alts), state.j)) ** 2
     bound_choices = _choices(lambda l: kinds.bound_tags(kind, n, l), l_alts)
     bound = oracle.bound_table(vec, bound_choices, state.j)
@@ -161,7 +160,6 @@ def nested_verdicts(
     *,
     bound: str = "cj",
     backend: Backend | None = None,
-    cap: int | None = None,
 ) -> list[CriterionResult]:
     """Evaluate the LHS(T,N) family for T = 0..t_max (canonical signs).
 
@@ -171,7 +169,4 @@ def nested_verdicts(
     """
     if t_max > state.n_sites:
         raise ValueError(f"t_max = {t_max} exceeds n_sites = {state.n_sites}")
-    return [
-        evaluate(state, kinds.Steering(t_sites=t, bound=bound), backend=backend, cap=cap)
-        for t in range(t_max + 1)
-    ]
+    return [evaluate(state, kinds.Steering(t_sites=t, bound=bound), backend=backend) for t in range(t_max + 1)]

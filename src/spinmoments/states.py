@@ -8,6 +8,8 @@ bosonic family raises factorials to the power N-2).
 ``support_vector`` hands the brute-force oracle a state's at most d nonzero
 amplitudes in the d^N product basis, and ``dense_vector`` scatters them into
 the full vector.  The index convention is fixed once, in ``support_vector``.
+Each refuses a d^N beyond its bound with ``CapExceededError``: the int64 index
+range 2^62, and the dense vector's ``cap`` (2^20 amplitudes by default).
 """
 
 from __future__ import annotations
@@ -21,18 +23,19 @@ import numpy as np
 from .spin_algebra import SpinQuantum
 
 DEFAULT_DENSE_CAP = 2**20
+INDEX_RANGE = 2**62  # flat int64 indices: an index plus a bra - ket shift must not wrap
 
 
 class CapExceededError(ValueError):
-    """d^N exceeds the configured amplitude cap or the oracle's int64 index range."""
+    """A state beyond what a route can hold: d^N above its bound, or d above the oracle's."""
 
-    def __init__(self, dim: int, n_sites: int, cap: int):
-        size = dim**n_sites
-        bound = f"the cap of {cap} amplitudes" if size > cap else f"the oracle's int64 index range of 2^62 = {2**62}"
-        super().__init__(f"d^N = {dim}^{n_sites} = {size} exceeds {bound}")
-        self.dim = dim
-        self.n_sites = n_sites
-        self.cap = cap
+
+def _refuse_above(d: int, n: int, bound: int, name: str) -> None:
+    """Raise CapExceededError if d^N > bound, for a bound <= 2^62.  As d >= 2, any N > 62
+    exceeds it: d^N is then neither computed nor printed, its digits could run to millions."""
+    if n > 62 or d**n > bound:
+        size = f"{d}^{n}" if n > 62 else f"{d}^{n} = {d**n}"
+        raise CapExceededError(f"d^N = {size} exceeds {name}")
 
 
 @dataclass(frozen=True)
@@ -210,27 +213,28 @@ class SupportVector:
             raise ValueError(f"a support's values must be complex128, not {dtype}")
 
 
-def support_vector(state: SymmetricCorrelatedState, cap: int | None = None) -> SupportVector:
+def support_vector(state: SymmetricCorrelatedState) -> SupportVector:
     """The nonzero amplitudes of the unit-norm d^N product-basis vector.
 
     Index convention, fixed once here so the oracle and the states agree
     bit-exactly: site-major base-d digits, digit value m + J, so |J,m>^(x)N
     sits at (m+J) (d^N - 1)/(d - 1).  Component m is r_m / sqrt(n), through
-    the log domain, and exact zeros are dropped.  d^N above 2^62 is refused
-    like the cap: an index plus a bra - ket shift must stay within int64.
+    the log domain, and exact zeros are dropped.  d^N above 2^62 is refused,
+    so that the indices stay within int64.
     """
-    cap = DEFAULT_DENSE_CAP if cap is None else cap
     d, n = state.dim, state.n_sites
-    if d**n > min(cap, 2**62):
-        raise CapExceededError(d, n, cap)
+    _refuse_above(d, n, INDEX_RANGE, f"the oracle's int64 index range of 2^62 = {INDEX_RANGE}")
     amp = state.unit_amplitudes.astype(complex)
     keep = np.flatnonzero(amp)
     return SupportVector(keep * ((d**n - 1) // (d - 1)), amp[keep], d**n)
 
 
 def dense_vector(state: SymmetricCorrelatedState, cap: int | None = None) -> np.ndarray:
-    """``support_vector`` scattered into the full complex d^N vector."""
-    sup = support_vector(state, cap)
+    """``support_vector`` scattered into the full complex d^N vector of at most
+    ``cap`` amplitudes (default 2^20; a cap above 2^62 counts as 2^62)."""
+    cap = min(DEFAULT_DENSE_CAP if cap is None else cap, INDEX_RANGE)
+    _refuse_above(state.dim, state.n_sites, cap, f"the cap of {cap} amplitudes")
+    sup = support_vector(state)
     vec = np.zeros(sup.size, dtype=complex)
     vec[sup.index] = sup.values
     vec.setflags(write=False)

@@ -214,7 +214,7 @@ def test_eigenvalue_factors_built_once_per_j():
 def test_bad_cj_rejected():
     st = make_state(UniformMax(), ONE, 3)
     with pytest.raises(ValueError, match="spectrum floor"):
-        analytic.b_ratio(st, EntanglementCJ(), c_j=1.5)  # above q_min = J = 1
+        analytic.log_sweep([st], [EntanglementCJ()], c_j=1.5)  # above q_min = J = 1
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +272,8 @@ def test_large_spin_large_n_finite():
     # point here is that 5^60-scale power sums stay in the log domain
     st = make_state(Bosonic(), SpinQuantum(20), 30)
     for kind in (Bell(), EntanglementCJ(), Steering(3)):
-        b = analytic.b_ratio(st, kind, c_j=2.4453176)
+        log_l, (log_r,) = analytic.log_sweep([st], [kind], c_j=2.4453176)
+        b = analytic.b_from_logs(log_l[0], log_r[0])
         assert math.isfinite(b) and b > 0
 
 
@@ -356,7 +357,11 @@ def test_sweep_rows_equal_one_state_closed_forms(case):
     for kind, log_r in zip(kind_list, log_r_lists):
         assert len(log_l) == len(log_r) == len(states)
         for state, row in zip(states, zip(log_l, log_r)):
-            one = analytic.log_lhs_rhs(state, kind, c_j=c_j)
+            one_l, (one_r,) = analytic.log_sweep([state], [kind], c_j=c_j)
+            one = (one_l[0], one_r[0])
+            if c_j is None:  # the one-state closed form, which takes no override
+                assert analytic.log_lhs_rhs(state, kind) == one
+                assert all(type(v) is float for v in analytic.log_lhs_rhs(state, kind))
             assert all(type(v) is float for v in row + one)
             assert row == one == _row_by_row(state, kind, c_j)
 

@@ -465,13 +465,20 @@ def test_usage_errors_exit_2(capsys):
                    "--theta", "0.5", "--kind", "bell")[0] == 2
 
 
-def test_infeasible_oracle_exits_3(capsys):
-    rc, _, err = run_cli(
-        capsys, "eval", "--j", "1/2", "--n", "25", "--family", "ghz", "--theta", "0.5",
+def test_infeasible_oracle_exits_3(capsys, monkeypatch):
+    from spinmoments import oracle
+
+    # d = 1025 is refused before any d x d spin matrix is built
+    def build(j):
+        raise AssertionError(f"built the spin matrices of d = {j.dim}")
+
+    monkeypatch.setattr(oracle, "build_spin_matrices", build)
+    rc, out, err = run_cli(
+        capsys, "eval", "--twice-j", "1024", "--n", "2", "--family", "uniform-max",
         "--kind", "bell", "--backend", "oracle",
     )
-    assert rc == 3
-    assert "cap" in err
+    assert (rc, out) == (3, "")
+    assert err == "spinmoments: d = 1025 exceeds 1024, the largest d whose d x d spin matrices the oracle builds\n"
     rc, _, err = run_cli(
         capsys, "eval", "--j", "1/2", "--n", "17", "--family", "ghz", "--theta", "0.5",
         "--kind", "bell", "--strategy", "exhaustive",
@@ -480,45 +487,58 @@ def test_infeasible_oracle_exits_3(capsys):
     assert "capped" in err
 
 
-HUGE_CAP = "100000000000000000000"  # 1e20, above every int64
-
-
-def test_index_range_bounds_the_cap(capsys):
+@pytest.mark.parametrize(
+    "j,n,size",
+    [("1", 40, f"3^40 = {3**40}"), ("1", 10_000, "3^10000"), ("1", 1_000_000, "3^1000000"), ("1/2", 63, "2^63")],
+    ids=["40", "10000", "1000000", "qubit-63"],
+)
+def test_oracle_refuses_beyond_the_int64_index_range(capsys, j, n, size):
     # 3^40 > 2^63: flat int64 indices would wrap, so the oracle refuses it
-    # like the cap (exit 3) rather than print a wrapped-index B
+    # (exit 3) rather than print a wrapped-index B.  Beyond N = 62, d^N is
+    # named as a power and never computed, so N = 10^6 exits as fast.
     rc, out, err = run_cli(
-        capsys, "eval", "--j", "1", "--n", "40", "--family", "uniform-max",
-        "--kind", "bell", "--backend", "oracle", "--cap", HUGE_CAP,
+        capsys, "eval", "--j", j, "--n", str(n), "--family", "uniform-max",
+        "--kind", "bell", "--backend", "oracle",
     )
-    assert rc == 3 and out == ""
-    assert err == (
-        f"spinmoments: d^N = 3^40 = {3**40} exceeds the oracle's int64 index range of 2^62 = {2**62}\n"
-    )
-    # a cap just below the index range is the bound the message names
-    rc, out, err = run_cli(
-        capsys, "eval", "--j", "1", "--n", "40", "--family", "uniform-max",
-        "--kind", "bell", "--backend", "oracle", "--cap", str(2**62 - 1),
-    )
-    assert rc == 3 and out == ""
-    assert err == f"spinmoments: d^N = 3^40 = {3**40} exceeds the cap of {2**62 - 1} amplitudes\n"
+    assert (rc, out) == (3, "")
+    assert err == f"spinmoments: d^N = {size} exceeds the oracle's int64 index range of 2^62 = {2**62}\n"
 
 
-@pytest.mark.parametrize("kind", ["bell", "ent-cj"])
-def test_oracle_runs_far_beyond_a_dense_vector(capsys, kind):
-    # 2J = 2, N = 30: 3^30 amplitudes (3.3 PB as a dense vector), 3 nonzero
-    rows = {}
-    for backend in ("oracle", "analytic"):
+def test_exhaustive_search_runs_beyond_a_dense_vector(capsys):
+    # at 3^16 > 2^20 amplitudes the search finds the analytic L
+    rows = []
+    for strategy in ("exhaustive", "canonical"):
         rc, out, _ = run_cli(
-            capsys, "eval", "--j", "1", "--n", "30", "--family", "uniform-max",
-            "--kind", kind, "--backend", backend, "--cap", HUGE_CAP,
+            capsys, "eval", "--j", "1", "--n", "16", "--family", "uniform-max",
+            "--kind", "ent-hz", "--strategy", strategy, "--format", "json",
         )
         assert rc == 0
-        rows[backend] = parse_csv(out)[0]
-    oracle_row, analytic_row = rows["oracle"], rows["analytic"]
-    for column in ("L", "R", "B"):
-        assert float(oracle_row[column]) == pytest.approx(float(analytic_row[column]), rel=1e-10), column
-    for column in ("violated", "s_signs", "l_signs"):
-        assert oracle_row[column] == analytic_row[column], column
+        rows.append(json.loads(out)["rows"][0])
+    assert rows[0]["backend"] == "oracle" and rows[1]["backend"] == "analytic"
+    assert rows[0]["L"] == pytest.approx(rows[1]["L"], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 2J = 2, N = 30: 3^30 amplitudes (3.3 PB as a dense vector), 3 nonzero
+        ("--j", "1", "--n", "30", "--family", "uniform-max", "--kind", "bell"),
+        ("--j", "1", "--n", "30", "--family", "uniform-max", "--kind", "ent-cj"),
+        # qubit GHZ states: 2 of 2^N amplitudes nonzero; 2^62 fills the int64 index range
+        ("--j", "1/2", "--n", "25", "--family", "ghz", "--theta", "0.5", "--kind", "bell"),
+        ("--j", "1/2", "--n", "62", "--family", "ghz", "--theta", "0.5", "--kind", "ent-cj"),
+    ],
+    ids=["bell", "ent-cj", "ghz-n25-bell", "ghz-n62-ent-cj"],
+)
+def test_oracle_runs_far_beyond_a_dense_vector(capsys, argv):
+    # the oracle prints the analytic backend's digits
+    rows = []
+    for backend in ("oracle", "analytic"):
+        rc, out, _ = run_cli(capsys, "eval", *argv, "--backend", backend)
+        assert rc == 0
+        rows.append(parse_csv(out)[0])
+    assert rows[0].pop("backend") == "oracle" and rows[1].pop("backend") == "analytic"
+    assert rows[0] == rows[1]
 
 
 @pytest.mark.parametrize("error", [RuntimeError("optimiser diverged"), ZeroDivisionError("0/0")])
@@ -576,15 +596,29 @@ def test_verify_negative_bound_moment_exits_4(capsys, monkeypatch):
     assert "ArithmeticError: bound moment came out negative" in err
 
 
-def test_env_overrides(capsys, monkeypatch):
-    monkeypatch.setenv("SPINMOMENTS_CAP", "4")
-    rc, *_ = run_cli(capsys, "eval", "--j", "1/2", "--n", "3", "--family", "ghz",
-                     "--theta", "0.5", "--kind", "bell", "--backend", "oracle")
-    assert rc == 3
-    # explicit flag beats the env var
-    rc, *_ = run_cli(capsys, "eval", "--j", "1/2", "--n", "3", "--family", "ghz",
-                     "--theta", "0.5", "--kind", "bell", "--backend", "oracle", "--cap", "1024")
-    assert rc == 0
+def test_the_amplitude_cap_is_gone(capsys, monkeypatch):
+    # no --cap flag, no SPINMOMENTS_CAP environment variable, no RunConfig.cap
+    monkeypatch.setenv("SPINMOMENTS_CAP", "not-a-number")
+    argv = ("eval", "--j", "1/2", "--n", "3", "--family", "ghz", "--theta", "0.5", "--kind", "bell",
+            "--backend", "oracle")
+    assert run_cli(capsys, *argv)[0] == 0
+    rc, out, err = run_cli(capsys, *argv, "--cap", "1024")
+    assert (rc, out) == (2, "")
+    assert "unrecognized arguments: --cap 1024" in err
+    assert "cap" not in {f.name for f in fields(RunConfig)}
+
+
+@pytest.mark.parametrize("where", ["missing/x.csv", "."], ids=["no-directory", "a-directory"])
+def test_unwritable_output_exits_2(capsys, tmp_path, where):
+    target = tmp_path / where
+    rc, out, err = run_cli(
+        capsys, "eval", "--j", "1", "--n", "3", "--family", "uniform-max", "--kind", "bell",
+        "--output", str(target),
+    )
+    assert (rc, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"spinmoments: cannot write --output {target}: ")
 
 
 def test_json_config_echoes_every_field(capsys):
@@ -592,13 +626,13 @@ def test_json_config_echoes_every_field(capsys):
     rc, out, _ = run_cli(
         capsys, "scan", "--axis", "n", "--twice-j", "2", "--family", "custom",
         "--amplitudes", "[1, 0.5, 1]", "--kinds", "bell, epr1", "--n", "2..4",
-        "--format", "json", "--cap", "4096",
+        "--format", "json",
     )
     assert rc == 0
     config = json.loads(out)["config"]
     assert list(config) == sorted(f.name for f in fields(RunConfig))
     assert config == {
-        "command": "scan", "fmt": "json", "output": "-", "cap": 4096, "twice_j": 2,
+        "command": "scan", "fmt": "json", "output": "-", "twice_j": 2,
         "n_values": [2, 3, 4], "d_values": [], "family": "custom", "theta": None, "r": None,
         "amplitudes": [1.0, 0.5, 1.0], "kind_tokens": ["bell", "epr1"], "strategy": "canonical",
         "backend": None, "axis": "n", "n_max": None, "max_d": None, "max_twice_j": None,

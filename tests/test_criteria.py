@@ -234,11 +234,29 @@ def test_exhaustive_memory_stays_near_the_state_size():
 def test_exhaustive_guards():
     st = GHZ(17)
     with pytest.raises(ValueError, match="capped"):
-        evaluate(st, Bell(), "exhaustive", cap=2**20)
+        evaluate(st, Bell(), "exhaustive")
     with pytest.raises(ValueError, match="oracle"):
         evaluate(GHZ(3), Bell(), "exhaustive", backend=Backend.ANALYTIC)
     with pytest.raises(ValueError, match="strategy"):
         evaluate(GHZ(3), Bell(), "thorough")
+
+
+def test_no_state_path_takes_a_cap():
+    # the oracle's limits are its own (d <= 1024, d^N <= 2^62): no caller sets them
+    from spinmoments.states import support_vector
+
+    st = GHZ(3)
+    entry_points = [
+        lambda **kw: support_vector(st, **kw),
+        lambda **kw: oracle.lhs_moment(st, (-1,) * 3, **kw),
+        lambda **kw: oracle.rhs_moment(st, Bell(), **kw),
+        lambda **kw: evaluate(st, Bell(), backend=Backend.ORACLE, **kw),
+        lambda **kw: nested_verdicts(st, 3, backend=Backend.ORACLE, **kw),
+    ]
+    for call in entry_points:
+        call()
+        with pytest.raises(TypeError):
+            call(cap=2**20)
 
 
 def test_exhaustive_rejects_negative_bound_moment(monkeypatch):

@@ -304,14 +304,19 @@ def test_non_finite_vectors_are_refused_on_both_routes(bad):
 
 
 def test_cap_propagates():
-    st = make_state(GeneralizedGHZ(0.4), HALF, 25)
-    with pytest.raises(CapExceededError):
-        lhs_moment(st, (-1,) * 25)
+    # the oracle's two limits, d^N <= 2^62 and d <= 1024, reach the state entry points
+    beyond_int64 = make_state(GeneralizedGHZ(0.4), HALF, 63)
+    beyond_d = make_state(UniformMax(), SpinQuantum(1024), 2)
+    for st, match in ((beyond_int64, "d\\^N = 2\\^63 exceeds"), (beyond_d, "d = 1025 exceeds 1024")):
+        with pytest.raises(CapExceededError, match=match):
+            lhs_moment(st, (-1,) * st.n_sites)
+        with pytest.raises(CapExceededError, match=match):
+            rhs_moment(st, Bell())
 
 
-def test_cap_override_reaches_spin_5_half():
-    st = make_state(UniformMax(), SpinQuantum(5), 8)  # 6^8 amplitudes
-    got = lhs_moment(st, (-1,) * 8, cap=6**8)
+def test_lhs_moment_reaches_spin_5_half():
+    st = make_state(UniformMax(), SpinQuantum(5), 8)  # 6^8 amplitudes, above a dense vector's 2^20
+    got = lhs_moment(st, (-1,) * 8)
     from spinmoments import analytic
 
     want_log = analytic.log_lhs_rhs(st, Bell())[0]
@@ -519,7 +524,7 @@ def test_support_pass_memory_scales_with_amplitudes():
     # its nonzero scan (np.flatnonzero itself allocates only the index).
     for n in (12, 39):
         state = make_state(Bosonic(), ONE, n)
-        sup = support_vector(state, cap=2**62)
+        sup = support_vector(state)
         for psi in [sup] if n == 39 else [sup, dense_vector(state)]:
             scan = psi.size if isinstance(psi, np.ndarray) else 0
             for call, pair, rest in ((expect_table, PAIRS[0], SiteOp.MINUS), (bound_table, PAIRS[2], SiteOp.IDENTITY)):

@@ -1,18 +1,57 @@
-"""Every ```python block of README.md runs, each in a fresh namespace."""
+"""README.md stays true to the code: every ```python block runs, each in a fresh
+namespace; every command line of the "Command line" block parses; every --flag
+named in inline code is an option of the parser."""
 
+import argparse
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from spinmoments import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+TEXT = README.read_text()
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, flags=re.M | re.S)
+COMMAND_BLOCK = re.search(r"^## Command line\n\n```\n(.*?)^```", TEXT, flags=re.M | re.S).group(1)
+# one command per line: a trailing backslash continues it, '#' starts a comment
+COMMANDS = [
+    shlex.split(line, comments=True)
+    for line in COMMAND_BLOCK.replace("\\\n", " ").splitlines()
+    if line.startswith("spinmoments ")
+]
+INLINE_CODE = re.findall(r"`([^`\n]+)`", re.sub(r"^```.*?^```", "", TEXT, flags=re.M | re.S))
+
+
+def _parser_options() -> set[str]:
+    """Every option string of the parser and of its subcommands."""
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = set(parser._option_string_actions)
+    for sub in subparsers.choices.values():
+        options |= set(sub._option_string_actions)
+    return options
 
 
 def test_readme_blocks_are_found():
     assert len(BLOCKS) >= 2
+    assert len(COMMANDS) >= 5
+    assert {argv[1] for argv in COMMANDS} == {"eval", "verify", "scan", "min-sites", "cj-table"}
 
 
 @pytest.mark.parametrize("index", range(len(BLOCKS)))
 def test_readme_block_runs(index):
     exec(compile(BLOCKS[index], f"README.md python block {index + 1}", "exec"), {})
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(argv[1:3]) for argv in COMMANDS])
+def test_readme_command_lines_parse(argv):
+    assert argv[0] == "spinmoments"
+    cli.config_from_args(cli.build_parser().parse_args(argv[1:]))
+
+
+def test_readme_flags_are_parser_options():
+    named = {flag for code in INLINE_CODE for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", code)}
+    assert named, "the README names no --flag in inline code"
+    assert named <= _parser_options(), sorted(named - _parser_options())

@@ -198,7 +198,8 @@ def test_compute_cj_validates_arguments():
 
 
 def test_cj_override_only_on_the_closed_form_chain():
-    # every verdict and the oracle read C_J from cj_bound: a c_j= keyword is refused
+    # every verdict and the oracle read C_J from cj_bound: a c_j= keyword is
+    # refused everywhere but analytic.log_sweep, the route of verify --corrupt-cj
     from spinmoments import analytic, criteria, optimizer, oracle, spin_algebra
     from spinmoments.kinds import EntanglementCJ
     from spinmoments.states import UniformMax, dense_vector, make_state
@@ -214,6 +215,8 @@ def test_cj_override_only_on_the_closed_form_chain():
         lambda **kw: criteria.nested_verdicts(st, 2, **kw),
         lambda **kw: optimizer.optimize_amplitudes(j, 2, EntanglementCJ(), **kw),
         lambda **kw: analytic.lhs_rhs(st, EntanglementCJ(), **kw),
+        lambda **kw: analytic.log_lhs_rhs(st, EntanglementCJ(), **kw),
+        lambda **kw: analytic.b_ratio(st, EntanglementCJ(), **kw),
         lambda **kw: analytic.b_ent_cj(st, **kw),
         lambda **kw: analytic.b_steer_t(st, 1, **kw),
     ]
@@ -223,7 +226,8 @@ def test_cj_override_only_on_the_closed_form_chain():
             call(c_j=0.1)
     assert not hasattr(spin_algebra, "cj_value")
     assert "c_j" not in optimizer.OptimizationReport.__dataclass_fields__
-    assert analytic.b_ratio(st, EntanglementCJ(), c_j=0.1) != analytic.b_ent_cj(st)
+    log_l, (log_r,) = analytic.log_sweep([st], [EntanglementCJ()], c_j=0.1)
+    assert analytic.b_from_logs(log_l[0], log_r[0]) != analytic.b_ent_cj(st)
 
 
 def test_cj_bound_beyond_table_flagged_computed():

@@ -195,6 +195,10 @@ def test_dense_vector_cap():
     assert "2^24" in message and str(2**20) in message
     # explicit cap raise lets the expansion through
     assert dense_vector(st, cap=2**24).size == 2**24
+    # beyond N = 62 the size is named as a power and never computed
+    with pytest.raises(CapExceededError) as err:
+        dense_vector(make_state(GeneralizedGHZ(0.4), HALF, 10**6))
+    assert str(err.value) == f"d^N = 2^1000000 exceeds the cap of {2**20} amplitudes"
 
 
 def test_family_labels():
