@@ -28,7 +28,6 @@ from .states import (
     Bosonic,
     CapExceededError,
     Custom,
-    DEFAULT_DENSE_CAP,
     GeneralizedGHZ,
     SpinOneR,
     StateFamily,
@@ -46,7 +45,6 @@ from .analytic import (
     b_ent_cj,
     b_ent_hz,
     b_ratio,
-    b_spin1_closed_forms,
     b_steer_t,
     ghz_cj_detection_threshold,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "Bosonic",
     "CapExceededError",
     "Custom",
-    "DEFAULT_DENSE_CAP",
     "GeneralizedGHZ",
     "SpinOneR",
     "StateFamily",
@@ -95,7 +92,6 @@ __all__ = [
     "b_ent_cj",
     "b_ent_hz",
     "b_ratio",
-    "b_spin1_closed_forms",
     "b_steer_t",
     "ghz_cj_detection_threshold",
     "Backend",

@@ -198,33 +198,3 @@ def ghz_cj_detection_threshold(n_sites: int) -> float:
         raise ValueError("n_sites must be >= 2")
     return 2.0 ** -(n_sites - 1)
 
-
-def b_spin1_closed_forms(kind: kinds.CriterionKind, r: float, n_sites: int) -> float:
-    """Printed spin-1 formulas for the (1, r, 1) family; a regression surface.
-
-    These duplicate the general machinery on purpose: the two code paths
-    must agree, which pins down the index conventions.  Plain double
-    arithmetic, so intended for moderate N (the 2^N and (25/16)^N terms).
-
-      bell:        2^((N+2)/2) r / sqrt((r^2+2) (2^N r^2 + 2))
-      ent-cj:      ... sqrt((r^2+2) ((25/16)^N r^2 + 2 (9/16)^N))
-      epr T=1:     ... sqrt((r^2+2) (9/8 + 25 r^2 2^(N-5)))
-      epr T:       ... sqrt((r^2+2) (2 (9/16)^T + r^2 2^(N-T) (25/16)^T))
-    """
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    n = n_sites
-    num = 2 ** ((n + 2) / 2) * r
-    if isinstance(kind, kinds.Bell):
-        den_sq = (r * r + 2) * (2**n * r * r + 2)
-    elif isinstance(kind, kinds.EntanglementCJ):
-        den_sq = (r * r + 2) * ((25 / 16) ** n * r * r + 2 * (9 / 16) ** n)
-    elif isinstance(kind, kinds.Steering) and kind.bound == "cj":
-        t = kind.t_sites
-        if t == 1:
-            den_sq = (r * r + 2) * (9 / 8 + 25 * r * r * 2.0 ** (n - 5))
-        else:
-            den_sq = (r * r + 2) * (2 * (9 / 16) ** t + r * r * 2.0 ** (n - t) * (25 / 16) ** t)
-    else:
-        raise ValueError(f"no printed spin-1 closed form for kind {kind!r}")
-    return num / math.sqrt(den_sq)

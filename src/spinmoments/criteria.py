@@ -20,8 +20,8 @@ Two strategies, both a search over ladder signs s and HZ bound signs l:
                 two are optimised independently.
 
 On the oracle either strategy is one batched pass per moment: one
-``oracle.expect_table`` call gives L for every s-pattern and one
-``oracle.bound_table`` call R for every l-pattern (the canonical strategy has
+``oracle.expect_table`` call gives L for every s-pattern and another the
+bound moments R >= 0 for every l-pattern (the canonical strategy has
 one alternative per site).  Exact ties are common (L(s) = L(-s) on real
 amplitudes; R depends only on the number of plus signs on symmetric states),
 so the pick is not left to rounding: every value within VERDICT_BAND of the
@@ -129,7 +129,7 @@ def evaluate(
     vec = support_vector(state)
     ladder = np.abs(oracle.expect_table(vec, _choices(kinds.ladder_tags, s_alts), state.j)) ** 2
     bound_choices = _choices(lambda l: kinds.bound_tags(kind, n, l), l_alts)
-    bound = oracle.bound_table(vec, bound_choices, state.j)
+    bound = oracle.expect_table(vec, bound_choices, state.j)
     lhs, rhs = float(ladder.max()), float(bound.min())
     if strategy == "exhaustive":
         signs = SignChoice(

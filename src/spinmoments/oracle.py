@@ -9,27 +9,28 @@ closed forms: this is the ground truth they are tested against, blind to the
 states' structure.  Reductions multiply and sum, never a BLAS dot, whose fused
 multiply-add leaves a residue where a sum cancels to 0.
 
-``expect_table`` gives every product over a tuple of alternative tags per site
-at once, as an array with one axis per site, and ``expect_product`` is its
-one-choice call.  Every vector enters by its support: a state as its
-``states.support_vector`` (at most d nonzero amplitudes, no d^N array), an
-ndarray as its ``np.flatnonzero`` amplitudes.  The norm is checked on the
-amplitudes, and each entry sums psi_i prod_k W_k[m_k(i)] conj(psi[i + sum_k
-delta_k d^(N-1-k)]) over them, W_k the band weights on all d ket rows (0 off the
-band), delta_k the bra - ket row shift (|psi_i|^2 when all are 0), each bra
-amplitude looked up in the ascending support (0 off it).  The pass holds about
-nnz x (entries + N) numbers for nnz amplitudes: nnz <= d for a state, but a
-dense ndarray with full support costs (entries + N) times its own length.  The
-leading site tags come as a (rows x N) code matrix, one table block per row:
-``expect_table`` passes one row and ``bound_rows`` one per bound moment, so all
-of a state's R come from one pass (digits, place values, norm check and clamp once).
+The one input is a ``states.SupportVector``: a state's at most d nonzero
+amplitudes, never a d^N array (anything else raises TypeError).  ``expect_table``
+gives every product over a tuple of alternative tags per site at once, as an
+array with one axis per site, and ``expect_product`` is its one-choice call.  The
+norm is checked on the amplitudes, and each entry sums psi_i prod_k W_k[m_k(i)]
+conj(psi[i + sum_k delta_k d^(N-1-k)]) over them, W_k the band weights on all d
+ket rows (0 off the band), delta_k the bra - ket row shift (|psi_i|^2 when all
+are 0), each bra amplitude looked up in the ascending support (0 off it), in
+about nnz x (entries + N) numbers.  The leading site tags come as a (rows x N)
+code matrix, one table block per row: ``expect_table`` passes one row and
+``bound_rows`` one per bound moment, so all of a state's R come from one pass.
+
+Every zero-offset tag is diagonal and positive semidefinite (C_J lies below
+every J(J+1) - m^2), so a table whose offsets are all 0 holds bound moments
+R >= 0.  The kernel checks them there, once: a value below -IMAG_TOL raises
+ArithmeticError, and rounding below 0 is clamped to 0.
 
 The site bands are read off dense d x d spin matrices, so d above MAX_DIM is
 refused with ``CapExceededError`` before any is built; d^N is bounded by the
-flat int64 indices of ``states.support_vector``.
-
-C_J is always ``cj_bound(j).c_j``: the oracle takes no override, so it cannot
-be handed the same wrong C_J as the closed forms it checks.
+flat int64 indices of ``states.support_vector``.  C_J is always
+``cj_bound(j).c_j``: the oracle takes no override, so it cannot be handed the
+same wrong C_J as the closed forms it checks.
 
 ``scale`` multiplies the five spin matrices by a constant (ladder operators by
 scale, quadratic products by scale^2, C_J rescaled accordingly).  scale = 2 turns
@@ -45,8 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import kinds
-from .kinds import SiteOp, bound_tags, ladder_tags
+from .kinds import CriterionKind, SiteOp, bound_tags, ladder_tags
 from .spin_algebra import SpinQuantum, build_spin_matrices, cj_bound
 from .states import CapExceededError, SupportVector, SymmetricCorrelatedState, support_vector
 
@@ -82,18 +82,15 @@ def _site_bands(j: SpinQuantum, scale: float) -> tuple[dict[SiteOp, int], np.nda
     return {op: code for code, (op, _, _) in enumerate(ops)}, rows, -np.array([offset for _, offset, _ in ops])
 
 
-def _support_of(state_vector: np.ndarray | SupportVector) -> tuple[np.ndarray, np.ndarray, int]:
-    """(ascending flat indices, amplitudes, d^N): a ``SupportVector``'s own fields, or an
-    ndarray's nonzero amplitudes (see the module docstring for their cost)."""
-    if isinstance(state_vector, SupportVector):
-        return state_vector.index, state_vector.values, state_vector.size
-    vec = np.asarray(state_vector, dtype=complex).ravel()
-    ket = np.flatnonzero(vec)
-    return ket, vec[ket], vec.size
+def _size_of(state_vector: SupportVector) -> int:
+    """d^N of a ``SupportVector``; anything else, an ndarray too, is refused."""
+    if not isinstance(state_vector, SupportVector):
+        raise TypeError(f"the oracle takes a states.SupportVector, not {type(state_vector).__name__}")
+    return state_vector.size
 
 
 def expect_table(
-    state_vector: np.ndarray | SupportVector,
+    state_vector: SupportVector,
     choices: Sequence[Sequence[SiteOp]],
     j: SpinQuantum,
     *,
@@ -106,9 +103,9 @@ def expect_table(
     minus) alternatives on every site its C order is
     ``itertools.product((1, -1), repeat=N)``.  A site's alternatives may be any
     tags, but at least one.  When every offset is 0 (exactly the Hermitian
-    products) the table is real.  The vector must have length d^N and unit norm.
+    products) the table is real and R >= 0.  The support's vector has length d^N.
     """
-    ket, amp, size = _support_of(state_vector)
+    size = _size_of(state_vector)
     n = len(choices)
     if n == 0 or j.dim**n != size:
         raise ValueError(f"vector has {size} amplitudes, expected d^N = {j.dim}^{n} = {j.dim**n}")
@@ -117,7 +114,7 @@ def expect_table(
     codes, rows, shifts = _site_bands(j, float(scale))
     sites = [[codes[op] for op in alts] for alts in choices]
     lead = np.array([[alts[0] if len(alts) == 1 else -1 for alts in sites]])  # -1: IDENTITY
-    return _support_table(ket, amp, lead, sites, j.dim, rows, shifts).reshape(tuple(map(len, sites)))
+    return _support_table(state_vector, lead, sites, j.dim, rows, shifts).reshape(tuple(map(len, sites)))
 
 
 def _check_norm(flat: np.ndarray) -> None:
@@ -127,11 +124,12 @@ def _check_norm(flat: np.ndarray) -> None:
 
 
 def _support_table(
-    ket: np.ndarray, amp: np.ndarray, lead: np.ndarray, sites: Sequence, d: int, rows: np.ndarray, shifts: np.ndarray
+    vec: SupportVector, lead: np.ndarray, sites: Sequence, d: int, rows: np.ndarray, shifts: np.ndarray
 ):
-    """The table, flattened, as sums over psi's nonzero amplitudes amp at ascending ket
-    (module docstring), one block per row of the (rows, N) leading site codes ``lead``;
-    each site of ``sites`` with several alternative codes adds an axis, in site order."""
+    """The table, flattened, as sums over psi's support (module docstring), one block per
+    row of the (rows, N) leading site codes ``lead``; each site of ``sites`` with several
+    alternative codes adds an axis, in site order.  Bound moments are clamped to R >= 0."""
+    ket, amp = vec.index, vec.values
     _check_norm(amp.view(np.float64))
     place = d ** np.arange(lead.shape[1] - 1, -1, -1)
     digits = ket[:, None] // place % d
@@ -142,7 +140,10 @@ def _support_table(
             acc = (acc[:, None] * rows[codes][:, digits[:, k]]).reshape(-1, len(ket))
             off = (off[:, None] + shifts[codes] * place[k]).ravel()
     if not off.any():
-        return (acc * (amp.real**2 + amp.imag**2)).sum(axis=-1)
+        values = (acc * (amp.real**2 + amp.imag**2)).sum(axis=-1)
+        if np.any(values < -IMAG_TOL):
+            raise ArithmeticError(f"bound moment came out negative ({np.min(values):.3e})")
+        return np.maximum(values, 0.0)
     bra = ket + off[:, None]
     pos = np.searchsorted(ket, bra)
     pos[ket.take(pos, mode="clip") != bra] = len(ket)  # a bra off psi: the 0 appended below
@@ -154,22 +155,13 @@ def _support_table(
 
 
 def expect_product(
-    state_vector: np.ndarray | SupportVector,
-    ops: Sequence[SiteOp],
-    j: SpinQuantum,
-    *,
-    scale: float = 1.0,
+    state_vector: SupportVector, ops: Sequence[SiteOp], j: SpinQuantum, *, scale: float = 1.0
 ) -> complex:
     """<psi| O_1 (x) ... (x) O_N |psi>: the one-choice ``expect_table``."""
     return complex(expect_table(state_vector, [(op,) for op in ops], j, scale=scale).item())
 
 
-def lhs_moment(
-    state: SymmetricCorrelatedState,
-    signs: Sequence[int],
-    *,
-    scale: float = 1.0,
-) -> float:
+def lhs_moment(state: SymmetricCorrelatedState, signs: Sequence[int], *, scale: float = 1.0) -> float:
     """L = |<prod_k J_k^{s_k}>|^2 for the given per-site ladder signs."""
     if len(signs) != state.n_sites:
         raise ValueError(f"signs must have length N = {state.n_sites}, got {len(signs)}")
@@ -177,41 +169,26 @@ def lhs_moment(
 
 
 def rhs_moment(
-    state: SymmetricCorrelatedState,
-    kind: kinds.CriterionKind,
-    *,
-    l_signs: Sequence[int] | None = None,
-    scale: float = 1.0,
+    state: SymmetricCorrelatedState, kind: CriterionKind, *, l_signs: Sequence[int] | None = None, scale: float = 1.0
 ) -> float:
-    """R for the criterion kind (see ``bound_expectation``)."""
-    return bound_expectation(support_vector(state), bound_tags(kind, state.n_sites, l_signs), state.j, scale=scale)
-
-
-def bound_expectation(
-    state_vector: np.ndarray | SupportVector,
-    tags: Sequence[SiteOp],
-    j: SpinQuantum,
-    *,
-    scale: float = 1.0,
-) -> float:
-    """A bound moment R = <prod of bound tags> (see ``bound_table``)."""
-    return float(_nonnegative(expect_product(state_vector, tags, j, scale=scale).real))
+    """R = <prod of the kind's bound tags> >= 0."""
+    return expect_product(support_vector(state), bound_tags(kind, state.n_sites, l_signs), state.j, scale=scale).real
 
 
 def bound_rows(
-    state_vector: np.ndarray | SupportVector,
+    state_vector: SupportVector,
     tag_rows: Sequence[Sequence[SiteOp]],
     j: SpinQuantum,
     *,
     scale: float = 1.0,
 ) -> np.ndarray:
-    """One clamped bound moment R per row of N zero-offset tags, all from one pass over
-    psi's support: on a state's support, entry i is ``bound_expectation(state_vector,
-    tag_rows[i], j, scale=scale)`` bit for bit.  A ladder tag, a row whose length is
-    not N or no row at all raises ValueError.  An ndarray enters by its nonzero
-    amplitudes, the pass holding about rows x N numbers per amplitude.
+    """One bound moment R >= 0 per row of N zero-offset tags, all from one pass over
+    psi's support: entry i is ``expect_product(state_vector, tag_rows[i], j,
+    scale=scale).real``, so on a state's support ``rhs_moment`` of the kind whose
+    bound tags are row i, bit for bit.  A ladder tag, a row whose length is not N or
+    no row at all raises ValueError.
     """
-    ket, amp, size = _support_of(state_vector)
+    size = _size_of(state_vector)
     codes, rows, shifts = _site_bands(j, float(scale))
     for tags in tag_rows or [()]:  # no row at all is refused as an empty one
         if not tags or j.dim ** len(tags) != size:
@@ -220,24 +197,7 @@ def bound_rows(
         if any(shifts[codes[op]] for op in tags):
             raise ValueError("bound_rows takes zero-offset (bound) tags, not ladder tags")
     lead = np.array([[codes[op] for op in tags] for tags in tag_rows])
-    return _nonnegative(_support_table(ket, amp, lead, (), j.dim, rows, shifts))
-
-
-def bound_table(state_vector: np.ndarray | SupportVector, choices: Sequence[Sequence[SiteOp]], j: SpinQuantum) -> np.ndarray:
-    """Every bound moment R over the per-site choices (see ``expect_table``).
-
-    Every factor operator is positive semidefinite, so a genuinely negative
-    entry can only mean an internal error and raises; rounding below zero is
-    clamped to 0.
-    """
-    return _nonnegative(expect_table(state_vector, choices, j).real)
-
-
-def _nonnegative(values):
-    """The bound moments, checked and clamped (see ``bound_table``)."""
-    if np.any(values < -IMAG_TOL):
-        raise ArithmeticError(f"bound moment came out negative ({np.min(values):.3e})")
-    return np.maximum(values, 0.0)
+    return _support_table(state_vector, lead, (), j.dim, rows, shifts)
 
 
 def b_from_moments(lhs: float, rhs: float) -> float:

@@ -5,11 +5,11 @@ m = -J..+J (index 0 <-> m = -J).  Amplitudes are kept both linearly and as
 log|r_m| so that the closed-form sums stay finite for large J and N (the
 bosonic family raises factorials to the power N-2).
 
-``support_vector`` hands the brute-force oracle a state's at most d nonzero
-amplitudes in the d^N product basis, and ``dense_vector`` scatters them into
-the full vector.  The index convention is fixed once, in ``support_vector``.
-Each refuses a d^N beyond its bound with ``CapExceededError``: the int64 index
-range 2^62, and the dense vector's ``cap`` (2^20 amplitudes by default).
+``support_vector`` gives the oracle its one input, a state's at most d nonzero
+amplitudes in the d^N product basis, and ``dense_vector`` scatters them into the
+full vector for dense references; the index convention is fixed once, in
+``support_vector``.  Each refuses a d^N beyond its bound with ``CapExceededError``:
+the int64 index range 2^62, and the dense vector's ``cap`` (2^20 by default).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 from .spin_algebra import SpinQuantum
 
-DEFAULT_DENSE_CAP = 2**20
 INDEX_RANGE = 2**62  # flat int64 indices: an index plus a bra - ket shift must not wrap
 
 
@@ -229,10 +228,10 @@ def support_vector(state: SymmetricCorrelatedState) -> SupportVector:
     return SupportVector(keep * ((d**n - 1) // (d - 1)), amp[keep], d**n)
 
 
-def dense_vector(state: SymmetricCorrelatedState, cap: int | None = None) -> np.ndarray:
+def dense_vector(state: SymmetricCorrelatedState, cap: int = 2**20) -> np.ndarray:
     """``support_vector`` scattered into the full complex d^N vector of at most
-    ``cap`` amplitudes (default 2^20; a cap above 2^62 counts as 2^62)."""
-    cap = min(DEFAULT_DENSE_CAP if cap is None else cap, INDEX_RANGE)
+    ``cap`` amplitudes (a cap above 2^62 counts as 2^62)."""
+    cap = min(cap, INDEX_RANGE)
     _refuse_above(state.dim, state.n_sites, cap, f"the cap of {cap} amplitudes")
     sup = support_vector(state)
     vec = np.zeros(sup.size, dtype=complex)

@@ -3,7 +3,8 @@
 Each site operator is built as a full d x d matrix and applied to its
 tensor axis by ``tensordot`` + ``moveaxis``, one axis at a time, and the
 result is closed with ``vdot``.  It reads nothing of the band structure
-the package relies on, so the two routes check each other.
+the package relies on, so the two routes check each other.  ``as_support``
+hands the oracle any dense vector, its one input being a ``SupportVector``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,14 @@ import numpy as np
 
 from spinmoments.oracle import SiteOp
 from spinmoments.spin_algebra import SpinQuantum, build_spin_matrices, cj_bound
+from spinmoments.states import SupportVector
+
+
+def as_support(vec) -> SupportVector:
+    """The ``np.flatnonzero`` amplitudes of a dense vector, as the oracle takes them."""
+    flat = np.asarray(vec, dtype=complex).ravel()
+    index = np.flatnonzero(flat)
+    return SupportVector(index, flat[index], flat.size)
 
 
 def site_matrix(op: SiteOp, j: SpinQuantum, *, scale: float) -> np.ndarray:

@@ -90,39 +90,70 @@ def test_bosonic_spin1_epr_formula():
         assert analytic.b_steer_t(st, 1) == pytest.approx(ref, rel=1e-10)
 
 
+def b_spin1_closed_forms(kind: kinds.CriterionKind, r: float, n_sites: int) -> float:
+    """Printed spin-1 formulas for the (1, r, 1) family; a regression surface.
+
+    These duplicate the general machinery on purpose: the two code paths
+    must agree, which pins down the index conventions.  Plain double
+    arithmetic, so intended for moderate N (the 2^N and (25/16)^N terms).
+
+      bell:        2^((N+2)/2) r / sqrt((r^2+2) (2^N r^2 + 2))
+      ent-cj:      ... sqrt((r^2+2) ((25/16)^N r^2 + 2 (9/16)^N))
+      epr T=1:     ... sqrt((r^2+2) (9/8 + 25 r^2 2^(N-5)))
+      epr T:       ... sqrt((r^2+2) (2 (9/16)^T + r^2 2^(N-T) (25/16)^T))
+    """
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    n = n_sites
+    num = 2 ** ((n + 2) / 2) * r
+    if isinstance(kind, Bell):
+        den_sq = (r * r + 2) * (2**n * r * r + 2)
+    elif isinstance(kind, EntanglementCJ):
+        den_sq = (r * r + 2) * ((25 / 16) ** n * r * r + 2 * (9 / 16) ** n)
+    elif isinstance(kind, Steering) and kind.bound == "cj":
+        t = kind.t_sites
+        if t == 1:
+            den_sq = (r * r + 2) * (9 / 8 + 25 * r * r * 2.0 ** (n - 5))
+        else:
+            den_sq = (r * r + 2) * (2 * (9 / 16) ** t + r * r * 2.0 ** (n - t) * (25 / 16) ** t)
+    else:
+        raise ValueError(f"no printed spin-1 closed form for kind {kind!r}")
+    return num / math.sqrt(den_sq)
+
+
 def test_spin1_printed_forms_match_general_path():
     rs = (0.25, 0.8409, 1.0, 3.0)
     for r in rs:
         for n in (2, 3, 5, 9):
             st = make_state(SpinOneR(r), ONE, n)
-            assert analytic.b_spin1_closed_forms(Bell(), r, n) == pytest.approx(
+            assert b_spin1_closed_forms(Bell(), r, n) == pytest.approx(
                 analytic.b_bell(st), rel=1e-12
             )
-            assert analytic.b_spin1_closed_forms(EntanglementCJ(), r, n) == pytest.approx(
+            assert b_spin1_closed_forms(EntanglementCJ(), r, n) == pytest.approx(
                 analytic.b_ent_cj(st), rel=1e-12
             )
-            assert analytic.b_spin1_closed_forms(Steering(1), r, n) == pytest.approx(
+            assert b_spin1_closed_forms(Steering(1), r, n) == pytest.approx(
                 analytic.b_steer_t(st, 1), rel=1e-12
             )
             for t in (2, 3):
                 if t <= n:
-                    assert analytic.b_spin1_closed_forms(Steering(t), r, n) == pytest.approx(
+                    assert b_spin1_closed_forms(Steering(t), r, n) == pytest.approx(
                         analytic.b_steer_t(st, t), rel=1e-12
                     )
 
 
 def test_spin1_printed_form_values():
     # direct substitutions
-    assert analytic.b_spin1_closed_forms(Bell(), 1.0, 3) == pytest.approx(
+    assert b_spin1_closed_forms(Bell(), 1.0, 3) == pytest.approx(
         2**2.5 / (math.sqrt(3) * math.sqrt(10)), rel=1e-14
     )
-    assert analytic.b_spin1_closed_forms(EntanglementCJ(), 1.0, 3) == pytest.approx(
+    assert b_spin1_closed_forms(EntanglementCJ(), 1.0, 3) == pytest.approx(
         2**2.5 / (math.sqrt(3) * math.sqrt((25 / 16) ** 3 + 2 * (9 / 16) ** 3)), rel=1e-14
     )
     with pytest.raises(ValueError):
-        analytic.b_spin1_closed_forms(EntanglementHZ(), 1.0, 3)
+        b_spin1_closed_forms(EntanglementHZ(), 1.0, 3)
     with pytest.raises(ValueError):
-        analytic.b_spin1_closed_forms(Bell(), -0.5, 3)
+        b_spin1_closed_forms(Bell(), -0.5, 3)
 
 
 def test_hz_spin1_uniform_two_sites():

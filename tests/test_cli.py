@@ -400,7 +400,7 @@ def test_verify_makes_one_ladder_and_one_bound_call_per_state(capsys, monkeypatc
     from spinmoments.spin_algebra import SpinQuantum
     from spinmoments.states import Bosonic, GeneralizedGHZ, SpinOneR, UniformMax, make_state
 
-    seen = {"expect_product": [], "bound_rows": [], "bound_expectation": []}
+    seen = {"expect_product": [], "bound_rows": []}
 
     def spy(name):
         original = getattr(oracle, name)
@@ -415,9 +415,8 @@ def test_verify_makes_one_ladder_and_one_bound_call_per_state(capsys, monkeypatc
         monkeypatch.setattr(oracle, name, spy(name))
     rc, out, _ = run_cli(capsys, "verify", "--max-twice-j", "2", "--max-size", "64")
     assert rc == 0
-    assert {name: len(calls) for name, calls in seen.items()} == {
-        "expect_product": 30, "bound_rows": 30, "bound_expectation": 0
-    }
+    assert {name: len(calls) for name, calls in seen.items()} == {"expect_product": 30, "bound_rows": 30}
+    assert not hasattr(oracle, "bound_expectation") and not hasattr(oracle, "bound_table")
     assert all(len(args[1]) == len(VERIFY_KINDS) for args in seen["bound_rows"])
     families = [
         (UniformMax(), (1, 2)), (Bosonic(), (1, 2)), (GeneralizedGHZ(math.pi / 4), (1,)),
@@ -444,6 +443,53 @@ def test_verify_reports_a_cj_above_the_floor_at_the_first_point(capsys):
     assert out == ""
     assert err == (
         "spinmoments: C_J = 10.25 is not below the Jx^2 + Jy^2 spectrum floor 0.5 for twice_j = 1\n"
+    )
+
+
+def test_verify_prints_every_point_within_the_oracles_limits(capsys):
+    # --max-size 10^20 reaches 2^66 and 3^41, past the oracle's int64 index
+    # range of 2^62: the 26 states beyond it (2J = 1, N = 63..66, in four
+    # families; 2J = 2, N = 40 and 41, in five) are counted and the first is
+    # named on one stderr line, after every other point's row, with exit 3
+    argv = ("verify", "--max-twice-j", "2", "--max-size", str(10**20))
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 3
+    last = {}
+    for row in parse_csv(out):
+        last[row["family"], row["twice_j"]] = int(row["n"])
+    assert last == {
+        ("uniform-max", "1"): 62, ("uniform-max", "2"): 39, ("bosonic", "1"): 62, ("bosonic", "2"): 39,
+        ("ghz", "1"): 62, ("spin1r", "2"): 39,
+    }
+    lines = err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("verify: 1736 points, max relative discrepancy ")
+    assert lines[1] == (
+        "verify: skipped 26 states beyond the oracle, the first at family uniform-max, 2J = 1, N = 63"
+        f" (d^N = 2^63 exceeds the oracle's int64 index range of 2^62 = {2**62})"
+    )
+    # the printed points are exactly the grid's up to 2^62, byte for byte
+    assert run_cli(capsys, "verify", "--max-twice-j", "2", "--max-size", str(2**62)) == (0, out, lines[0] + "\n")
+    # a disagreeing point still exits 1, with the same skip line
+    rc, _, err = run_cli(capsys, *argv, "--corrupt-cj", "0.05")
+    assert rc == 1 and err.splitlines()[1] == lines[1]
+
+
+def test_verify_skips_a_d_beyond_the_oracle(capsys, monkeypatch):
+    # the oracle's d limit, checked in oracle._site_bands, skips the ten 2J = 2 states
+    # once it is lowered to d = 2 (its band cache cleared, so the check runs)
+    from spinmoments import oracle
+
+    monkeypatch.setattr(oracle, "MAX_DIM", 2)
+    oracle._site_bands.cache_clear()
+    try:
+        rc, out, err = run_cli(capsys, "verify", "--max-twice-j", "2", "--max-size", "64")
+    finally:
+        oracle._site_bands.cache_clear()
+    assert rc == 3
+    assert {row["twice_j"] for row in parse_csv(out)} == {"1"}
+    assert err.splitlines()[1] == (
+        "verify: skipped 10 states beyond the oracle, the first at family uniform-max, 2J = 2, N = 2"
+        " (d = 3 exceeds 2, the largest d whose d x d spin matrices the oracle builds)"
     )
 
 
@@ -586,14 +632,24 @@ def test_config_has_no_seed_or_restarts(capsys, monkeypatch):
 
 def test_verify_negative_bound_moment_exits_4(capsys, monkeypatch):
     from spinmoments import oracle
+    from spinmoments.kinds import SiteOp
+    from spinmoments.spin_algebra import SpinQuantum
 
-    # every table the oracle sums, the ladder product's and the bound rows', comes out negated
+    # the kernel is handed Jx^2 + Jy^2 with its m = -1/2 weight negated, so the
+    # ghz theta=0.7 state's epr1 R at N = 2 comes out as -cos(1.4)/8 < 0
     original = oracle._support_table
-    monkeypatch.setattr(oracle, "_support_table", lambda *args: -original(*args))
+    code = oracle._site_bands(SpinQuantum(1), 1.0)[0][SiteOp.X2_PLUS_Y2]
+
+    def negated(vec, lead, sites, d, rows, shifts):
+        rows = rows.copy()
+        rows[code, 0] *= -1
+        return original(vec, lead, sites, d, rows, shifts)
+
+    monkeypatch.setattr(oracle, "_support_table", negated)
     rc, out, err = run_cli(capsys, "verify", "--max-twice-j", "1", "--max-size", "8")
     assert rc == 4
     assert out == ""
-    assert "ArithmeticError: bound moment came out negative" in err
+    assert "ArithmeticError: bound moment came out negative (-2.12" in err
 
 
 def test_the_amplitude_cap_is_gone(capsys, monkeypatch):

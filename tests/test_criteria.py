@@ -9,7 +9,7 @@ from spinmoments import kinds, oracle
 from spinmoments.criteria import VERDICT_BAND, Backend, SignChoice, evaluate, nested_verdicts
 from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, SiteOp, Steering
 from spinmoments.spin_algebra import SpinQuantum
-from spinmoments.states import Bosonic, Custom, GeneralizedGHZ, SpinOneR, UniformMax, dense_vector, make_state
+from spinmoments.states import Bosonic, Custom, GeneralizedGHZ, SpinOneR, UniformMax, make_state, support_vector
 
 HALF = SpinQuantum(1)
 ONE = SpinQuantum(2)
@@ -123,14 +123,14 @@ def test_exhaustive_site_choice_immaterial_for_symmetric_states():
 
 
 def _per_pattern_search(st, kind):
-    """The exhaustive search as one expect_product call per sign pattern, with
-    the tie rule: the first pattern within VERDICT_BAND of the extreme labels
+    """The exhaustive search as one public one-pattern oracle call per sign pattern,
+    with the tie rule: the first pattern within VERDICT_BAND of the extreme labels
     the result, whose L and R are the extremes."""
-    n, vec = st.n_sites, dense_vector(st)
+    n = st.n_sites
     s_space = list(itertools.product((1, -1), repeat=n))
     l_space = list(itertools.product((1, -1), repeat=len(kinds.canonical_signs(kind, n)[1])))
-    ls = [abs(oracle.expect_product(vec, kinds.ladder_tags(s), st.j)) ** 2 for s in s_space]
-    rs = [oracle.bound_expectation(vec, kinds.bound_tags(kind, n, l), st.j) for l in l_space]
+    ls = [oracle.lhs_moment(st, s) for s in s_space]
+    rs = [oracle.rhs_moment(st, kind, l_signs=l) for l in l_space]
     k_l = next(k for k, v in enumerate(ls) if v >= max(ls) * (1 - VERDICT_BAND))
     k_r = next(k for k, v in enumerate(rs) if v <= min(rs) * (1 + VERDICT_BAND))
     return s_space[k_l], l_space[k_r], max(ls), min(rs)
@@ -259,23 +259,57 @@ def test_no_state_path_takes_a_cap():
             call(cap=2**20)
 
 
+def _patch_weight(monkeypatch, tag, level, weight):
+    """Hand the oracle's kernel the band weights with ``tag``'s weight on m = level - 1 set."""
+    original = oracle._support_table
+    code = oracle._site_bands(ONE, 1.0)[0][tag]
+
+    def patched(vec, lead, sites, d, rows, shifts):
+        rows = rows.copy()
+        rows[code, level] = weight
+        return original(vec, lead, sites, d, rows, shifts)
+
+    monkeypatch.setattr(oracle, "_support_table", patched)
+
+
+def _hz_entries_at(value):
+    """(HZ tag, level, weight, entries) for 2J = 2, N = 3 uniform-max, whose HZ
+    bound table entry with k plus signs is (1/3) sum_m a_m^k b_m^(3-k), a = J+J-
+    = (0, 2, 2) and b = J-J+ = (2, 2, 0) on m = -1, 0, 1: each patch turns the
+    listed entries (plus-first order) into value and leaves the others above 0."""
+    edge = math.copysign(abs(3 * value - 8) ** (1 / 3), 3 * value - 8)
+    return [
+        (SiteOp.PLUS_MINUS, 2, edge, (0,)),  # (a_1^3 + 8) / 3, all plus
+        (SiteOp.PLUS_MINUS, 1, 3 * value / 4, (3, 5, 6)),  # a_0 b_0^2 / 3, one plus
+        (SiteOp.MINUS_PLUS, 0, edge, (7,)),  # (b_-1^3 + 8) / 3, all minus
+    ]
+
+
 def test_exhaustive_rejects_negative_bound_moment(monkeypatch):
-    # a negative R is an internal error, not an infinite B: every entry of the
-    # bound table is checked, not only the one the search picks
-    st = make_state(UniformMax(), SpinQuantum(2), 3)
-    for entry in (0, 5, 7):
-        for value in (-1.0, -2e-10):
+    # a negative R is an internal error, not an infinite B: the kernel checks
+    # every entry of the bound table, so a negative one raises wherever it sits
+    st = make_state(UniformMax(), ONE, 3)
+    for value in (-1.0, -2e-10):
+        for tag, level, weight, _ in _hz_entries_at(value):
             with monkeypatch.context() as patch:
-                _patch_entry(patch, HZ_PAIR, entry, lambda v: value)
+                _patch_weight(patch, tag, level, weight)
                 with pytest.raises(ArithmeticError, match="negative"):
                     evaluate(st, EntanglementHZ(), "exhaustive")
 
 
 def test_exhaustive_clamps_bound_rounding_to_zero(monkeypatch):
-    _patch_entry(monkeypatch, HZ_PAIR, 6, lambda v: -1e-11)
-    res = evaluate(make_state(UniformMax(), SpinQuantum(2), 3), EntanglementHZ(), "exhaustive")
-    assert res.rhs == 0.0
-    assert res.signs.l == (-1, -1, 1)  # entry 6 in plus-first order
+    # rounding below 0 is clamped to exactly 0, the minimum, and the first
+    # clamped entry in plus-first order labels the result
+    st = make_state(UniformMax(), ONE, 3)
+    patterns = list(itertools.product((1, -1), repeat=3))
+    for tag, level, weight, entries in _hz_entries_at(-1e-11):
+        with monkeypatch.context() as patch:
+            _patch_weight(patch, tag, level, weight)
+            table = oracle.expect_table(support_vector(st), [HZ_PAIR] * 3, ONE)
+            res = evaluate(st, EntanglementHZ(), "exhaustive")
+        assert [k for k, v in enumerate(table.flat) if v == 0.0] == list(entries)
+        assert res.rhs == 0.0
+        assert res.signs.l == patterns[entries[0]]
 
 
 def test_steering_t_validation():

@@ -1,14 +1,18 @@
 """README.md stays true to the code: every ```python block runs, each in a fresh
 namespace; every command line of the "Command line" block parses; every --flag
-named in inline code is an option of the parser."""
+named in inline code is an option of the parser; every `module.attr` named in
+inline code, for a module of the package, resolves."""
 
 import argparse
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import spinmoments
 from spinmoments import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -55,3 +59,26 @@ def test_readme_flags_are_parser_options():
     named = {flag for code in INLINE_CODE for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", code)}
     assert named, "the README names no --flag in inline code"
     assert named <= _parser_options(), sorted(named - _parser_options())
+
+
+MODULES = {info.name for info in pkgutil.iter_modules(spinmoments.__path__)}
+
+
+def _module_attrs(code: str) -> list[tuple[str, str]]:
+    """The (module, attr) pairs of ``module.attr`` or ``spinmoments.module.attr`` in
+    one inline code span, for the package's modules; ``module.py`` is a file name."""
+    pairs = re.findall(r"(?<![\w.])(?:spinmoments\.)?([a-z_]+)\.([A-Za-z_]\w*)", code)
+    return [(module, attr) for module, attr in pairs if module in MODULES and attr != "py"]
+
+
+def test_module_attrs_lint_reads_names():
+    assert _module_attrs("oracle.expect_table") == [("oracle", "expect_table")]
+    assert _module_attrs("spinmoments.states.support_vector(state)") == [("states", "support_vector")]
+    assert _module_attrs("oracle.py") == _module_attrs("numpy.linalg") == []
+
+
+def test_readme_module_attrs_resolve():
+    named = {pair for code in INLINE_CODE for pair in _module_attrs(code)}
+    assert named, "the README names no module.attr in inline code"
+    missing = sorted(f"{m}.{a}" for m, a in named if not hasattr(importlib.import_module(f"spinmoments.{m}"), a))
+    assert not missing, missing

@@ -202,14 +202,15 @@ def test_cj_override_only_on_the_closed_form_chain():
     # refused everywhere but analytic.log_sweep, the route of verify --corrupt-cj
     from spinmoments import analytic, criteria, optimizer, oracle, spin_algebra
     from spinmoments.kinds import EntanglementCJ
-    from spinmoments.states import UniformMax, dense_vector, make_state
+    from spinmoments.states import UniformMax, make_state, support_vector
 
     j = SpinQuantum(2)
     st = make_state(UniformMax(), j, 2)
-    vec, tags = dense_vector(st), [oracle.SiteOp.CJ_SHIFTED] * 2
+    vec, tags = support_vector(st), [oracle.SiteOp.CJ_SHIFTED] * 2
     entry_points = [
         lambda **kw: oracle.expect_product(vec, tags, j, **kw),
-        lambda **kw: oracle.bound_expectation(vec, tags, j, **kw),
+        lambda **kw: oracle.expect_table(vec, [(tag,) for tag in tags], j, **kw),
+        lambda **kw: oracle.bound_rows(vec, [tags], j, **kw),
         lambda **kw: oracle.rhs_moment(st, EntanglementCJ(), **kw),
         lambda **kw: criteria.evaluate(st, EntanglementCJ(), **kw),
         lambda **kw: criteria.nested_verdicts(st, 2, **kw),
