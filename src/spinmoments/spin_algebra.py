@@ -114,7 +114,7 @@ _CJ_TABLE = {
 
 _EXACT_TWICE_J = (1, 2)
 
-_GRID_POINTS = 65  # grid of minimize_on_interval
+_GRID_POINTS = 65  # grid of minimize_on_interval and of the optimiser's log-c search
 _INV_PHI = (math.sqrt(5) - 1) / 2  # golden-section step
 
 
@@ -123,7 +123,9 @@ def minimize_on_interval(f, lo: float, hi: float) -> tuple[float, float]:
     the basin, a golden-section search polishes it within the two
     neighbouring cells down to a bracket of 1e-12 + 3e-8 |x|, and the better
     of the two points is returned.  f must broadcast numpy-style: it is
-    called once on the whole grid array, then on scalars."""
+    called once on the whole grid array, then on scalars.  It is
+    ``compute_cj``'s search only; the optimiser polishes its log-c grid by the
+    slope (``optimizer._search_log_c``)."""
     grid = np.linspace(lo, hi, _GRID_POINTS)
     values = f(grid)
     k = int(np.argmin(values))

@@ -7,7 +7,7 @@ from spinmoments import analytic, optimizer
 from spinmoments.criteria import evaluate
 from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, Steering, parse_kind
 from spinmoments.optimizer import min_sites_for_violation, optimize_amplitudes, scan_curve
-from spinmoments.spin_algebra import SpinQuantum, cj_bound, minimize_on_interval
+from spinmoments.spin_algebra import SpinQuantum, cj_bound
 from spinmoments.states import Bosonic, Custom, GeneralizedGHZ, UniformMax, make_state
 
 ONE = SpinQuantum(2)
@@ -266,9 +266,8 @@ def test_scan_curve_without_kinds_builds_no_state():
     assert scan_curve([], GeneralizedGHZ(0.3), [(2, 1)]) == []
 
 
-# The polish bracket, 1e-12 + 3e-8 |log c|, is nearly absolute where the
-# optimal log c sits near 0 (ln 2 for Bell at 2J = 1, N = 2), so such
-# points take a few more golden-section steps.
+# The bound on the solves of one optimisation; the slope polish stays far
+# below it (test_optimizer_solve_counts_over_a_fixed_grid bounds the mean).
 @pytest.mark.parametrize(
     "tj, n, kind, most",
     [
@@ -301,19 +300,69 @@ def test_optimizer_solves_its_grid_in_one_stacked_call(eigen_solves, tj, n, kind
     ],
 )
 def test_optimizer_reuses_the_searched_eigenvector(eigen_solves, monkeypatch, tj, n, kind):
-    # one stacked solve for the grid and one per scalar objective call: the
-    # returned point's eigenvector comes from the search, not a further solve
+    # one stacked solve for the grid, then one per scalar step of the polish:
+    # the returned point's eigenvector comes from the search, not a further solve
     cj_bound(SpinQuantum(tj))
-    scalar_calls = []
+    eigen_solves.clear()
+    calls, solves_at_return, search = [], [], optimizer._search_log_c
 
     def counting(f, lo, hi):
-        def spy(x):
-            scalar_calls.append(np.ndim(x) == 0)
-            return f(x)
+        def spy(t):
+            calls.append(np.shape(t))
+            return f(t)
 
-        return minimize_on_interval(spy, lo, hi)
+        log_c = search(spy, lo, hi)
+        solves_at_return.append(len(eigen_solves))
+        return log_c
 
-    monkeypatch.setattr(optimizer, "minimize_on_interval", counting)
+    monkeypatch.setattr(optimizer, "_search_log_c", counting)
     optimize_amplitudes(SpinQuantum(tj), n, kind)
-    assert scalar_calls.count(False) == 1
-    assert len(eigen_solves) == 1 + scalar_calls.count(True)
+    assert calls[0] == (65,) and calls[1:] and all(shape == () for shape in calls[1:])
+    assert solves_at_return == [len(calls)] == [len(eigen_solves)]
+    assert eigen_solves == [(65,)] + [()] * (len(calls) - 1)
+
+
+def test_optimizer_solve_counts_over_a_fixed_grid(eigen_solves):
+    # d = 2..20, N = 2..30, folded and unfolded kinds, zero bound weights included
+    counts = []
+    for tj in range(1, 20):
+        cj_bound(SpinQuantum(tj))
+        for n in range(2, 31):
+            for token in ("bell", "epr1", "ent-cj", "ent-hz", "epr1-hz"):
+                eigen_solves.clear()
+                optimize_amplitudes(SpinQuantum(tj), n, parse_kind(token))
+                counts.append(len(eigen_solves))
+    assert np.mean(counts) <= 10 and max(counts) <= 48
+
+
+@pytest.mark.parametrize(
+    "tj, n, kind",
+    [
+        (2, 4, Bell()),  # folded
+        (3, 5, Steering(1)),  # folded, even d
+        (9, 150, EntanglementCJ()),
+        (3, 6, EntanglementHZ()),  # unfolded
+        (4, 8, Steering(2, "hz")),
+        (2, 6, EntanglementHZ()),  # zero bound weights at 2J = 2
+        (2, 10, Steering(2, "hz")),
+    ],
+)
+def test_objective_slope_matches_a_central_difference(monkeypatch, tj, n, kind):
+    searches, search = [], optimizer._search_log_c
+
+    def spy(f, lo, hi):
+        searches.append((f, lo, hi))
+        return search(f, lo, hi)
+
+    monkeypatch.setattr(optimizer, "_search_log_c", spy)
+    optimize_amplitudes(SpinQuantum(tj), n, kind)
+    ((f, lo, hi),) = searches
+    h, checked = 1e-4, 0
+    for t in np.linspace(lo, hi, 97)[1:-1]:
+        _, slope = f(float(t))
+        if abs(slope) < 0.05:
+            continue
+        difference = (f(float(t) + h)[0] - f(float(t) - h)[0]) / (2 * h)
+        assert difference == pytest.approx(slope, rel=1e-6)
+        checked += 1
+    assert checked >= 30

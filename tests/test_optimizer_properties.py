@@ -97,33 +97,82 @@ def grid_cases(draw):
     return SpinQuantum(tj), n, kind
 
 
+def _searched(j, n, kind):
+    """The report, and (objective, lo, hi, returned log c) of its log-c search,
+    or None when two adjacent zero bound weights leave nothing to search."""
+    searches, search = [], optimizer._search_log_c
+
+    def spy(f, lo, hi):
+        searches.append((f, lo, hi, search(f, lo, hi)))
+        return searches[-1][-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "_search_log_c", spy)
+        report = optimize_amplitudes(j, n, kind)
+    return report, (searches[0] if searches else None)
+
+
 @settings(max_examples=150, deadline=None)
 @given(grid_cases())
 def test_stacked_grid_rows_equal_single_point_solves(case):
     # row i of the grid's one stacked eigh is bit-identical, log lambda and
-    # eigenvector, to the solve the objective makes at grid[i] alone
+    # eigenvector, to the solve the objective makes at grid[i] alone, and so
+    # are the objective's value and slope there
     j, n, kind = case
-    searches, solves, solve = [], [], optimizer._log_top_eigenpair
+    calls, solves, solve, search = [], [], optimizer._log_top_eigenpair, optimizer._search_log_c
 
-    def search(f, lo, hi):
-        searches.append((f, lo, hi))
-        return minimize_on_interval(f, lo, hi)
+    def recorded(f, lo, hi):
+        def g(t):
+            calls.append((f, t, f(t)))
+            return calls[-1][-1]
+
+        return search(g, lo, hi)
 
     def top(*args):
         solves.append(solve(*args))
         return solves[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimizer, "minimize_on_interval", search)
+        mp.setattr(optimizer, "_search_log_c", recorded)
         mp.setattr(optimizer, "_log_top_eigenpair", top)
         optimize_amplitudes(j, n, kind)
-        assume(searches)  # two adjacent zero bound weights: no search
-        (f, lo, hi), (log_lam, vectors) = searches[0], solves[0]
-        grid = np.linspace(lo, hi, 65)
-        assert log_lam.shape == (65,) and vectors.shape[0] == 65
-        for i, u in enumerate(grid):
+        assume(calls)  # two adjacent zero bound weights: no search
+        (f, grid, (values, slopes)), (log_lam, vectors) = calls[0], solves[0]
+        assert grid.shape == values.shape == slopes.shape == log_lam.shape == (65,)
+        assert np.array_equal(values, -log_lam) and vectors.shape[0] == 65
+        for i, u in enumerate(grid.tolist()):
             solves.clear()
-            assert f(u) == -log_lam[i]
+            value, slope = f(u)
+            assert value == values[i] and slope == slopes[i]
             ((one_lam, one_vector),) = solves
             assert one_lam.shape == () and one_lam == log_lam[i]
             assert np.array_equal(one_vector, vectors[i])
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_cases())
+def test_slope_search_is_no_worse_than_a_golden_section(case):
+    # the reference polishes the same grid with golden section on the value alone
+    j, n, kind = case
+    report, searched = _searched(j, n, kind)
+    assume(searched)
+    f, lo, hi, _ = searched
+    _, value = minimize_on_interval(lambda t: f(t)[0], lo, hi)
+    assert report.best_b >= (1 - 2e-12) * 2 * math.exp(-value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_cases())
+def test_interior_optimum_is_stationary_in_c(case):
+    # d(-log lambda_max)/dt = 0 at t = log c is c^2 = r^T D r / r^T r
+    j, n, kind = case
+    report, searched = _searched(j, n, kind)
+    assume(searched)
+    _, lo, hi, log_c = searched
+    # a polished point: the ends of the bracket are grid points (a supremum at
+    # an end), and a grid minimum is kept where it ties the polished value
+    # within rounding
+    assume(log_c not in np.linspace(lo, hi, 65))
+    r, log_d = report.best_r, analytic.log_bound_weights(j, n, kind)
+    log_rdr = np.logaddexp.reduce(2 * np.log(r[r > 0]) + log_d[r > 0])
+    assert 2 * log_c - log_rdr == pytest.approx(0, abs=1e-12)  # r^T r = 1
