@@ -180,6 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.restarts is not None and args.restarts < 1:
         raise UsageError("--restarts must be >= 1")
+    if getattr(args, "max_twice_j", 1) < 1:  # verify and cj-table
+        raise UsageError("--max-twice-j must be >= 1")
     cfg = {"command": args.command, "fmt": args.format, "output": args.output}
     if args.command == "eval":
         cfg.update(
@@ -215,11 +217,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             cfg.update(d_values=d_values, n_values=n_values)
         if args.optimized == (args.family is not None):
             raise UsageError("give exactly one of --family and --optimized")
-        cfg.update(
-            axis=args.axis,
-            family="optimized" if args.optimized else args.family,
-            kind_tokens=[t.strip() for t in args.kinds.split(",") if t.strip()],
-        )
+        kind_tokens = [t.strip() for t in args.kinds.split(",") if t.strip()]
+        if not kind_tokens:
+            raise UsageError("--kinds must name at least one kind")
+        family = "optimized" if args.optimized else args.family
+        cfg.update(axis=args.axis, family=family, kind_tokens=kind_tokens)
     elif args.command == "min-sites":
         cfg.update(kind_tokens=[args.kind], max_d=args.max_d, n_max=args.n_max)
     elif args.command == "cj-table":
@@ -443,8 +445,6 @@ def cmd_min_sites(cfg: RunConfig) -> int:
 
 
 def cmd_cj_table(cfg: RunConfig) -> int:
-    if cfg.max_twice_j < 1:
-        raise UsageError("--max-twice-j must be >= 1")
     columns = ["twice_j", "c_j", "source"]
     rows = []
     for tj in range(1, cfg.max_twice_j + 1):

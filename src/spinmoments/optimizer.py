@@ -19,14 +19,15 @@ full d-vector (at d <= 3 their zero end weights can leave D symmetric; the
 full solve finds the same B).  The layout decides, not log D, whose summed
 logs need not be bitwise symmetric.
 
-The search (``_search_log_c``) solves its 65-point grid in one stacked eigh
-and polishes the grid's minimum by Brent's zeroin on the slope.  The slope
-is free: with x the unit top eigenvector of the folded problem, n_i the
-amplitudes folded onto entry i and D_i their summed bound weights, the
-envelope theorem gives d(-log lambda_max)/dt = sum_i x_i^2 tanh((log n_i +
-2t - log D_i) / 2), where D_i = 0 gives tanh(+inf) = 1.  The reported B is
-exactly ``analytic.b_ratio(report.best_state(), kind)``, with C_J from
-``cj_bound``; two adjacent zero bound weights make B unbounded (inf).
+The search (``spin_algebra.minimize_on_interval``) solves its 65-point grid
+in one stacked eigh and polishes the grid's minimum by Brent's zeroin on the
+slope.  The slope is free: with x the unit top eigenvector of the folded
+problem, n_i the amplitudes folded onto entry i and D_i their summed bound
+weights, the envelope theorem gives d(-log lambda_max)/dt = sum_i x_i^2
+tanh((log n_i + 2t - log D_i) / 2), where D_i = 0 gives tanh(+inf) = 1.
+The reported B is exactly ``analytic.b_ratio(report.best_state(), kind)``,
+with C_J from ``cj_bound``; two adjacent zero bound weights make B
+unbounded (inf).
 Where B* is a supremum approached only as c -> 0 (HZ bounds with T >= 2 at
 2J = 2, and ``epr1-hz`` at 2J = 1), B is exact but the reported r, and with
 it L, R and a scan's ``r_vector``, is set by ``_LOG_C_PAD``, not by the
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, criteria, kinds
-from .spin_algebra import _GRID_POINTS, SpinQuantum
+from .spin_algebra import SpinQuantum, minimize_on_interval
 from .states import SymmetricCorrelatedState, family_label, make_state, _from_amplitudes
 
 DEFAULT_RESTARTS = 20
@@ -119,52 +120,6 @@ def _log_top_eigenpair(log_diag, log_off, log_metric):
     return shift[..., 0] + log_top, np.abs(v[..., -1])
 
 
-def _search_log_c(f, lo: float, hi: float) -> float:
-    """The minimiser of a unimodal objective on [lo, hi], where f(t) returns
-    (value, slope) and broadcasts: one call on the 65-point grid locates the
-    basin, and Brent's zeroin (Algorithms for Minimization without
-    Derivatives, 1973, ch. 4) on the slope polishes it inside the grid cell
-    where the slope changes sign, down to a bracket of 1e-15 + 4.5e-16 |t|.
-    The better of the polished point and the grid minimum is returned; a
-    grid minimum whose slope points out of [lo, hi] is returned as it is."""
-    grid = np.linspace(lo, hi, _GRID_POINTS)
-    values, slopes = f(grid)
-    k = int(np.argmin(values))
-    n = k + 1 if slopes[k] < 0 else k - 1  # the neighbour the slope descends to
-    if not 0 <= n < _GRID_POINTS or slopes[n] * slopes[k] >= 0:
-        return float(grid[k])
-    a = c = (float(grid[n]), float(slopes[n]), float(values[n]))  # (t, slope, value)
-    b = (float(grid[k]), float(slopes[k]), float(values[k]))
-    d = e = b[0] - a[0]
-    while True:
-        if (b[1] > 0) == (c[1] > 0):  # keep the root between b and c
-            c, d = a, b[0] - a[0]
-            e = d
-        if abs(c[1]) < abs(b[1]):
-            a, b, c = b, c, b
-        tol = 0.5e-15 + 2.25e-16 * abs(b[0])
-        m = 0.5 * (c[0] - b[0])
-        if abs(m) <= tol or b[1] == 0:
-            break
-        step = m
-        if abs(e) >= tol and abs(a[1]) > abs(b[1]):  # secant, or inverse quadratic
-            s = b[1] / a[1]
-            if a[0] == c[0]:
-                p, q = 2 * m * s, 1 - s
-            else:
-                q, r = a[1] / c[1], b[1] / c[1]
-                p = s * (2 * m * q * (q - r) - (b[0] - a[0]) * (r - 1))
-                q = (q - 1) * (r - 1) * (s - 1)
-            p, q = abs(p), (-q if p > 0 else q)
-            if 2 * p < min(3 * m * q - abs(tol * q), abs(e * q)):
-                step = p / q
-        e, d = (d, step) if step != m else (m, m)  # bisect unless an interpolation was taken
-        a, t = b, b[0] + (d if abs(d) > tol else math.copysign(tol, m))
-        value, slope = f(t)
-        b = (t, float(slope), float(value))
-    return b[0] if b[2] < values[k] else float(grid[k])
-
-
 def optimize_amplitudes(
     j: SpinQuantum,
     n_sites: int,
@@ -205,7 +160,7 @@ def optimize_amplitudes(
             return -log_top, slope
 
         finite = 0.5 * log_d[np.isfinite(log_d)]
-        log_c = _search_log_c(objective, finite.min() - _LOG_C_PAD, finite.max() + _LOG_C_PAD)
+        log_c, _ = minimize_on_interval(objective, finite.min() - _LOG_C_PAD, finite.max() + _LOG_C_PAD)
         x = solved[log_c]
         with np.errstate(divide="ignore"):
             log_r = (np.log(x) - 0.5 * log_metric(log_c))[fold]

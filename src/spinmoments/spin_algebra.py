@@ -62,19 +62,20 @@ class SpinMatrices:
     jminus: np.ndarray
 
 
+def _lowering(j: SpinQuantum) -> np.ndarray:
+    """<m-1|J-|m> = sqrt((J+m)(J-m+1)) for m = -J+1..+J, ascending."""
+    m = j.m_values()[1:]
+    return np.sqrt((j.j + m) * (j.j - m + 1))
+
+
 def build_spin_matrices(j: SpinQuantum) -> SpinMatrices:
     """Construct the spin-J matrices in the |J,m> basis ordered m = -J..+J.
 
     jz is diagonal with entries m, and the lowering operator has
     <m-1|J-|m> = sqrt((J+m)(J-m+1)).  jx = (J+ + J-)/2, jy = (J+ - J-)/2i.
     """
-    d = j.dim
-    jv = j.j
-    m = j.m_values()
-    jz = np.diag(m).astype(complex)
-    jminus = np.zeros((d, d), dtype=complex)
-    for k in range(1, d):
-        jminus[k - 1, k] = math.sqrt((jv + m[k]) * (jv - m[k] + 1))
+    jz = np.diag(j.m_values()).astype(complex)
+    jminus = np.diag(_lowering(j), 1).astype(complex)
     jplus = jminus.conj().T
     jx = (jplus + jminus) / 2
     jy = (jplus - jminus) / 2j
@@ -114,37 +115,54 @@ _CJ_TABLE = {
 
 _EXACT_TWICE_J = (1, 2)
 
-_GRID_POINTS = 65  # grid of minimize_on_interval and of the optimiser's log-c search
-_INV_PHI = (math.sqrt(5) - 1) / 2  # golden-section step
+_GRID_POINTS = 65  # grid of minimize_on_interval
 
 
 def minimize_on_interval(f, lo: float, hi: float) -> tuple[float, float]:
-    """(x, f(x)) at the minimum of a unimodal f on [lo, hi]: a grid locates
-    the basin, a golden-section search polishes it within the two
-    neighbouring cells down to a bracket of 1e-12 + 3e-8 |x|, and the better
-    of the two points is returned.  f must broadcast numpy-style: it is
-    called once on the whole grid array, then on scalars.  It is
-    ``compute_cj``'s search only; the optimiser polishes its log-c grid by the
-    slope (``optimizer._search_log_c``)."""
+    """(x, f(x)) at the minimum of a unimodal f on [lo, hi], where f(x)
+    returns (value, slope) and broadcasts: one call on the 65-point grid
+    locates the basin, and Brent's zeroin (Algorithms for Minimization
+    without Derivatives, 1973, ch. 4) on the slope polishes it inside the
+    grid cell where the slope changes sign, down to a bracket of 1e-15 +
+    4.5e-16 |x|.  The better of the polished point and the grid minimum is
+    returned; a grid minimum whose slope points out of [lo, hi] is returned
+    as it is.  It is the one search of ``compute_cj`` and the optimiser."""
     grid = np.linspace(lo, hi, _GRID_POINTS)
-    values = f(grid)
+    values, slopes = f(grid)
     k = int(np.argmin(values))
-    a, b = grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)]
-    c, e = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fc, fe = f(c), f(e)
-    while b - a > 1e-12 + 3e-8 * abs(c):
-        if fc <= fe:
-            b, e, fe = e, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + _INV_PHI * (b - a)
-            fe = f(e)
-    x, fx = (c, fc) if fc <= fe else (e, fe)
-    if fx < values[k]:
-        return float(x), float(fx)
-    return float(grid[k]), float(values[k])
+    n = k + 1 if slopes[k] < 0 else k - 1  # the neighbour the slope descends to
+    if not 0 <= n < _GRID_POINTS or slopes[n] * slopes[k] >= 0:
+        return float(grid[k]), float(values[k])
+    a = c = (float(grid[n]), float(slopes[n]), float(values[n]))  # (x, slope, value)
+    b = (float(grid[k]), float(slopes[k]), float(values[k]))
+    d = e = b[0] - a[0]
+    while True:
+        if (b[1] > 0) == (c[1] > 0):  # keep the root between b and c
+            c, d = a, b[0] - a[0]
+            e = d
+        if abs(c[1]) < abs(b[1]):
+            a, b, c = b, c, b
+        tol = 0.5e-15 + 2.25e-16 * abs(b[0])
+        m = 0.5 * (c[0] - b[0])
+        if abs(m) <= tol or b[1] == 0:
+            break
+        step = m
+        if abs(e) >= tol and abs(a[1]) > abs(b[1]):  # secant, or inverse quadratic
+            s = b[1] / a[1]
+            if a[0] == c[0]:
+                p, q = 2 * m * s, 1 - s
+            else:
+                q, r = a[1] / c[1], b[1] / c[1]
+                p = s * (2 * m * q * (q - r) - (b[0] - a[0]) * (r - 1))
+                q = (q - 1) * (r - 1) * (s - 1)
+            p, q = abs(p), (-q if p > 0 else q)
+            if 2 * p < min(3 * m * q - abs(tol * q), abs(e * q)):
+                step = p / q
+        e, d = (d, step) if step != m else (m, m)  # bisect unless an interpolation was taken
+        a, x = b, b[0] + (d if abs(d) > tol else math.copysign(tol, m))
+        value, slope = f(x)
+        b = (x, float(slope), float(value))
+    return (b[0], b[2]) if b[2] < values[k] else (float(grid[k]), float(values[k]))
 
 
 @lru_cache(maxsize=None)
@@ -160,10 +178,10 @@ def _cj_allowance(j: SpinQuantum) -> float:
 
     It covers the eigenvalue rounding, a few ulps of ||H|| ~ J(J+1), and
     the error of the located minimum: H'' = 2, so d^2 lambda_min / da^2 <= 2
-    and a minimiser off by delta <= 1e-12 + 3e-8 J (the golden-section
-    bracket of ``minimize_on_interval``) is high by at most delta^2 ~
-    1e-15 J^2.  Both sit three orders of magnitude below the allowance,
-    which stays at or below 1e-9 while J(J+1) <= 1000 (2J <= 62).
+    and a minimiser off by delta <= 1e-15 + 4.5e-16 J (the zeroin bracket
+    of ``minimize_on_interval``) is high by at most delta^2 ~ 1e-30 J^2.
+    Both sit at least three orders of magnitude below the allowance, which
+    stays at or below 1e-9 while J(J+1) <= 1000 (2J <= 62).
     """
     return 1e-12 * max(1.0, j.j * (j.j + 1))
 
@@ -185,24 +203,26 @@ def compute_cj(j: SpinQuantum) -> UncertaintyBound:
     |+-J> reaches the degenerate minimum): lambda_min is taken on the even
     block of size ceil(d/2), in the basis (|m> + |-m>)/sqrt(2), m < 0, plus
     |0> for integer J.  ``minimize_on_interval`` locates its single basin
-    in a; the returned value is that minimum less ``_cj_allowance``, so it
-    never exceeds the true floor.
+    in a by the Hellmann-Feynman slope 2a - x^T (2 Jx) x, x the unit lowest
+    eigenvector; the returned value is that minimum less ``_cj_allowance``,
+    so it never exceeds the true floor.
     """
-    jv = j.j
-    m = j.m_values()
     half = (j.dim + 1) // 2
-    lowering = np.sqrt((jv + m[1:]) * (jv - m[1:] + 1))  # <m-1|J-|m> = 2 <m-1|Jx|m>
-    base = np.diag(jv * (jv + 1) - m[:half] ** 2)
-    two_jx = np.diag(lowering[: half - 1], 1)  # 2 Jx on the even block
+    lowering = _lowering(j)  # <m-1|J-|m> = 2 <m-1|Jx|m>
+    off = lowering[: half - 1]  # 2 Jx on the even block
     if j.dim % 2:
-        two_jx[-2, -1] *= math.sqrt(2)  # the link to the unpaired |0>
-    two_jx = two_jx + two_jx.T
-    if not j.dim % 2:
-        two_jx[-1, -1] = lowering[half - 1]  # the |-1/2> <-> |+1/2> link, inside one pair
+        off[-1] *= math.sqrt(2)  # the link to the unpaired |0>
+    corner = 0.0 if j.dim % 2 else lowering[half - 1]  # the |-1/2> <-> |+1/2> link, inside one pair
+    two_jx = np.diag(off, 1) + np.diag(off, -1)
+    two_jx[-1, -1] = corner
+    base = np.diag(j.j * (j.j + 1) - j.m_values()[:half] ** 2)
 
-    def lowest(a):  # broadcasts: one stacked eigvalsh for an array of a
+    def lowest(a):  # (lambda_min + a^2, its slope in a), one stacked eigh for an array of a
         a = np.asarray(a)
-        return np.linalg.eigvalsh(base - a[..., None, None] * two_jx)[..., 0] + a * a
+        w, v = np.linalg.eigh(base - a[..., None, None] * two_jx)
+        x = v[..., 0]  # x^T (2 Jx) x summed elementwise: a stack's rows equal single solves
+        two_jx_x = 2 * np.sum(off * x[..., :-1] * x[..., 1:], axis=-1) + corner * x[..., -1] ** 2
+        return w[..., 0] + a * a, 2 * a - two_jx_x
 
-    _, floor = minimize_on_interval(lowest, 0.0, jv)
+    _, floor = minimize_on_interval(lowest, 0.0, j.j)
     return UncertaintyBound(j=j, c_j=floor - _cj_allowance(j), source=BoundSource.COMPUTED)

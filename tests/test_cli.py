@@ -499,6 +499,23 @@ def test_verify_empty_grid(capsys):
     assert "empty grid" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "cj-table"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_twice_j_below_one_exits_2(capsys, command, value):
+    # refused as a setting of its own, not as an empty --max-size grid
+    rc, out, err = run_cli(capsys, command, "--max-twice-j", value)
+    assert (rc, out) == (2, "")
+    assert err == "spinmoments: --max-twice-j must be >= 1\n"
+
+
+@pytest.mark.parametrize("tokens", [",", " , ,", ""])
+def test_scan_without_a_kind_exits_2(capsys, tokens):
+    for source in (["--optimized"], ["--family", "uniform-max"]):
+        rc, out, err = run_cli(capsys, "scan", "--axis", "n", "--j", "1", "--n", "2..3", *source, "--kinds", tokens)
+        assert (rc, out) == (2, "")
+        assert err == "spinmoments: --kinds must name at least one kind\n"
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "eval", "--j", "1/2", "--n", "3", "--family", "ghz",
                    "--theta", "0.5", "--kind", "weird")[0] == 2

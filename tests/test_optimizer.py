@@ -304,18 +304,18 @@ def test_optimizer_reuses_the_searched_eigenvector(eigen_solves, monkeypatch, tj
     # the returned point's eigenvector comes from the search, not a further solve
     cj_bound(SpinQuantum(tj))
     eigen_solves.clear()
-    calls, solves_at_return, search = [], [], optimizer._search_log_c
+    calls, solves_at_return, search = [], [], optimizer.minimize_on_interval
 
     def counting(f, lo, hi):
         def spy(t):
             calls.append(np.shape(t))
             return f(t)
 
-        log_c = search(spy, lo, hi)
+        found = search(spy, lo, hi)
         solves_at_return.append(len(eigen_solves))
-        return log_c
+        return found
 
-    monkeypatch.setattr(optimizer, "_search_log_c", counting)
+    monkeypatch.setattr(optimizer, "minimize_on_interval", counting)
     optimize_amplitudes(SpinQuantum(tj), n, kind)
     assert calls[0] == (65,) and calls[1:] and all(shape == () for shape in calls[1:])
     assert solves_at_return == [len(calls)] == [len(eigen_solves)]
@@ -348,13 +348,13 @@ def test_optimizer_solve_counts_over_a_fixed_grid(eigen_solves):
     ],
 )
 def test_objective_slope_matches_a_central_difference(monkeypatch, tj, n, kind):
-    searches, search = [], optimizer._search_log_c
+    searches, search = [], optimizer.minimize_on_interval
 
     def spy(f, lo, hi):
         searches.append((f, lo, hi))
         return search(f, lo, hi)
 
-    monkeypatch.setattr(optimizer, "_search_log_c", spy)
+    monkeypatch.setattr(optimizer, "minimize_on_interval", spy)
     optimize_amplitudes(SpinQuantum(tj), n, kind)
     ((f, lo, hi),) = searches
     h, checked = 1e-4, 0

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from spinmoments import analytic, optimizer
 from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, Steering, parse_kind
 from spinmoments.optimizer import optimize_amplitudes
-from spinmoments.spin_algebra import SpinQuantum, minimize_on_interval
+from spinmoments.spin_algebra import SpinQuantum
 from spinmoments.states import Custom, make_state
 
 TWICE_J = (1, 2, 3, 4, 6)
@@ -100,14 +100,15 @@ def grid_cases(draw):
 def _searched(j, n, kind):
     """The report, and (objective, lo, hi, returned log c) of its log-c search,
     or None when two adjacent zero bound weights leave nothing to search."""
-    searches, search = [], optimizer._search_log_c
+    searches, search = [], optimizer.minimize_on_interval
 
     def spy(f, lo, hi):
-        searches.append((f, lo, hi, search(f, lo, hi)))
-        return searches[-1][-1]
+        found = search(f, lo, hi)
+        searches.append((f, lo, hi, found[0]))
+        return found
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimizer, "_search_log_c", spy)
+        mp.setattr(optimizer, "minimize_on_interval", spy)
         report = optimize_amplitudes(j, n, kind)
     return report, (searches[0] if searches else None)
 
@@ -119,7 +120,7 @@ def test_stacked_grid_rows_equal_single_point_solves(case):
     # eigenvector, to the solve the objective makes at grid[i] alone, and so
     # are the objective's value and slope there
     j, n, kind = case
-    calls, solves, solve, search = [], [], optimizer._log_top_eigenpair, optimizer._search_log_c
+    calls, solves, solve, search = [], [], optimizer._log_top_eigenpair, optimizer.minimize_on_interval
 
     def recorded(f, lo, hi):
         def g(t):
@@ -133,7 +134,7 @@ def test_stacked_grid_rows_equal_single_point_solves(case):
         return solves[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimizer, "_search_log_c", recorded)
+        mp.setattr(optimizer, "minimize_on_interval", recorded)
         mp.setattr(optimizer, "_log_top_eigenpair", top)
         optimize_amplitudes(j, n, kind)
         assume(calls)  # two adjacent zero bound weights: no search
@@ -149,6 +150,35 @@ def test_stacked_grid_rows_equal_single_point_solves(case):
             assert np.array_equal(one_vector, vectors[i])
 
 
+_INV_PHI = (math.sqrt(5) - 1) / 2  # golden-section step
+
+
+def _golden_section_minimum(f, lo, hi):
+    """(x, f(x)) at the minimum of a unimodal f on [lo, hi] by value alone: the
+    same 65-point grid locates the basin, a golden-section search polishes it
+    within the two neighbouring cells down to a bracket of 1e-12 + 3e-8 |x|,
+    and the better of the two points is returned.  f broadcasts."""
+    grid = np.linspace(lo, hi, 65)
+    values = f(grid)
+    k = int(np.argmin(values))
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, 64)]
+    c, e = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fe = f(c), f(e)
+    while b - a > 1e-12 + 3e-8 * abs(c):
+        if fc <= fe:
+            b, e, fe = e, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, e, fe
+            e = a + _INV_PHI * (b - a)
+            fe = f(e)
+    x, fx = (c, fc) if fc <= fe else (e, fe)
+    if fx < values[k]:
+        return float(x), float(fx)
+    return float(grid[k]), float(values[k])
+
+
 @settings(max_examples=150, deadline=None)
 @given(grid_cases())
 def test_slope_search_is_no_worse_than_a_golden_section(case):
@@ -157,7 +187,7 @@ def test_slope_search_is_no_worse_than_a_golden_section(case):
     report, searched = _searched(j, n, kind)
     assume(searched)
     f, lo, hi, _ = searched
-    _, value = minimize_on_interval(lambda t: f(t)[0], lo, hi)
+    _, value = _golden_section_minimum(lambda t: f(t)[0], lo, hi)
     assert report.best_b >= (1 - 2e-12) * 2 * math.exp(-value)
 
 

@@ -9,6 +9,8 @@ from spinmoments.spin_algebra import (
     BoundSource,
     SpinQuantum,
     _CJ_TABLE,
+    _cj_allowance,
+    _lowering,
     build_spin_matrices,
     cj_bound,
     compute_cj,
@@ -76,6 +78,19 @@ def test_jx_spectrum_matches_jz(twice_j):
     assert np.allclose(eigs, j.m_values(), atol=1e-12)
 
 
+def test_lowering_elements_are_one_formula():
+    # <m-1|J-|m> = sqrt((J+m)(J-m+1)) element by element, bit for bit, over
+    # every d the oracle builds; jminus carries exactly these on its superdiagonal
+    for twice_j in range(1, 1024):
+        j = SpinQuantum(twice_j)
+        loop = [math.sqrt((j.j + m) * (j.j - m + 1)) for m in j.m_values()[1:]]
+        assert _lowering(j).tolist() == loop
+    for twice_j in (1, 2, 3, 40, 101):
+        j = SpinQuantum(twice_j)
+        jminus = build_spin_matrices(j).jminus
+        assert np.array_equal(jminus, np.diag(_lowering(j), 1))
+
+
 def _cj_eigenvalue_route(twice_j: int) -> float:
     # C_J = min_a lambda_min((Jx - a)^2 + Jy^2): completing the square makes
     # the shifted expectation an upper envelope of the variance sum, and the
@@ -102,47 +117,62 @@ def test_cj_bound_is_sound_and_tight(twice_j):
     assert floor - 1e-9 <= cj_bound(SpinQuantum(twice_j)).c_j <= floor + 1e-12
 
 
+@pytest.mark.parametrize("twice_j", [100, 199, 200])
+def test_cj_bound_is_sound_within_the_allowance_at_large_spin(twice_j):
+    # beyond 2J = 62 the allowance 1e-12 J(J+1) exceeds 1e-9; C_J stays
+    # below the dense floor and within that allowance of it
+    j = SpinQuantum(twice_j)
+    floor = _cj_eigenvalue_route(twice_j)
+    assert floor - _cj_allowance(j) <= cj_bound(j).c_j <= floor
+
+
+def _well(x_star, power=2, offset=0.0):
+    """(value, slope) of (x - x_star)^power + offset; broadcasts."""
+    return lambda x: ((x - x_star) ** power + offset, power * (x - x_star) ** (power - 1))
+
+
 # on [-1, 3] the grid nodes sit at -1 + k/16
 @pytest.mark.parametrize(
     "f, x_star",
     [
-        (lambda x: (x - 0.7071) ** 2, 0.7071),  # inside a cell
-        (lambda x: (x - 0.3125) ** 2 + 2.0, 0.3125),  # on a grid node
-        (lambda x: (x + 1.25) ** 2, -1.0),  # increasing: the minimum is at lo
-        (lambda x: (x - 3.25) ** 2, 3.0),  # decreasing: the minimum is at hi
-        (lambda x: (x - 1.2345) ** 4, 1.2345),  # flat bottom
+        (_well(0.7071), 0.7071),  # inside a cell
+        (_well(0.3125, offset=2.0), 0.3125),  # on a grid node
+        (_well(-1.25), -1.0),  # increasing: the minimum is at lo
+        (_well(3.25), 3.0),  # decreasing: the minimum is at hi
+        (_well(1.2345, power=4), 1.2345),  # flat bottom
     ],
 )
 def test_minimize_on_interval_polishes_the_grid_minimum(f, x_star):
     lo, hi = -1.0, 3.0
     x, fx = minimize_on_interval(f, lo, hi)
-    assert abs(x - x_star) <= 1e-7 * (hi - lo)
-    assert fx == f(x)
-    assert all(fx <= f(g) for g in np.linspace(lo, hi, 65))
+    assert abs(x - x_star) <= 1e-12 * (hi - lo)
+    assert fx == f(x)[0]
+    assert all(fx <= f(g)[0] for g in np.linspace(lo, hi, 65))
 
 
 def test_minimize_on_interval_evaluates_the_grid_in_one_call():
-    shapes = []
+    shapes, f = [], _well(0.7071)
 
-    def f(x):
+    def spy(x):
         shapes.append(np.shape(x))
-        return (x - 0.7071) ** 2
+        return f(x)
 
-    minimize_on_interval(f, -1.0, 3.0)
+    minimize_on_interval(spy, -1.0, 3.0)
     assert shapes[0] == (65,)
     assert len(shapes) > 1 and all(shape == () for shape in shapes[1:])
 
 
 @pytest.mark.parametrize("twice_j", [3, 9, 40, 200])
 def test_compute_cj_solves_its_grid_in_one_stacked_call(eigen_solves, twice_j):
+    # the most over 2J = 3..200 is 15: the grid and at most 14 zeroin steps
     compute_cj.__wrapped__(SpinQuantum(twice_j))  # past the cache
     assert eigen_solves.count((65,)) == 1
     assert all(shape in ((65,), ()) for shape in eigen_solves)
-    assert len(eigen_solves) <= 40
+    assert len(eigen_solves) <= 15
 
 
-def test_cj_grid_rows_equal_single_point_solves(monkeypatch):
-    # each row of the stacked eigvalsh is bit-identical to a solve at that a alone
+def _cj_searches(monkeypatch, twice_js):
+    """(lowest, lo, hi) of each compute_cj search, one per 2J."""
     searches = []
 
     def spy(f, lo, hi):
@@ -150,14 +180,36 @@ def test_cj_grid_rows_equal_single_point_solves(monkeypatch):
         return minimize_on_interval(f, lo, hi)
 
     monkeypatch.setattr(spin_algebra, "minimize_on_interval", spy)
-    for twice_j in range(3, 41):
+    for twice_j in twice_js:
         compute_cj.__wrapped__(SpinQuantum(twice_j))
-    assert len(searches) == 38
-    for lowest, lo, hi in searches:
+    assert len(searches) == len(twice_js)
+    return searches
+
+
+def test_cj_grid_rows_equal_single_point_solves(monkeypatch):
+    # each row of the stacked eigh, value and slope, is bit-identical to a
+    # solve at that a alone
+    for lowest, lo, hi in _cj_searches(monkeypatch, range(3, 41)):
         grid = np.linspace(lo, hi, 65)
-        stacked = lowest(grid)
-        assert stacked.shape == (65,)
-        assert all(lowest(a) == stacked[i] for i, a in enumerate(grid))
+        values, slopes = lowest(grid)
+        assert values.shape == slopes.shape == (65,)
+        for i, a in enumerate(grid):
+            value, slope = lowest(a)
+            assert value == values[i] and slope == slopes[i]
+
+
+def test_cj_slope_matches_a_central_difference(monkeypatch):
+    # d/da (lambda_min + a^2) = 2a - x^T (2 Jx) x (Hellmann-Feynman)
+    for lowest, lo, hi in _cj_searches(monkeypatch, [3, 9, 40, 200]):
+        h, checked = 1e-4, 0
+        for a in np.linspace(lo, hi, 97)[1:-1]:
+            _, slope = lowest(float(a))
+            if abs(slope) < 0.05:
+                continue
+            difference = (lowest(float(a) + h)[0] - lowest(float(a) - h)[0]) / (2 * h)
+            assert difference == pytest.approx(slope, rel=1e-6)
+            checked += 1
+        assert checked >= 80
 
 
 def test_cj_bound_within_quoted_half_unit():
