@@ -8,8 +8,8 @@ Subcommands
     cj-table   uncertainty bound C_J per spin
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (an unwritable
---output too), 3 infeasible (the oracle's d > 1024 or d^N > 2^62, or the
-exhaustive search's N > 16), 4 internal error (any other exception, reported
+--output too), 3 infeasible (the oracle's d^N > 2^62, or the exhaustive
+search's N > 16), 4 internal error (any other exception, reported
 on one stderr line).  Output is CSV (default) or JSON with identical values;
 floats carry 12 significant digits and rows are emitted in a fixed order, so
 output bytes are reproducible for a fixed config.  The amplitude optimiser is

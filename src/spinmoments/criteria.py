@@ -103,7 +103,7 @@ def evaluate(
     canonical defaults to the analytic backend (exact for every correlated
     state); pass backend=Backend.ORACLE to force the brute-force oracle.
     exhaustive always runs on the oracle and needs N <= 16.  The oracle
-    refuses d > 1024 and d^N > 2^62 (``states.CapExceededError``).
+    refuses d^N > 2^62 (``states.CapExceededError``).
     """
     n = state.n_sites
     signs = SignChoice(*kinds.canonical_signs(kind, n))  # validates t_sites <= N

@@ -180,14 +180,16 @@ def min_sites_for_violation(
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
 ) -> MinSitesResult:
-    """Smallest N <= n_max whose optimised state violates the criterion
-    (``OptimizationReport.violated``).  ``restarts`` and ``seed`` are
-    ignored, as in ``optimize_amplitudes``.
+    """Smallest N in max(2, T)..n_max whose optimised state violates the criterion
+    (``OptimizationReport.violated``), T the kind's quantum sites.  ``restarts``
+    and ``seed`` are ignored, as in ``optimize_amplitudes``.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+    n_min = max(2, kind.t_sites if isinstance(kind, kinds.Steering) else 0)
+    if n_max < n_min:
+        at_least = "2" if n_min == 2 else f"T = {n_min}, the kind's quantum sites"
+        raise ValueError(f"n_max must be >= {at_least}")
     best_seen, min_n = -math.inf, None
-    for n in range(2, n_max + 1):
+    for n in range(n_min, n_max + 1):
         report = optimize_amplitudes(j, n, kind, restarts=restarts, seed=seed)
         best_seen = max(best_seen, report.best_b)
         if report.violated:

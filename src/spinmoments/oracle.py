@@ -4,10 +4,10 @@ The tags and R's layout come from ``kinds``; the sum, its band weights and the
 0/0 rule of ``b_from_moments`` are this module's own.
 
 In the |J,m> basis each site operator is one band (J- at offset +1, J+ at -1,
-the rest diagonal), with weights read off ``build_spin_matrices``, never off the
-closed forms: this is the ground truth they are tested against, blind to the
-states' structure.  Reductions multiply and sum, never a BLAS dot, whose fused
-multiply-add leaves a residue where a sum cancels to 0.
+the rest diagonal), built in O(d) from J-'s elements (``spin_algebra._lowering``),
+never from the closed forms: this is the ground truth they are tested against,
+blind to the states' structure.  Reductions multiply and sum, never a BLAS dot,
+whose fused multiply-add leaves a residue where a sum cancels to 0.
 
 The one input is a ``states.SupportVector``: a state's at most d nonzero
 amplitudes, never a d^N array (anything else raises TypeError).  ``expect_table``
@@ -26,11 +26,11 @@ every J(J+1) - m^2), so a table whose offsets are all 0 holds bound moments
 R >= 0.  The kernel checks them there, once: a value below -IMAG_TOL raises
 ArithmeticError, and rounding below 0 is clamped to 0.
 
-The site bands are read off dense d x d spin matrices, so d above MAX_DIM is
-refused with ``CapExceededError`` before any is built; d^N is bounded by the
-flat int64 indices of ``states.support_vector``.  C_J is always
-``cj_bound(j).c_j``: the oracle takes no override, so it cannot be handed the
-same wrong C_J as the closed forms it checks.
+The oracle's one limit is d^N <= 2^62, the flat int64 indices of
+``states.support_vector``; d itself is unbounded.  C_J is always
+``cj_bound(j).c_j``, read only for a table that holds the C_J-shifted tag: the
+oracle takes no override, so it cannot be handed the same wrong C_J as the
+closed forms it checks.
 
 ``scale`` multiplies the five spin matrices by a constant (ladder operators by
 scale, quadratic products by scale^2, C_J rescaled accordingly).  scale = 2 turns
@@ -47,39 +47,32 @@ from typing import Sequence
 import numpy as np
 
 from .kinds import CriterionKind, SiteOp, bound_tags, ladder_tags
-from .spin_algebra import SpinQuantum, build_spin_matrices, cj_bound
-from .states import CapExceededError, SupportVector, SymmetricCorrelatedState, support_vector
+from .spin_algebra import SpinQuantum, _lowering, cj_bound
+from .states import SupportVector, SymmetricCorrelatedState, support_vector
 
 IMAG_TOL = 1e-10
 NORM_TOL = 1e-10
-MAX_DIM = 1024  # _site_bands at d = 1024 takes 2.6 s and 0.47 GB peak RSS on a 2-vCPU VM
 
 
 @lru_cache(maxsize=None)
-def _site_bands(j: SpinQuantum, scale: float) -> tuple[dict[SiteOp, int], np.ndarray, np.ndarray]:
+def _site_bands(j: SpinQuantum, scale: float, cj: bool = False) -> tuple[dict[SiteOp, int], np.ndarray, np.ndarray]:
     """Tag -> row code; per row, in tag order with IDENTITY last, the band weights on all
-    d ket rows (0 off the band) and the bra - ket row shift.  Each operator must be
-    exactly one real band of its matrix: mat[bra, ket] = diag(weights), 0 elsewhere."""
-    if j.dim > MAX_DIM:
-        raise CapExceededError(f"d = {j.dim} exceeds {MAX_DIM}, the largest d whose d x d spin matrices the oracle builds")
-    mats = build_spin_matrices(j)
-    xx_yy = mats.jx @ mats.jx + mats.jy @ mats.jy
+    d ket rows (0 off the band) and the bra - ket row shift.  The C_J-shifted row is
+    NaN unless ``cj`` is set, so ``cj_bound`` is read only for the tables that use it."""
+    low = _lowering(j)
+    lower, upper = np.append(0.0, low), np.append(low, 0.0)  # <m-1|J-|m>, <m+1|J+|m> on ket m
+    xx_yy = (lower**2 + upper**2) / 2  # (J+J- + J-J+) / 2
     ops = (
-        (SiteOp.PLUS, -1, scale * mats.jplus),
-        (SiteOp.MINUS, 1, scale * mats.jminus),
+        (SiteOp.PLUS, -1, scale * upper),
+        (SiteOp.MINUS, 1, scale * lower),
         (SiteOp.X2_PLUS_Y2, 0, scale**2 * xx_yy),
-        (SiteOp.PLUS_MINUS, 0, scale**2 * (mats.jplus @ mats.jminus)),
-        (SiteOp.MINUS_PLUS, 0, scale**2 * (mats.jminus @ mats.jplus)),
-        (SiteOp.CJ_SHIFTED, 0, scale**2 * (xx_yy - cj_bound(j).c_j * np.eye(j.dim))),
-        (SiteOp.IDENTITY, 0, np.eye(j.dim)),
+        (SiteOp.PLUS_MINUS, 0, scale**2 * lower**2),
+        (SiteOp.MINUS_PLUS, 0, scale**2 * upper**2),
+        (SiteOp.CJ_SHIFTED, 0, scale**2 * (xx_yy - cj_bound(j).c_j) if cj else np.full(j.dim, np.nan)),
+        (SiteOp.IDENTITY, 0, np.ones(j.dim)),
     )
-    rows = np.zeros((len(ops), j.dim))
-    for code, (op, offset, mat) in enumerate(ops):
-        band = np.diagonal(mat, offset)
-        if np.any(mat != np.diag(band, offset)) or np.any(band.imag):
-            raise ArithmeticError(f"{op.value} is not a real band at offset {offset}")
-        rows[code, max(offset, 0) : j.dim + min(offset, 0)] = band.real
-    return {op: code for code, (op, _, _) in enumerate(ops)}, rows, -np.array([offset for _, offset, _ in ops])
+    codes = {op: code for code, (op, _, _) in enumerate(ops)}
+    return codes, np.array([band for _, _, band in ops]), -np.array([offset for _, offset, _ in ops])
 
 
 def _size_of(state_vector: SupportVector) -> int:
@@ -111,7 +104,7 @@ def expect_table(
         raise ValueError(f"vector has {size} amplitudes, expected d^N = {j.dim}^{n} = {j.dim**n}")
     if any(len(alts) == 0 for alts in choices):
         raise ValueError(f"site {[len(alts) for alts in choices].index(0)} has no alternative tags")
-    codes, rows, shifts = _site_bands(j, float(scale))
+    codes, rows, shifts = _site_bands(j, float(scale), any(SiteOp.CJ_SHIFTED in alts for alts in choices))
     sites = [[codes[op] for op in alts] for alts in choices]
     lead = np.array([[alts[0] if len(alts) == 1 else -1 for alts in sites]])  # -1: IDENTITY
     return _support_table(state_vector, lead, sites, j.dim, rows, shifts).reshape(tuple(map(len, sites)))
@@ -189,7 +182,7 @@ def bound_rows(
     no row at all raises ValueError.
     """
     size = _size_of(state_vector)
-    codes, rows, shifts = _site_bands(j, float(scale))
+    codes, rows, shifts = _site_bands(j, float(scale), any(SiteOp.CJ_SHIFTED in tags for tags in tag_rows))
     for tags in tag_rows or [()]:  # no row at all is refused as an empty one
         if not tags or j.dim ** len(tags) != size:
             n = len(tags)

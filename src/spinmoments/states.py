@@ -26,7 +26,7 @@ INDEX_RANGE = 2**62  # flat int64 indices: an index plus a bra - ket shift must 
 
 
 class CapExceededError(ValueError):
-    """A state beyond what a route can hold: d^N above its bound, or d above the oracle's."""
+    """A state beyond what a route can hold: d^N above its bound."""
 
 
 def _refuse_above(d: int, n: int, bound: int, name: str) -> None:
@@ -172,6 +172,8 @@ def make_state(family: StateFamily, j: SpinQuantum, n_sites: int) -> SymmetricCo
     if isinstance(family, GeneralizedGHZ):
         if j.twice_j != 1:
             raise ValueError("GeneralizedGHZ requires spin 1/2 (twice_j = 1)")
+        if not math.isfinite(family.theta):
+            raise ValueError(f"GeneralizedGHZ theta must be finite, got {family.theta}")
         r = np.array([math.cos(family.theta), math.sin(family.theta)])
         r[np.abs(r) < 1e-15] = 0.0  # theta at 0 or pi/2 is an exact product state
         return _from_amplitudes(j, n_sites, r)

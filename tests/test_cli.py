@@ -191,6 +191,16 @@ def test_min_sites_not_found_is_blank(capsys):
     assert rows[-1]["min_n"] == ""
 
 
+@pytest.mark.parametrize("kind", ["epr3", "epr3-hz"])
+def test_min_sites_of_a_steering_kind_starts_at_t(capsys, kind):
+    rc, out, _ = run_cli(capsys, "min-sites", "--kind", kind, "--max-d", "3", "--n-max", "10")
+    assert rc == 0
+    assert [r["min_n"] for r in parse_csv(out)] == ["3", "3"]
+    rc, out, err = run_cli(capsys, "min-sites", "--kind", kind, "--max-d", "3", "--n-max", "2")
+    assert (rc, out) == (2, "")
+    assert err == "spinmoments: n_max must be >= T = 3, the kind's quantum sites\n"
+
+
 def test_min_sites_output_ignores_seed_and_restarts(capsys):
     argv = ("min-sites", "--kind", "bell", "--max-d", "4", "--n-max", "30")
     outputs = [
@@ -474,25 +484,6 @@ def test_verify_prints_every_point_within_the_oracles_limits(capsys):
     assert rc == 1 and err.splitlines()[1] == lines[1]
 
 
-def test_verify_skips_a_d_beyond_the_oracle(capsys, monkeypatch):
-    # the oracle's d limit, checked in oracle._site_bands, skips the ten 2J = 2 states
-    # once it is lowered to d = 2 (its band cache cleared, so the check runs)
-    from spinmoments import oracle
-
-    monkeypatch.setattr(oracle, "MAX_DIM", 2)
-    oracle._site_bands.cache_clear()
-    try:
-        rc, out, err = run_cli(capsys, "verify", "--max-twice-j", "2", "--max-size", "64")
-    finally:
-        oracle._site_bands.cache_clear()
-    assert rc == 3
-    assert {row["twice_j"] for row in parse_csv(out)} == {"1"}
-    assert err.splitlines()[1] == (
-        "verify: skipped 10 states beyond the oracle, the first at family uniform-max, 2J = 2, N = 2"
-        " (d = 3 exceeds 2, the largest d whose d x d spin matrices the oracle builds)"
-    )
-
-
 def test_verify_empty_grid(capsys):
     rc, _, err = run_cli(capsys, "verify", "--max-size", "3")
     assert rc == 2
@@ -528,20 +519,17 @@ def test_usage_errors_exit_2(capsys):
                    "--theta", "0.5", "--kind", "bell")[0] == 2
 
 
-def test_infeasible_oracle_exits_3(capsys, monkeypatch):
-    from spinmoments import oracle
-
-    # d = 1025 is refused before any d x d spin matrix is built
-    def build(j):
-        raise AssertionError(f"built the spin matrices of d = {j.dim}")
-
-    monkeypatch.setattr(oracle, "build_spin_matrices", build)
+def test_oracle_runs_beyond_d_1024(capsys):
+    # d is not an oracle limit: 2J = 1024 prints the closed form's B
     rc, out, err = run_cli(
         capsys, "eval", "--twice-j", "1024", "--n", "2", "--family", "uniform-max",
         "--kind", "bell", "--backend", "oracle",
     )
-    assert (rc, out) == (3, "")
-    assert err == "spinmoments: d = 1025 exceeds 1024, the largest d whose d x d spin matrices the oracle builds\n"
+    assert (rc, err) == (0, "")
+    assert parse_csv(out)[0]["B"] == "0.912871146396"
+
+
+def test_infeasible_oracle_exits_3(capsys):
     rc, _, err = run_cli(
         capsys, "eval", "--j", "1/2", "--n", "17", "--family", "ghz", "--theta", "0.5",
         "--kind", "bell", "--strategy", "exhaustive",

@@ -242,7 +242,7 @@ def test_exhaustive_guards():
 
 
 def test_no_state_path_takes_a_cap():
-    # the oracle's limits are its own (d <= 1024, d^N <= 2^62): no caller sets them
+    # the oracle's one limit is its own (d^N <= 2^62): no caller sets it
     from spinmoments.states import support_vector
 
     st = GHZ(3)

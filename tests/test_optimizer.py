@@ -212,6 +212,23 @@ def test_min_sites_spin_half_and_spin1():
     assert res.b_at_min_n > 1 + 1e-9
 
 
+@pytest.mark.parametrize("token, t", [("epr3", 3), ("epr3-hz", 3), ("epr5", 5)])
+def test_min_sites_of_a_steering_kind_starts_at_t(token, t):
+    # no N below T holds T quantum sites: the search starts at N = T, and finds the
+    # N and B of a plain loop over optimize_amplitudes from there
+    kind = parse_kind(token)
+    for d in (2, 3, 4):
+        j = SpinQuantum(d - 1)
+        for n in range(t, 11):
+            report = optimize_amplitudes(j, n, kind)
+            if report.violated:
+                break
+        res = min_sites_for_violation(j, kind, 10)
+        assert report.violated and (res.min_n, res.b_at_min_n) == (n, report.best_b), d
+    with pytest.raises(ValueError, match=f"n_max must be >= T = {t}"):
+        min_sites_for_violation(SpinQuantum(1), kind, t - 1)
+
+
 def test_min_sites_none_found():
     # spin 2 cannot violate Bell with 4 sites
     res = min_sites_for_violation(SpinQuantum(4), Bell(), 4, restarts=4, seed=0)

@@ -7,6 +7,8 @@ import pytest
 from dense_reference import as_support, dense_expect_product, site_matrix
 from hypothesis import given, settings, strategies as st
 
+from spinmoments import analytic, oracle, spin_algebra
+from spinmoments.criteria import Backend, evaluate
 from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, Steering, canonical_signs
 from spinmoments.oracle import (
     SiteOp,
@@ -19,7 +21,7 @@ from spinmoments.oracle import (
     lhs_moment,
     rhs_moment,
 )
-from spinmoments.spin_algebra import SpinQuantum
+from spinmoments.spin_algebra import SpinQuantum, cj_bound
 from spinmoments.states import (
     Bosonic,
     CapExceededError,
@@ -284,8 +286,6 @@ def test_oracle_public_functions():
     # six, with no second input route or clamp wrapper beside expect_table
     import inspect
 
-    from spinmoments import oracle
-
     public = {
         name
         for name, obj in vars(oracle).items()
@@ -333,21 +333,69 @@ def test_non_finite_vectors_are_refused_on_both_routes(bad):
 
 
 def test_cap_propagates():
-    # the oracle's two limits, d^N <= 2^62 and d <= 1024, reach the state entry points
-    beyond_int64 = make_state(GeneralizedGHZ(0.4), HALF, 63)
-    beyond_d = make_state(UniformMax(), SpinQuantum(1024), 2)
-    for st, match in ((beyond_int64, "d\\^N = 2\\^63 exceeds"), (beyond_d, "d = 1025 exceeds 1024")):
-        with pytest.raises(CapExceededError, match=match):
-            lhs_moment(st, (-1,) * st.n_sites)
-        with pytest.raises(CapExceededError, match=match):
-            rhs_moment(st, Bell())
+    # the oracle's one limit, d^N <= 2^62, reaches the state entry points
+    st = make_state(GeneralizedGHZ(0.4), HALF, 63)
+    with pytest.raises(CapExceededError, match="d\\^N = 2\\^63 exceeds"):
+        lhs_moment(st, (-1,) * st.n_sites)
+    with pytest.raises(CapExceededError, match="d\\^N = 2\\^63 exceeds"):
+        rhs_moment(st, Bell())
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_site_bands_match_the_dense_spin_matrices(scale):
+    # each dense operator is one real band; J+, J- and the identity equal it bit
+    # for bit, and the diagonal products differ by the dense matmul's rounding
+    for twice_j in range(1, 65):
+        j = SpinQuantum(twice_j)
+        codes, rows, shifts = oracle._site_bands(j, scale, True)
+        for op, code in codes.items():
+            mat, offset = site_matrix(op, j, scale=scale), -shifts[code]
+            band = np.diagonal(mat, offset)
+            assert np.array_equal(mat, np.diag(band, offset)) and not band.imag.any()
+            dense = np.zeros(j.dim)
+            dense[max(offset, 0) : j.dim + min(offset, 0)] = band.real
+            if op in (SiteOp.PLUS, SiteOp.MINUS, SiteOp.IDENTITY):
+                assert np.array_equal(rows[code], dense), (twice_j, op)
+            else:
+                np.testing.assert_allclose(rows[code], dense, rtol=1e-15, atol=0, err_msg=f"{twice_j} {op}")
+
+
+@pytest.mark.parametrize("twice_j", [1024, 20000])
+def test_oracle_agrees_with_the_closed_forms_at_large_d(monkeypatch, twice_j):
+    # the bands come from J-'s elements, so no d x d matrix is built at any d, and
+    # neither Bell nor ent-hz reads C_J
+    def refuse(j):
+        raise AssertionError(f"the oracle asked for a d x d matrix or C_J at d = {j.dim}")
+
+    monkeypatch.setattr(spin_algebra, "build_spin_matrices", refuse)
+    monkeypatch.setattr(oracle, "cj_bound", refuse)
+    oracle._site_bands.cache_clear()
+    st = make_state(UniformMax(), SpinQuantum(twice_j), 2)
+    for kind in (Bell(), EntanglementHZ()):
+        got = evaluate(st, kind, backend=Backend.ORACLE).b
+        assert got == pytest.approx(analytic.b_ratio(st, kind), rel=1e-12, abs=0), kind
+
+
+def test_cj_bound_is_read_once_per_cj_table(monkeypatch):
+    calls = []
+
+    def counted(j):
+        calls.append(j)
+        return cj_bound(j)
+
+    monkeypatch.setattr(oracle, "cj_bound", counted)
+    oracle._site_bands.cache_clear()
+    vec = support_vector(make_state(UniformMax(), ONE, 3))
+    expect_table(vec, [(SiteOp.MINUS, SiteOp.PLUS)] * 3, ONE)
+    assert calls == []
+    expect_table(vec, [(SiteOp.CJ_SHIFTED, SiteOp.X2_PLUS_Y2)] * 3, ONE)
+    assert calls == [ONE]
+    oracle._site_bands.cache_clear()
 
 
 def test_lhs_moment_reaches_spin_5_half():
     st = make_state(UniformMax(), SpinQuantum(5), 8)  # 6^8 amplitudes, above a dense vector's 2^20
     got = lhs_moment(st, (-1,) * 8)
-    from spinmoments import analytic
-
     want_log = analytic.log_lhs_rhs(st, Bell())[0]
     assert got == pytest.approx(math.exp(want_log), rel=1e-10)
 

@@ -82,6 +82,12 @@ def test_family_spin_compatibility():
         make_state(SpinOneR(-0.1), ONE, 2)
 
 
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_ghz_refuses_a_non_finite_theta(theta):
+    with pytest.raises(ValueError, match=f"theta must be finite, got {theta}"):
+        make_state(GeneralizedGHZ(theta), HALF, 2)
+
+
 def test_custom_validation():
     with pytest.raises(ValueError):
         make_state(Custom((0.0, 0.0)), HALF, 2)
