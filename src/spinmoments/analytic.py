@@ -92,7 +92,7 @@ def log_bound_weights(
     if any(powers[SiteOp.CJ_SHIFTED]):
         cj = cj_bound(j).c_j if c_j is None else float(c_j)
         shifted = fac[SiteOp.X2_PLUS_Y2] - cj
-        if np.any(shifted <= 0):
+        if not np.all(shifted > 0):  # a NaN C_J fails too
             raise ValueError(
                 f"C_J = {cj} is not below the Jx^2 + Jy^2 spectrum floor "
                 f"{fac[SiteOp.X2_PLUS_Y2].min()} for twice_j = {j.twice_j}"
@@ -146,9 +146,9 @@ def exp_or_inf(log_x: float) -> float:
         return float(np.exp(log_x))
 
 
-def lhs_rhs(state, kind, *, l_signs=None) -> tuple[float, float]:
+def lhs_rhs(state, kind) -> tuple[float, float]:
     """(L, R) in linear scale; values too large for a double report as inf."""
-    log_l, log_r = log_lhs_rhs(state, kind, l_signs=l_signs)
+    log_l, log_r = log_lhs_rhs(state, kind)
     return exp_or_inf(log_l), exp_or_inf(log_r)
 
 
@@ -159,8 +159,8 @@ def b_from_logs(log_l: float, log_r: float) -> float:
     return exp_or_inf(0.5 * (log_l - log_r))
 
 
-def b_ratio(state, kind, *, l_signs=None) -> float:
-    return b_from_logs(*log_lhs_rhs(state, kind, l_signs=l_signs))
+def b_ratio(state, kind) -> float:
+    return b_from_logs(*log_lhs_rhs(state, kind))
 
 
 def b_bell(state: SymmetricCorrelatedState) -> float:
@@ -173,14 +173,14 @@ def b_ent_cj(state: SymmetricCorrelatedState) -> float:
     return b_ratio(state, kinds.EntanglementCJ())
 
 
-def b_ent_hz(state: SymmetricCorrelatedState, l_signs: Sequence[int] | None = None) -> float:
+def b_ent_hz(state: SymmetricCorrelatedState) -> float:
     """B for the ladder-product entanglement criterion, canonical signs.
 
     With the one-plus sign pattern R = <J1+ J1- prod_{k>=2} Jk- Jk+>, which
     vanishes identically for spin-1/2 so B diverges for any entangled
     generalized GHZ state.
     """
-    return b_ratio(state, kinds.EntanglementHZ(), l_signs=l_signs)
+    return b_ratio(state, kinds.EntanglementHZ())
 
 
 def b_steer_t(state: SymmetricCorrelatedState, t_sites: int) -> float:

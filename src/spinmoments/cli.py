@@ -13,9 +13,8 @@ search's N > 16), 4 internal error (any other exception, reported
 on one stderr line).  Output is CSV (default) or JSON with identical values;
 floats carry 12 significant digits and rows are emitted in a fixed order, so
 output bytes are reproducible for a fixed config.  The amplitude optimiser is
-an exact eigenvalue search, so --seed and --restarts reach no computation:
-both are accepted for old command lines (--restarts must still be >= 1) and
-go no further than the parser.
+an exact eigenvalue search, so --seed reaches no computation: it is kept for old
+command lines, the one option that no computation reads (any other exits 2).
 
 Spin is given as --j 1/2 style rationals or --twice-j integers.
 """
@@ -127,9 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--output", default="-", help="output path, - for stdout")
-    ignored = "ignored (the optimiser is exact); kept for old command lines"
-    common.add_argument("--seed", type=int, help=ignored)
-    common.add_argument("--restarts", type=int, help=ignored + " (must be >= 1)")
+    common.add_argument("--seed", type=int, help="ignored (the optimiser is exact); kept for old command lines")
 
     spin = argparse.ArgumentParser(add_help=False)
     spin.add_argument("--j", help="spin as 1/2, 1, 3/2, ...")
@@ -178,8 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.restarts is not None and args.restarts < 1:
-        raise UsageError("--restarts must be >= 1")
     if getattr(args, "max_twice_j", 1) < 1:  # verify and cj-table
         raise UsageError("--max-twice-j must be >= 1")
     cfg = {"command": args.command, "fmt": args.format, "output": args.output}
@@ -202,12 +197,16 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if args.axis == "n":
             if args.n is None:
                 raise UsageError("scan --axis n needs --n with a range")
+            if args.d is not None:
+                raise UsageError("scan --axis n reads no --d")
             cfg.update(
                 twice_j=_parse_spin(args.j, args.twice_j), n_values=_parse_range(args.n)
             )
         else:
             if args.d is None or args.n is None:
                 raise UsageError("scan --axis d needs --d with a range and a fixed --n")
+            if args.j is not None or args.twice_j is not None:
+                raise UsageError("scan --axis d reads no --j or --twice-j: each d sets the spin")
             d_values = _parse_range(args.d)
             if min(d_values) < 2:
                 raise UsageError("dimensions must be >= 2")
@@ -227,6 +226,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     elif args.command == "cj-table":
         cfg.update(max_twice_j=args.max_twice_j)
     if args.command in ("eval", "scan"):
+        family = FAMILIES.get(cfg["family"])  # None for scan --optimized
+        read = {f.name for f in fields(family)} if family else set()
+        for name in ("theta", "r", "amplitudes"):
+            if getattr(args, name) is not None and name not in read:
+                owner = f"family {cfg['family']}" if family else "scan --optimized"
+                raise UsageError(f"{owner} reads no --{name}")
         amplitudes = _parse_amplitudes(args.amplitudes) if args.amplitudes else None
         cfg.update(theta=args.theta, r=args.r, amplitudes=amplitudes)
     return RunConfig(**cfg)

@@ -155,18 +155,11 @@ def _first_tied(tied: np.ndarray) -> tuple[int, ...]:
 
 
 def nested_verdicts(
-    state: SymmetricCorrelatedState,
-    t_max: int,
-    *,
-    bound: str = "cj",
-    backend: Backend | None = None,
+    state: SymmetricCorrelatedState, t_max: int, *, backend: Backend | None = None
 ) -> list[CriterionResult]:
-    """Evaluate the LHS(T,N) family for T = 0..t_max (canonical signs).
-
-    T = 0 is the Bell inequality and T = N the matching entanglement
-    criterion; for the C_J bound the verdict list is monotone in T because
-    each C_J subtraction shrinks the bound moment termwise.
-    """
+    """The C_J-bound LHS(T,N) results for T = 0..t_max (canonical signs): T = 0 is
+    the Bell inequality, T = N the fixed-J entanglement criterion.  The verdicts
+    are monotone in T, as each C_J subtraction shrinks the bound moment termwise."""
     if t_max > state.n_sites:
         raise ValueError(f"t_max = {t_max} exceeds n_sites = {state.n_sites}")
-    return [evaluate(state, kinds.Steering(t_sites=t, bound=bound), backend=backend) for t in range(t_max + 1)]
+    return [evaluate(state, kinds.Steering(t), backend=backend) for t in range(t_max + 1)]

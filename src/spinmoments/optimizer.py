@@ -50,8 +50,6 @@ from . import analytic, criteria, kinds
 from .spin_algebra import SpinQuantum, minimize_on_interval
 from .states import SymmetricCorrelatedState, family_label, make_state, _from_amplitudes
 
-DEFAULT_RESTARTS = 20
-
 # Bracket padding in log c: a supremum approached only as c -> 0 (a zero HZ
 # bound weight) is missed by ~e^-40 relative at the lower end.
 _LOG_C_PAD = 20.0
@@ -125,7 +123,7 @@ def optimize_amplitudes(
     n_sites: int,
     kind: kinds.CriterionKind,
     *,
-    restarts: int = DEFAULT_RESTARTS,
+    restarts: int = 1,
     seed: int = 0,
 ) -> OptimizationReport:
     """Maximise the analytic B over non-negative amplitudes r: over ceil(d/2)
@@ -177,7 +175,7 @@ def min_sites_for_violation(
     kind: kinds.CriterionKind,
     n_max: int,
     *,
-    restarts: int = DEFAULT_RESTARTS,
+    restarts: int = 1,
     seed: int = 0,
 ) -> MinSitesResult:
     """Smallest N in max(2, T)..n_max whose optimised state violates the criterion

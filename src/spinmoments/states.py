@@ -9,7 +9,7 @@ bosonic family raises factorials to the power N-2).
 amplitudes in the d^N product basis, and ``dense_vector`` scatters them into the
 full vector for dense references; the index convention is fixed once, in
 ``support_vector``.  Each refuses a d^N beyond its bound with ``CapExceededError``:
-the int64 index range 2^62, and the dense vector's ``cap`` (2^20 by default).
+the int64 index range 2^62, and the dense vector's 2^20 amplitudes.
 """
 
 from __future__ import annotations
@@ -230,11 +230,9 @@ def support_vector(state: SymmetricCorrelatedState) -> SupportVector:
     return SupportVector(keep * ((d**n - 1) // (d - 1)), amp[keep], d**n)
 
 
-def dense_vector(state: SymmetricCorrelatedState, cap: int = 2**20) -> np.ndarray:
-    """``support_vector`` scattered into the full complex d^N vector of at most
-    ``cap`` amplitudes (a cap above 2^62 counts as 2^62)."""
-    cap = min(cap, INDEX_RANGE)
-    _refuse_above(state.dim, state.n_sites, cap, f"the cap of {cap} amplitudes")
+def dense_vector(state: SymmetricCorrelatedState) -> np.ndarray:
+    """``support_vector`` scattered into the full complex d^N vector, of at most 2^20 amplitudes."""
+    _refuse_above(state.dim, state.n_sites, 2**20, f"the cap of {2**20} amplitudes")
     sup = support_vector(state)
     vec = np.zeros(sup.size, dtype=complex)
     vec[sup.index] = sup.values

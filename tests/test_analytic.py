@@ -248,6 +248,13 @@ def test_bad_cj_rejected():
         analytic.log_sweep([st], [EntanglementCJ()], c_j=1.5)  # above q_min = J = 1
 
 
+def test_nan_cj_rejected():
+    # NaN compares False both ways, so the floor check must ask for shifted > 0
+    st = make_state(UniformMax(), ONE, 3)
+    with pytest.raises(ValueError, match="C_J = nan .* spectrum floor"):
+        analytic.log_sweep([st], [EntanglementCJ()], c_j=math.nan)
+
+
 # ---------------------------------------------------------------------------
 # log-domain evaluation against exact rational arithmetic
 

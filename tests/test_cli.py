@@ -170,9 +170,35 @@ def test_scan_axis_d_needs_a_single_n(capsys):
     assert "single fixed --n" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("eval", "--j", "1", "--n", "2", "--family", "uniform-max", "--kind", "bell", "--theta", "0.3",
+          "--format", "json"), "family uniform-max reads no --theta"),
+        (("eval", "--j", "1/2", "--n", "2", "--family", "ghz", "--theta", "0.3", "--kind", "bell", "--r", "1"),
+         "family ghz reads no --r"),
+        (("eval", "--j", "1", "--n", "2", "--family", "spin1r", "--r", "1", "--kind", "bell",
+          "--amplitudes", "1,1,1"), "family spin1r reads no --amplitudes"),
+        (("scan", "--axis", "d", "--d", "2..3", "--n", "3", "--optimized", "--kinds", "bell", "--theta", "0.3"),
+         "scan --optimized reads no --theta"),
+        (("scan", "--axis", "n", "--j", "1", "--n", "2..3", "--family", "uniform-max", "--kinds", "bell",
+          "--d", "2..3"), "scan --axis n reads no --d"),
+        (("scan", "--axis", "d", "--j", "1", "--d", "2..3", "--n", "3", "--family", "uniform-max",
+          "--kinds", "bell"), "scan --axis d reads no --j or --twice-j: each d sets the spin"),
+        (("scan", "--axis", "d", "--twice-j", "2", "--d", "2..3", "--n", "3", "--family", "uniform-max",
+          "--kinds", "bell"), "scan --axis d reads no --j or --twice-j: each d sets the spin"),
+    ],
+    ids=["eval-theta", "eval-r", "eval-amplitudes", "scan-optimized", "scan-n-d", "scan-d-j", "scan-d-twice-j"],
+)
+def test_an_option_no_computation_reads_exits_2(capsys, argv, message):
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == f"spinmoments: {message}\n"
+
+
 def test_min_sites_small(capsys):
     rc, out, _ = run_cli(
-        capsys, "min-sites", "--kind", "bell", "--max-d", "3", "--n-max", "6", "--restarts", "5"
+        capsys, "min-sites", "--kind", "bell", "--max-d", "3", "--n-max", "6"
     )
     assert rc == 0
     rows = parse_csv(out)
@@ -183,7 +209,7 @@ def test_min_sites_small(capsys):
 
 def test_min_sites_not_found_is_blank(capsys):
     rc, out, _ = run_cli(
-        capsys, "min-sites", "--kind", "bell", "--max-d", "4", "--n-max", "3", "--restarts", "4"
+        capsys, "min-sites", "--kind", "bell", "--max-d", "4", "--n-max", "3"
     )
     assert rc == 0
     rows = parse_csv(out)
@@ -201,12 +227,9 @@ def test_min_sites_of_a_steering_kind_starts_at_t(capsys, kind):
     assert err == "spinmoments: n_max must be >= T = 3, the kind's quantum sites\n"
 
 
-def test_min_sites_output_ignores_seed_and_restarts(capsys):
+def test_min_sites_output_ignores_seed(capsys):
     argv = ("min-sites", "--kind", "bell", "--max-d", "4", "--n-max", "30")
-    outputs = [
-        run_cli(capsys, *argv, "--seed", seed, "--restarts", restarts)[1]
-        for seed, restarts in (("0", "20"), ("7", "20"), ("7", "1"))
-    ]
+    outputs = [run_cli(capsys, *argv, *seed)[1] for seed in ((), ("--seed", "0"), ("--seed", "7"))]
     assert outputs[0] == outputs[1] == outputs[2]
     assert [r["min_n"] for r in parse_csv(outputs[0])] == ["3", "3", "8"]
 
@@ -456,6 +479,12 @@ def test_verify_reports_a_cj_above_the_floor_at_the_first_point(capsys):
     )
 
 
+def test_verify_refuses_a_nan_cj(capsys):
+    rc, out, err = run_cli(capsys, "verify", "--max-twice-j", "2", "--max-size", "8", "--corrupt-cj", "nan")
+    assert (rc, out) == (2, "")
+    assert err == "spinmoments: C_J = nan is not below the Jx^2 + Jy^2 spectrum floor 0.5 for twice_j = 1\n"
+
+
 def test_verify_prints_every_point_within_the_oracles_limits(capsys):
     # --max-size 10^20 reaches 2^66 and 3^41, past the oracle's int64 index
     # range of 2^62: the 26 states beyond it (2J = 1, N = 63..66, in four
@@ -617,19 +646,19 @@ def test_internal_error_exits_4(capsys, monkeypatch, error):
     ],
     ids=["cj-table", "eval", "min-sites"],
 )
-def test_restarts_below_one_exits_2(capsys, argv):
-    rc, out, err = run_cli(capsys, *argv, "--restarts", "0")
-    assert rc == 2
-    assert out == ""
-    assert "--restarts must be >= 1" in err
-    assert run_cli(capsys, *argv, "--restarts", "1")[0] == 0
+def test_restarts_is_retired(capsys, argv):
+    # the optimiser is exact, so a restart count has nothing to set: --restarts is no option
+    rc, out, err = run_cli(capsys, *argv, "--restarts", "1")
+    assert (rc, out) == (2, "")
+    assert "unrecognized arguments: --restarts 1" in err
+    assert run_cli(capsys, *argv)[0] == 0
 
 
 def test_config_has_no_seed_or_restarts(capsys, monkeypatch):
-    # both flags stop at the parser, and SPINMOMENTS_SEED is not read
+    # --seed stops at the parser, and SPINMOMENTS_SEED is not read
     monkeypatch.setenv("SPINMOMENTS_SEED", "not-a-number")
     rc, out, _ = run_cli(capsys, "cj-table", "--max-twice-j", "2", "--format", "json",
-                         "--restarts", "3")
+                         "--seed", "3")
     assert rc == 0
     config = json.loads(out)["config"]
     assert "seed" not in config and "restarts" not in config

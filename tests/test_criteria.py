@@ -259,6 +259,26 @@ def test_no_state_path_takes_a_cap():
             call(cap=2**20)
 
 
+def test_retired_keywords_are_refused():
+    # no caller set these, so they are gone: each raises TypeError, not ignored
+    from spinmoments import analytic
+    from spinmoments.states import dense_vector
+
+    st = GHZ(3)
+    retired = [
+        lambda **kw: dense_vector(st, **kw),
+        lambda **kw: analytic.lhs_rhs(st, EntanglementHZ(), **kw),
+        lambda **kw: analytic.b_ratio(st, EntanglementHZ(), **kw),
+        lambda **kw: analytic.b_ent_hz(st, **kw),
+        lambda **kw: nested_verdicts(st, 2, **kw),
+    ]
+    keywords = [{"cap": 2**24}] + [{"l_signs": (1, -1, -1)}] * 3 + [{"bound": "hz"}]
+    for call, kw in zip(retired, keywords, strict=True):
+        call()
+        with pytest.raises(TypeError):
+            call(**kw)
+
+
 def _patch_weight(monkeypatch, tag, level, weight):
     """Hand the oracle's kernel the band weights with ``tag``'s weight on m = level - 1 set."""
     original = oracle._support_table

@@ -1,7 +1,8 @@
 """README.md stays true to the code: every ```python block runs, each in a fresh
 namespace; every command line of the "Command line" block parses; every --flag
-named in inline code is an option of the parser; every `module.attr` named in
-inline code, for a module of the package, resolves."""
+named in inline code is an option of the parser, and every option of the parser
+but --help is named in inline code or the command block; every `module.attr`
+named in inline code, for a module of the package, resolves."""
 
 import argparse
 import importlib
@@ -55,10 +56,20 @@ def test_readme_command_lines_parse(argv):
     cli.config_from_args(cli.build_parser().parse_args(argv[1:]))
 
 
+def _flags(texts) -> set[str]:
+    return {flag for text in texts for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", text)}
+
+
 def test_readme_flags_are_parser_options():
-    named = {flag for code in INLINE_CODE for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", code)}
+    named = _flags(INLINE_CODE)
     assert named, "the README names no --flag in inline code"
     assert named <= _parser_options(), sorted(named - _parser_options())
+
+
+def test_parser_options_are_in_the_readme():
+    named = _flags(INLINE_CODE) | _flags(arg for argv in COMMANDS for arg in argv)
+    missing = _parser_options() - {"-h", "--help"} - named
+    assert not missing, sorted(missing)
 
 
 MODULES = {info.name for info in pkgutil.iter_modules(spinmoments.__path__)}

@@ -199,8 +199,7 @@ def test_dense_vector_cap():
         dense_vector(st)
     message = str(err.value)
     assert "2^24" in message and str(2**20) in message
-    # explicit cap raise lets the expansion through
-    assert dense_vector(st, cap=2**24).size == 2**24
+    assert dense_vector(make_state(GeneralizedGHZ(0.4), HALF, 20)).size == 2**20
     # beyond N = 62 the size is named as a power and never computed
     with pytest.raises(CapExceededError) as err:
         dense_vector(make_state(GeneralizedGHZ(0.4), HALF, 10**6))
