@@ -9,12 +9,15 @@ and D diagonal (``analytic.log_bound_weights``), B^2 = (r^T A r)^2 /
 a 1-D search in t = log c (the optimum has c^2 = r^T D r / r^T r, so the
 spread of log D brackets it) over generalized eigenproblems whose metric
 M = c I + D / c is diagonal: each is the tridiagonal M^(-1/2) A M^(-1/2),
-assembled in the log domain so that N in the thousands cannot overflow.
-Its entries are non-negative, so the top eigenvector has one sign and is
-the optimal r.  It folds r_m = r_-m exactly when ``kinds.bound_runs`` has
-as many J+J- sites as J-J+ sites (every non-HZ kind, and HZ bounds with
-T = 2): q(m) is even in m and f+(m) = f-(-m), so D is then mirror symmetric
-like A, and so is the top eigenvector.  Other layouts are solved over the
+assembled in the log domain so that its entries cannot overflow.  They
+are non-negative, so the top eigenvector x has one sign, and log r =
+log x - log M / 2 is the optimal r.  The state is built from log r, so an
+r_m below 1e-308 of the largest is kept (``best_r`` rounds it to 0); x
+itself still underflows to 0 where the scaled tridiagonal spans more than
+1e308 (2J = 3, N = 10^4, ``ent-hz``).  It folds r_m = r_-m exactly when
+``kinds.bound_runs`` has as many J+J- sites as J-J+ sites (every non-HZ
+kind, and HZ bounds with T = 2): q(m) is even in m and f+(m) = f-(-m), so
+D is then mirror symmetric like A, and so is the top eigenvector.  Other layouts are solved over the
 full d-vector (at d <= 3 their zero end weights can leave D symmetric; the
 full solve finds the same B).  The layout decides, not log D, whose summed
 logs need not be bitwise symmetric.
@@ -42,13 +45,14 @@ an optimised ``scan_curve`` row takes the report's, so it is scored once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import analytic, criteria, kinds
 from .spin_algebra import SpinQuantum, minimize_on_interval
-from .states import SymmetricCorrelatedState, family_label, make_state, _from_amplitudes
+from .states import SymmetricCorrelatedState, family_label, make_state, _from_logs
 
 # Bracket padding in log c: a supremum approached only as c -> 0 (a zero HZ
 # bound weight) is missed by ~e^-40 relative at the lower end.
@@ -60,14 +64,15 @@ class OptimizationReport:
     j: SpinQuantum
     n_sites: int
     kind: kinds.CriterionKind
-    best_r: np.ndarray  # full d-vector, normalised to sum r^2 = 1
+    best_r: np.ndarray  # full d-vector, normalised to sum r^2 = 1; may round amplitudes to 0
+    _state: SymmetricCorrelatedState  # the witness, every amplitude kept as log|r_m|
     best_b: float  # == analytic.b_ratio(best_state(), kind)
     violated: bool  # criteria.violated(log_l, log_r)
     log_l: float  # analytic.log_lhs_rhs(best_state(), kind)
     log_r: float
 
     def best_state(self) -> SymmetricCorrelatedState:
-        return _from_amplitudes(self.j, self.n_sites, self.best_r)
+        return self._state
 
 
 @dataclass(frozen=True)
@@ -137,9 +142,9 @@ def optimize_amplitudes(
     log_d = analytic.log_bound_weights(j, n_sites, kind)
     zero_pair = np.isneginf(log_d[:-1]) & np.isneginf(log_d[1:])
     if zero_pair.any():  # R = 0 < L on that pair
-        r = np.zeros(j.dim)
+        log_r = np.full(j.dim, -np.inf)
         k = int(np.argmax(zero_pair))
-        r[k : k + 2] = 1.0
+        log_r[k : k + 2] = 0.0
     else:
         mirror = _mirror_symmetric(kind, n_sites)
         fold, counts, log_fd, log_diag, log_off = _fold(log_a, log_d, mirror)
@@ -162,12 +167,17 @@ def optimize_amplitudes(
         x = solved[log_c]
         with np.errstate(divide="ignore"):
             log_r = (np.log(x) - 0.5 * log_metric(log_c))[fold]
-        r = np.exp(log_r - log_r.max())
-    r = r / math.sqrt(np.sum(r * r))
+    log_r = log_r - log_r.max()
+    r = np.exp(log_r)
+    norm = math.sqrt(np.sum(r * r))
+    r = r / norm
     r.setflags(write=False)
-    log_l, log_r = analytic.log_lhs_rhs(_from_amplitudes(j, n_sites, r), kind)
+    with np.errstate(divide="ignore"):  # log|r| from r where r is a normal float, else from log r
+        log_unit = np.where(r >= sys.float_info.min, np.log(r), log_r - math.log(norm))
+    state = _from_logs(j, n_sites, np.isfinite(log_unit), log_unit)
+    log_l, log_r = analytic.log_lhs_rhs(state, kind)
     b, verdict = analytic.b_from_logs(log_l, log_r), criteria.violated(log_l, log_r)
-    return OptimizationReport(j, n_sites, kind, r, b, verdict, log_l, log_r)
+    return OptimizationReport(j, n_sites, kind, r, state, b, verdict, log_l, log_r)
 
 
 def min_sites_for_violation(

@@ -1,9 +1,10 @@
 """Correlated multipartite spin states sum_m r_m |J,m>^(x)N.
 
 Every built-in family reduces to a real amplitude vector r indexed by
-m = -J..+J (index 0 <-> m = -J).  Amplitudes are kept both linearly and as
-log|r_m| so that the closed-form sums stay finite for large J and N (the
-bosonic family raises factorials to the power N-2).
+m = -J..+J (index 0 <-> m = -J).  A state holds r only as its signs and
+log|r_m|, so that the closed-form sums stay finite for large J and N (the
+bosonic family raises factorials to the power N-2) and an amplitude far
+below the largest, as an optimised witness may have, is never rounded to 0.
 
 ``support_vector`` gives the oracle its one input, a state's at most d nonzero
 amplitudes in the d^N product basis, and ``dense_vector`` scatters them into the
@@ -92,11 +93,11 @@ def family_label(family: StateFamily) -> str:
 
 @dataclass(frozen=True, eq=False)
 class SymmetricCorrelatedState:
-    """Amplitude vector over the diagonal correlated basis, with log shadow."""
+    """Amplitude vector over the diagonal correlated basis, as signs and log|r_m|."""
 
     j: SpinQuantum
     n_sites: int
-    amplitudes: np.ndarray
+    signs: np.ndarray  # sign r_m: -1, 0 or +1
     log_amplitudes: np.ndarray  # log|r_m|, -inf where r_m = 0
     log_norm_sq: float  # log n, n = sum r_m^2
 
@@ -105,43 +106,23 @@ class SymmetricCorrelatedState:
         return self.j.dim
 
     @property
-    def signs(self) -> np.ndarray:
-        return np.sign(self.amplitudes)
-
-    @property
     def unit_amplitudes(self) -> np.ndarray:
         """r / sqrt(n), through the log domain: finite even where r overflows."""
         return self.signs * np.exp(self.log_amplitudes - 0.5 * self.log_norm_sq)
 
 
-def _from_amplitudes(
-    j: SpinQuantum,
-    n_sites: int,
-    amplitudes: np.ndarray,
-    log_amplitudes: np.ndarray | None = None,
-) -> SymmetricCorrelatedState:
+def _from_logs(j: SpinQuantum, n_sites: int, signs, log_amplitudes) -> SymmetricCorrelatedState:
+    """The state with sign r_m = signs and log|r_m| = log_amplitudes (-inf where r_m = 0)."""
     if n_sites < 2:
         raise ValueError(f"n_sites must be >= 2, got {n_sites}")
-    r = np.asarray(amplitudes, dtype=float)
-    if r.shape != (j.dim,):
-        raise ValueError(f"amplitude vector must have length d = {j.dim}, got shape {r.shape}")
-    if log_amplitudes is None:
-        if not np.all(np.isfinite(r)):
-            raise ValueError("amplitudes must be finite")
-        with np.errstate(divide="ignore"):
-            log_r = np.log(np.abs(r))
-    else:
-        log_r = np.asarray(log_amplitudes, dtype=float)
+    signs, log_r = (np.array(v, dtype=float) for v in (signs, log_amplitudes))
+    if log_r.shape != (j.dim,) or signs.shape != log_r.shape:
+        raise ValueError(f"amplitude vector must have length d = {j.dim}, got shape {log_r.shape}")
     if np.all(np.isneginf(log_r)):
         raise ValueError("amplitude vector must not be all zero")
-    log_norm_sq = _logsumexp(2 * log_r)
-    r = r.copy()
-    log_r = log_r.copy()
-    r.setflags(write=False)
+    signs.setflags(write=False)
     log_r.setflags(write=False)
-    return SymmetricCorrelatedState(
-        j=j, n_sites=int(n_sites), amplitudes=r, log_amplitudes=log_r, log_norm_sq=log_norm_sq
-    )
+    return SymmetricCorrelatedState(j, int(n_sites), signs, log_r, _logsumexp(2 * log_r))
 
 
 def _logsumexp(log_terms: np.ndarray, signs: np.ndarray | None = None):
@@ -159,33 +140,33 @@ def _logsumexp(log_terms: np.ndarray, signs: np.ndarray | None = None):
 def make_state(family: StateFamily, j: SpinQuantum, n_sites: int) -> SymmetricCorrelatedState:
     """Build the amplitude vector of a state family for spin j on n_sites sites."""
     d = j.dim
-    if isinstance(family, UniformMax):
-        return _from_amplitudes(j, n_sites, np.ones(d))
     if isinstance(family, Bosonic):
         # log r_m = (N-2)/2 * log((J-m)! (J+m)!); J -/+ m are the integers 2J-k, k
-        k = np.arange(d)
-        log_fact = np.array([math.lgamma(v + 1) for v in k])
-        log_r = 0.5 * (n_sites - 2) * (log_fact[::-1] + log_fact)
-        with np.errstate(over="ignore"):
-            r = np.exp(log_r)
-        return _from_amplitudes(j, n_sites, r, log_amplitudes=log_r)
-    if isinstance(family, GeneralizedGHZ):
+        log_fact = np.array([math.lgamma(v + 1) for v in range(d)])
+        return _from_logs(j, n_sites, np.ones(d), 0.5 * (n_sites - 2) * (log_fact[::-1] + log_fact))
+    if isinstance(family, UniformMax):
+        r = np.ones(d)
+    elif isinstance(family, GeneralizedGHZ):
         if j.twice_j != 1:
             raise ValueError("GeneralizedGHZ requires spin 1/2 (twice_j = 1)")
         if not math.isfinite(family.theta):
             raise ValueError(f"GeneralizedGHZ theta must be finite, got {family.theta}")
         r = np.array([math.cos(family.theta), math.sin(family.theta)])
         r[np.abs(r) < 1e-15] = 0.0  # theta at 0 or pi/2 is an exact product state
-        return _from_amplitudes(j, n_sites, r)
-    if isinstance(family, SpinOneR):
+    elif isinstance(family, SpinOneR):
         if j.twice_j != 2:
             raise ValueError("SpinOneR requires spin 1 (twice_j = 2)")
         if not (family.r >= 0 and math.isfinite(family.r)):
             raise ValueError(f"SpinOneR amplitude must be finite and >= 0, got {family.r}")
-        return _from_amplitudes(j, n_sites, np.array([1.0, family.r, 1.0]))
-    if isinstance(family, Custom):
-        return _from_amplitudes(j, n_sites, np.array(family.amplitudes, dtype=float))
-    raise TypeError(f"unknown state family: {family!r}")
+        r = np.array([1.0, family.r, 1.0])
+    elif isinstance(family, Custom):
+        r = np.array(family.amplitudes, dtype=float)
+    else:
+        raise TypeError(f"unknown state family: {family!r}")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("amplitudes must be finite")
+    with np.errstate(divide="ignore"):
+        return _from_logs(j, n_sites, np.sign(r), np.log(np.abs(r)))
 
 
 @dataclass(frozen=True)

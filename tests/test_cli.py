@@ -160,6 +160,23 @@ def test_scan_axis_d(capsys):
     assert all(r["n"] == "3" for r in rows)
 
 
+def test_scan_optimized_keeps_an_amplitude_the_printed_r_rounds_to_zero(capsys):
+    # spin 1, N = 3000: the optimal r_0 is below 1e-308 of r_+-1, so r_vector
+    # prints 0 for it, yet B is that of the witness with r_0 kept
+    rc, out, _ = run_cli(
+        capsys, "scan", "--axis", "n", "--j", "1", "--n", "3000", "--optimized",
+        "--kinds", "bell,epr1,ent-cj",
+    )
+    assert rc == 0
+    rows = parse_csv(out)
+    assert [(r["kind"], r["B"], r["violated"]) for r in rows] == [
+        ("bell", "1.41421356237", "true"),
+        ("epr1", "1.6", "true"),
+        ("ent-cj", "9.2356926036e+160", "true"),
+    ]
+    assert {r["r_vector"] for r in rows} == {"0.707106781187,0,0.707106781187"}
+
+
 def test_scan_axis_d_needs_a_single_n(capsys):
     rc, out, err = run_cli(
         capsys, "scan", "--axis", "d", "--d", "2..4", "--n", "3..4",

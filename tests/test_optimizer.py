@@ -8,7 +8,7 @@ from spinmoments.criteria import evaluate
 from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, Steering, parse_kind
 from spinmoments.optimizer import min_sites_for_violation, optimize_amplitudes, scan_curve
 from spinmoments.spin_algebra import SpinQuantum, cj_bound
-from spinmoments.states import Bosonic, Custom, GeneralizedGHZ, UniformMax, make_state
+from spinmoments.states import Bosonic, Custom, GeneralizedGHZ, UniformMax, _from_logs, make_state
 
 ONE = SpinQuantum(2)
 
@@ -79,6 +79,70 @@ def test_large_spin_many_sites_finite(kind):
     assert math.isfinite(report.best_b) and report.best_b > 0
     assert np.all(np.isfinite(report.best_r))
     assert np.sum(report.best_r**2) == pytest.approx(1.0, abs=1e-12)
+
+
+GRID_DIMS = range(2, 16)
+GRID_SITES = (2, 5, 20, 100, 500, 2000, 5000, 10**4)
+GRID_KINDS = ("bell", "epr1", "ent-cj", "ent-hz", "epr2-hz")
+
+
+@pytest.mark.parametrize(
+    "d, n, token, b",
+    [
+        (3, 2000, "ent-cj", 2.2934255459138285e107),
+        (3, 5000, "bell", math.sqrt(2)),
+        (3, 5000, "epr1", 1.6),
+        (3, 5000, "ent-cj", 1.4977492731542079e268),
+        (3, 10**4, "bell", math.sqrt(2)),
+        (3, 10**4, "epr1", 1.6),
+        (3, 10**4, "ent-cj", math.inf),
+        (4, 10**4, "ent-hz", 2 / math.sqrt(3)),
+        (5, 10**4, "bell", 1.414213562373217),
+        (5, 10**4, "epr1", 1.5117935898225454),
+        (5, 10**4, "ent-cj", 8.42426839526807e289),
+        (5, 10**4, "epr2-hz", 1.4142135623706444),
+    ],
+)
+def test_witnesses_keep_amplitudes_below_the_double_range(d, n, token, b):
+    # the optimal r has an amplitude below 1e-308 of the largest: rounded to 0
+    # it took every ladder term it carries, and read B = 0 or far below 1
+    report = optimize_amplitudes(SpinQuantum(d - 1), n, parse_kind(token))
+    assert report.violated
+    assert report.best_b == pytest.approx(b, rel=1e-12)
+
+
+def test_a_witness_at_b_one_stays_not_violated():
+    # d = 7, N = 10^4, ent-hz: B = 1 exactly (1.5e-48 with the amplitude rounded)
+    report = optimize_amplitudes(SpinQuantum(6), 10**4, EntanglementHZ())
+    assert report.best_b == 1.0 and not report.violated
+
+
+def test_no_optimised_row_reads_zero():
+    # every ladder weight is positive, so B = 0 is never an optimum
+    zero = [
+        (d, n, token)
+        for d in GRID_DIMS
+        for n in GRID_SITES
+        for token in GRID_KINDS
+        if not optimize_amplitudes(SpinQuantum(d - 1), n, parse_kind(token)).best_b > 0
+    ]
+    assert zero == []
+
+
+def test_best_state_keeps_an_amplitude_that_the_unit_vector_rounds_to_zero():
+    report = optimize_amplitudes(ONE, 5000, Bell())
+    state = report.best_state()
+    assert report.best_r[1] == 0.0 and report.best_state() is state
+    assert state.signs.tolist() == [1.0, 1.0, 1.0]
+    assert -math.inf < state.log_amplitudes[1] < math.log(1e-308)
+    # the normal-float amplitudes take log|r| from r itself
+    assert state.log_amplitudes[[0, 2]].tolist() == np.log(report.best_r[[0, 2]]).tolist()
+    rebuilt = _from_logs(ONE, 5000, state.signs, state.log_amplitudes)
+    assert np.array_equal(rebuilt.signs, state.signs)
+    assert np.array_equal(rebuilt.log_amplitudes, state.log_amplitudes)
+    assert rebuilt.log_norm_sq == state.log_norm_sq
+    assert analytic.b_ratio(state, Bell()) == report.best_b == analytic.b_ratio(rebuilt, Bell())
+    assert report.best_b == pytest.approx(math.sqrt(2), rel=1e-12)
 
 
 def test_symmetry_constraint_respected():

@@ -206,3 +206,28 @@ def test_interior_optimum_is_stationary_in_c(case):
     r, log_d = report.best_r, analytic.log_bound_weights(j, n, kind)
     log_rdr = np.logaddexp.reduce(2 * np.log(r[r > 0]) + log_d[r > 0])
     assert 2 * log_c - log_rdr == pytest.approx(0, abs=1e-12)  # r^T r = 1
+
+
+def _log_family_bell_witness(j, n):
+    """log B of the family's closed-form Bell witness: r on m = -1, 0, 1 with
+    the weights that balance the bound at integer J, r on m = +-1/2 at
+    half-integer J."""
+    half = j.twice_j / 2
+    if j.twice_j % 2 == 0:
+        q0 = half * (half + 1)
+        return 0.5 * math.log(2) - math.log1p(math.exp(0.5 * n * math.log((q0 - 1) / q0)))
+    g = (half + 0.5) ** 2
+    return 0.5 * n * math.log(g / (g - 0.5)) - math.log(2)
+
+
+# at d = 3 from N = 2202, r_0 / r_+-1 is below the double range: a linear r
+# reads it as 0, and then B = 0
+@example(2, 3000)
+@example(4, 10**4)
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.integers(2, 10**4))
+def test_optimised_bell_never_falls_below_the_family_witness(tj, n):
+    j = SpinQuantum(tj)
+    report = optimize_amplitudes(j, n, Bell())
+    log_b = 0.5 * (report.log_l - report.log_r)
+    assert log_b >= _log_family_bell_witness(j, n) - 1e-9

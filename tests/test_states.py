@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from spinmoments.states import (
     GeneralizedGHZ,
     SpinOneR,
     SupportVector,
+    SymmetricCorrelatedState,
     UniformMax,
     _logsumexp,
     dense_vector,
@@ -26,21 +28,32 @@ ONE = SpinQuantum(2)
 
 def test_uniform_max_spin1():
     st = make_state(UniformMax(), ONE, 2)
-    assert np.array_equal(st.amplitudes, [1.0, 1.0, 1.0])
+    assert st.signs.tolist() == [1.0, 1.0, 1.0]
+    assert st.log_amplitudes.tolist() == [0.0, 0.0, 0.0]
     assert st.log_norm_sq == pytest.approx(math.log(3.0), rel=1e-15)
+    assert np.allclose(st.unit_amplitudes, 1 / math.sqrt(3), rtol=1e-15, atol=0)
+
+
+def test_a_state_holds_its_amplitudes_only_as_signs_and_logs():
+    names = [f.name for f in fields(SymmetricCorrelatedState)]
+    assert names == ["j", "n_sites", "signs", "log_amplitudes", "log_norm_sq"]
 
 
 def test_bosonic_spin_half_is_ghz():
-    # (J-m)! (J+m)! is 1 for both m, any N
+    # (J-m)! (J+m)! is 1 for both m, any N: log r = 0 exactly
     for n in (2, 3, 7):
         st = make_state(Bosonic(), HALF, n)
-        assert np.allclose(st.amplitudes, [1.0, 1.0], rtol=1e-14)
+        assert st.signs.tolist() == [1.0, 1.0]
+        assert st.log_amplitudes.tolist() == [0.0, 0.0]
+        assert np.allclose(st.unit_amplitudes, 1 / math.sqrt(2), rtol=1e-15, atol=0)
 
 
 def test_bosonic_spin1_four_sites():
     # ((J-m)! (J+m)!)^((N-2)/2) at N=4: (2, 1, 2)
     st = make_state(Bosonic(), ONE, 4)
-    assert np.allclose(st.amplitudes, [2.0, 1.0, 2.0], rtol=1e-12)
+    assert st.signs.tolist() == [1.0, 1.0, 1.0]
+    assert np.allclose(st.log_amplitudes, [math.log(2.0), 0.0, math.log(2.0)], rtol=0, atol=1e-13)
+    assert np.allclose(st.unit_amplitudes, [2 / 3, 1 / 3, 2 / 3], rtol=1e-13, atol=0)
 
 
 def test_bosonic_equals_uniform_at_two_sites():
@@ -49,7 +62,9 @@ def test_bosonic_equals_uniform_at_two_sites():
         boson = make_state(Bosonic(), j, 2)
         uniform = make_state(UniformMax(), j, 2)
         # exponent N-2 = 0 makes this exact, not approximate
-        assert np.array_equal(boson.amplitudes, uniform.amplitudes)
+        assert np.array_equal(boson.signs, uniform.signs)
+        assert np.array_equal(boson.log_amplitudes, uniform.log_amplitudes)
+        assert np.array_equal(boson.unit_amplitudes, uniform.unit_amplitudes)
 
 
 def test_builtin_families_are_symmetric():
@@ -61,16 +76,22 @@ def test_builtin_families_are_symmetric():
     ]
     for family, j, n in cases:
         st = make_state(family, j, n)
-        assert np.array_equal(st.amplitudes, st.amplitudes[::-1])
+        assert np.all(st.signs == 1.0)
+        for values in (st.log_amplitudes, st.unit_amplitudes):
+            assert np.array_equal(values, values[::-1])
 
 
 def test_ghz_amplitudes_and_product_limits():
     st = make_state(GeneralizedGHZ(0.3), HALF, 5)
-    assert st.amplitudes[0] == pytest.approx(math.cos(0.3), abs=1e-15)
-    assert st.amplitudes[1] == pytest.approx(math.sin(0.3), abs=1e-15)
-    for theta in (0.0, math.pi / 2):
+    assert st.signs.tolist() == [1.0, 1.0]
+    assert np.allclose(st.log_amplitudes, [math.log(math.cos(0.3)), math.log(math.sin(0.3))], rtol=1e-15, atol=0)
+    assert st.unit_amplitudes[0] == pytest.approx(math.cos(0.3), abs=1e-15)
+    assert st.unit_amplitudes[1] == pytest.approx(math.sin(0.3), abs=1e-15)
+    for theta, hot in ((0.0, 0), (math.pi / 2, 1)):
         st = make_state(GeneralizedGHZ(theta), HALF, 3)
-        assert np.count_nonzero(st.amplitudes) == 1
+        assert np.flatnonzero(st.signs).tolist() == [hot]
+        assert np.flatnonzero(np.isfinite(st.log_amplitudes)).tolist() == [hot]
+        assert st.unit_amplitudes.tolist() == [1.0 - hot, float(hot)]
 
 
 def test_family_spin_compatibility():
