@@ -13,14 +13,14 @@ sums over m with per-site eigenvalue factors
     f+(m)       = (J+m)(J-m+1)          (J+ J-)
     f-(m)       = (J-m)(J+m+1)          (J- J+)
 
-R's site layout comes from ``kinds.bound_runs``: each tag's factor is raised
-to its run length.  Every sum sum_m w_m prod(base^power) is reduced by
-factoring out the largest log term, so k^N factors cannot overflow: spin 10
-with 30 sites is routine.  The weights and moments broadcast over N: one
-``log_moments`` call scores a sweep of states of one J, a row per N (and a list
-of kinds, log L once and a log R row per kind), and one state is its one-row
-call.  C_J is ``cj_bound(j).c_j``, subtracted from q before exponentiation;
-the one override is ``log_sweep``'s ``c_j``, passed down to the weights, for
+R's site layout comes from ``kinds.bound_runs``: each tag's factor is raised to
+its run length.  Every sum sum_m w_m prod(base^power) is reduced by factoring
+out the largest log term, so k^N factors cannot overflow: spin 10 with 30 sites
+is routine.  log n is the state's ``log_norm_sq``.  The weights and moments
+broadcast over N: one ``log_moments`` call scores a sweep of one J's states, a
+row per N (a list of kinds gives log L once and a log R row per kind); one
+state is its one-row call.  C_J is ``cj_bound(j).c_j``, subtracted from q
+before exponentiation; ``log_sweep``'s ``c_j`` overrides it in the weights, for
 ``verify --corrupt-cj`` to offset the closed forms against the oracle.
 
 All eigenvalue factors are quarter-integers assembled from integer
@@ -107,13 +107,12 @@ def log_bound_weights(
     return log_d.reshape(np.shape(n_sites) + (j.dim,))
 
 
-def log_moments(j, n_sites, log_amplitudes, signs, kind, *, c_j=None, l_signs=None):
+def log_moments(j, n_sites, log_amplitudes, signs, log_norm_sq, kind, *, c_j=None, l_signs=None):
     """(log L, log R) of the states of spin j with log|r_m| and signs along the
-    last axis and N = n_sites (an int, or an array with a row per N): floats for
-    one state, arrays for a sweep; a list of kinds stacks their log D, so log R
-    gains a leading row per kind.  ``log_lhs_rhs`` and every sweep run here.
+    last axis, log n = log_norm_sq and N = n_sites (an int, or an array with a row
+    per N): floats for one state, arrays for a sweep; a list of kinds stacks their
+    log D, so log R gains a leading row per kind.  ``log_lhs_rhs`` and every sweep run here.
     """
-    log_norm_sq = _logsumexp(2 * log_amplitudes)
     log_terms = log_amplitudes[..., :-1] + log_amplitudes[..., 1:] + log_ladder_weights(j, n_sites)
     log_l = 2 * (_logsumexp(log_terms, signs[..., :-1] * signs[..., 1:]) - log_norm_sq)
     many = isinstance(kind, list)
@@ -124,7 +123,7 @@ def log_moments(j, n_sites, log_amplitudes, signs, kind, *, c_j=None, l_signs=No
 def log_sweep(states, kind_list, *, c_j=None) -> tuple[list[float], list[list[float]]]:
     """log L of each of states (one J) and a log R list per kind, by one ``log_moments``
     call.  N goes in as floats: an int-to-float array cast would take a 64 KiB buffer."""
-    rows = [(float(s.n_sites), s.log_amplitudes, s.signs) for s in states]
+    rows = [(float(s.n_sites), s.log_amplitudes, s.signs, s.log_norm_sq) for s in states]
     log_l, log_r = log_moments(states[0].j, *map(np.array, zip(*rows)), list(kind_list), c_j=c_j)
     return log_l.tolist(), log_r.tolist()
 
@@ -136,7 +135,8 @@ def log_lhs_rhs(
     l_signs: Sequence[int] | None = None,
 ) -> tuple[float, float]:
     """(log L, log R) of one state: the one-row ``log_moments`` call."""
-    return log_moments(state.j, state.n_sites, state.log_amplitudes, state.signs, kind, l_signs=l_signs)
+    args = (state.j, state.n_sites, state.log_amplitudes, state.signs, state.log_norm_sq)
+    return log_moments(*args, kind, l_signs=l_signs)
 
 
 def exp_or_inf(log_x: float) -> float:

@@ -23,11 +23,11 @@ full solve finds the same B).  The layout decides, not log D, whose summed
 logs need not be bitwise symmetric.
 
 The search (``spin_algebra.minimize_on_interval``) solves its 65-point grid
-in one stacked eigh and polishes the grid's minimum by Brent's zeroin on the
-slope.  The slope is free: with x the unit top eigenvector of the folded
-problem, n_i the amplitudes folded onto entry i and D_i their summed bound
-weights, the envelope theorem gives d(-log lambda_max)/dt = sum_i x_i^2
-tanh((log n_i + 2t - log D_i) / 2), where D_i = 0 gives tanh(+inf) = 1.
+in one stacked ``spin_algebra._tridiagonal_eigh`` and polishes the grid's
+minimum by Brent's zeroin on the slope.  The slope is free: with x the unit
+top eigenvector of the folded problem, n_i the amplitudes folded onto entry i
+and D_i their summed bound weights, the envelope theorem gives d(-log lambda_max)/dt
+= sum_i x_i^2 tanh((log n_i + 2t - log D_i) / 2), where D_i = 0 gives tanh(+inf) = 1.
 The reported B is exactly ``analytic.b_ratio(report.best_state(), kind)``,
 with C_J from ``cj_bound``; two adjacent zero bound weights make B
 unbounded (inf).
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, criteria, kinds
-from .spin_algebra import SpinQuantum, minimize_on_interval
+from .spin_algebra import SpinQuantum, _tridiagonal_eigh, minimize_on_interval
 from .states import SymmetricCorrelatedState, family_label, make_state, _from_logs
 
 # Bracket padding in log c: a supremum approached only as c -> 0 (a zero HZ
@@ -109,15 +109,11 @@ def _fold(log_a: np.ndarray, log_d: np.ndarray, mirror: bool):
 
 def _log_top_eigenpair(log_diag, log_off, log_metric):
     """(log lambda_max, |eigenvector|) of M^(-1/2) T M^(-1/2), M diagonal, for
-    each row of log_metric (shape (..., k)), by one stacked eigh."""
+    each row of log_metric (shape (..., k)), by one stacked ``_tridiagonal_eigh``."""
     diag = log_diag - log_metric
     off = log_off - 0.5 * (log_metric[..., :-1] + log_metric[..., 1:])
     shift = np.maximum(diag.max(-1), off.max(-1, initial=-np.inf))[..., None]
-    k = diag.shape[-1]
-    t = np.zeros(diag.shape[:-1] + (k * k,))  # flat k x k: diagonal, then both off-diagonals
-    t[..., :: k + 1] = np.exp(diag - shift)
-    t[..., 1 :: k + 1] = t[..., k :: k + 1] = np.exp(off - shift)
-    w, v = np.linalg.eigh(t.reshape(diag.shape + (k,)))
+    w, v = _tridiagonal_eigh(np.exp(diag - shift), np.exp(off - shift))
     top = w[..., -1]  # math.log, not np.log: numpy's SIMD log can differ in the last bit
     log_top = np.reshape([math.log(x) for x in top.flat], top.shape)
     return shift[..., 0] + log_top, np.abs(v[..., -1])
@@ -214,7 +210,7 @@ def scan_curve(
     state_source is a states family instance, or the string "optimized" to
     re-optimise the amplitudes at every point and kind.  Rows carry the
     CLI's scan columns.  A family's rows are scored by one ``analytic.log_sweep``
-    per (twice_j, kind), once every state is built and t checked in row order.
+    per twice_j over all kinds, once every state is built and t checked in row order.
     """
     optimized = isinstance(state_source, str)
     if optimized and state_source != "optimized":
@@ -226,20 +222,19 @@ def scan_curve(
         if kinds_list and not optimized:
             state = make_state(state_source, j, n)
             source, r_vec = family_label(state_source), tuple(float(v) for v in state.unit_amplitudes)
+            sweeps.setdefault(tj, []).append((len(rows), state))
         for kind in kinds_list:
             if optimized:
                 report = optimize_amplitudes(j, n, kind)
                 source, r_vec = "optimized", tuple(float(v) for v in report.best_r)
-            else:
-                sweeps.setdefault((tj, kind), []).append((len(rows), state))
             logs.append((report.log_l, report.log_r) if optimized else None)
             token, t = kinds.kind_token(kind), kinds.quantum_sites(kind, n)
             rows.append({"twice_j": tj, "n": n, "t": t, "family": source, "kind": token, "r_vector": r_vec})
-    for (_, kind), members in sweeps.items():
+    for members in sweeps.values():  # a point's rows are its kinds, from its first row's index on
         index, states = zip(*members)
-        log_l, (log_r,) = analytic.log_sweep(states, [kind])
-        for i, pair in zip(index, zip(log_l, log_r)):
-            logs[i] = pair
+        log_l, log_r = analytic.log_sweep(states, kinds_list)
+        for s, first in enumerate(index):
+            logs[first : first + len(kinds_list)] = [(log_l[s], row[s]) for row in log_r]
     for row, (log_l, log_r) in zip(rows, logs):
         row.update(
             L=analytic.exp_or_inf(log_l),

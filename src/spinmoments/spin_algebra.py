@@ -9,8 +9,8 @@ C_J is the minimum of Var(Jx) + Var(Jy) over pure spin-J states.  It is
 strictly positive because Jx and Jy have no common eigenstate.  The exact
 values 1/4 and 7/16 serve J = 1/2 and 1; every larger J gets a certified
 lower bound from a 1-D minimisation of the lowest eigenvalue of a
-tridiagonal matrix (see ``compute_cj``).  The quoted literature values are
-kept in ``_CJ_TABLE`` as a reference only.
+tridiagonal matrix (``compute_cj``, through ``_tridiagonal_eigh``).  The
+quoted literature values are kept in ``_CJ_TABLE`` as a reference only.
 """
 
 from __future__ import annotations
@@ -165,6 +165,15 @@ def minimize_on_interval(f, lo: float, hi: float) -> tuple[float, float]:
     return (b[0], b[2]) if b[2] < values[k] else (float(grid[k]), float(values[k]))
 
 
+def _tridiagonal_eigh(diag, off):
+    """``numpy.linalg.eigh`` of the stacked symmetric tridiagonals diag (..., k), off (..., k - 1)."""
+    k = diag.shape[-1]
+    t = np.zeros(diag.shape[:-1] + (k * k,))  # flat k x k, through strides: diagonal, then both off-diagonals
+    t[..., :: k + 1] = diag
+    t[..., 1 :: k + 1] = t[..., k :: k + 1] = off
+    return np.linalg.eigh(t.reshape(diag.shape + (k,)))
+
+
 @lru_cache(maxsize=None)
 def cj_bound(j: SpinQuantum) -> UncertaintyBound:
     """Return C_J: exact for J <= 1, otherwise the computed lower bound."""
@@ -197,31 +206,29 @@ def compute_cj(j: SpinQuantum) -> UncertaintyBound:
         C_J = min over a in [0, J] of lambda_min(H(a)),
         H(a) = (Jx - a)^2 + Jy^2 = J(J+1) - Jz^2 - 2a Jx + a^2,
 
-    a real symmetric tridiagonal matrix in the |J,m> basis.  H(a) commutes
-    with m -> -m, and for a >= 0 its off-diagonals are <= 0, so its ground
-    state is even (Perron-Frobenius; at a = 0 the even combination of
-    |+-J> reaches the degenerate minimum): lambda_min is taken on the even
-    block of size ceil(d/2), in the basis (|m> + |-m>)/sqrt(2), m < 0, plus
-    |0> for integer J.  ``minimize_on_interval`` locates its single basin
-    in a by the Hellmann-Feynman slope 2a - x^T (2 Jx) x, x the unit lowest
-    eigenvector; the returned value is that minimum less ``_cj_allowance``,
-    so it never exceeds the true floor.
+    a real symmetric tridiagonal matrix in the |J,m> basis, solved by
+    ``_tridiagonal_eigh``.  H(a) commutes with m -> -m, and for a >= 0 its
+    off-diagonals are <= 0, so its ground state is even (Perron-Frobenius; at
+    a = 0 the even combination of |+-J> reaches the degenerate minimum):
+    lambda_min is taken on the even block of size ceil(d/2), in the basis
+    (|m> + |-m>)/sqrt(2), m < 0, plus |0> for integer J.  ``minimize_on_interval``
+    locates its single basin in a by the Hellmann-Feynman slope 2a - x^T (2 Jx) x,
+    x the unit lowest eigenvector; the returned value is that minimum less
+    ``_cj_allowance``, so it never exceeds the true floor.
     """
     half = (j.dim + 1) // 2
     lowering = _lowering(j)  # <m-1|J-|m> = 2 <m-1|Jx|m>
     off = lowering[: half - 1]  # 2 Jx on the even block
     if j.dim % 2:
         off[-1] *= math.sqrt(2)  # the link to the unpaired |0>
-    corner = 0.0 if j.dim % 2 else lowering[half - 1]  # the |-1/2> <-> |+1/2> link, inside one pair
-    two_jx = np.diag(off, 1) + np.diag(off, -1)
-    two_jx[-1, -1] = corner
-    base = np.diag(j.j * (j.j + 1) - j.m_values()[:half] ** 2)
+    corner = np.append(np.zeros(half - 1), 0.0 if j.dim % 2 else lowering[half - 1])  # 2 Jx's diagonal: +-1/2's link
+    base = j.j * (j.j + 1) - j.m_values()[:half] ** 2
 
-    def lowest(a):  # (lambda_min + a^2, its slope in a), one stacked eigh for an array of a
+    def lowest(a):  # (lambda_min + a^2, its slope in a), one stacked solve for an array of a
         a = np.asarray(a)
-        w, v = np.linalg.eigh(base - a[..., None, None] * two_jx)
+        w, v = _tridiagonal_eigh(base - a[..., None] * corner, 0.0 - a[..., None] * off)
         x = v[..., 0]  # x^T (2 Jx) x summed elementwise: a stack's rows equal single solves
-        two_jx_x = 2 * np.sum(off * x[..., :-1] * x[..., 1:], axis=-1) + corner * x[..., -1] ** 2
+        two_jx_x = 2 * np.sum(off * x[..., :-1] * x[..., 1:], axis=-1) + corner[-1] * x[..., -1] ** 2
         return w[..., 0] + a * a, 2 * a - two_jx_x
 
     _, floor = minimize_on_interval(lowest, 0.0, j.j)

@@ -1,18 +1,29 @@
-"""Dense reference contraction for the oracle's banded ``expect_product``.
+"""Dense references for the oracle's banded ``expect_product`` and for ``compute_cj``.
 
 Each site operator is built as a full d x d matrix and applied to its
 tensor axis by ``tensordot`` + ``moveaxis``, one axis at a time, and the
 result is closed with ``vdot``.  It reads nothing of the band structure
 the package relies on, so the two routes check each other.  ``as_support``
 hands the oracle any dense vector, its one input being a ``SupportVector``.
+``dense_cj`` is C_J by dense d x d assembly, the reference for the
+tridiagonal kernel's C_J.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from spinmoments.oracle import SiteOp
-from spinmoments.spin_algebra import SpinQuantum, build_spin_matrices, cj_bound
+from spinmoments.spin_algebra import (
+    SpinQuantum,
+    _cj_allowance,
+    _lowering,
+    build_spin_matrices,
+    cj_bound,
+    minimize_on_interval,
+)
 from spinmoments.states import SupportVector
 
 
@@ -45,3 +56,28 @@ def dense_expect_product(vec, ops, j: SpinQuantum, *, scale=1.0) -> complex:
         mat = site_matrix(op, j, scale=scale)
         phi = np.moveaxis(np.tensordot(mat, phi, axes=(1, k)), 0, k)
     return complex(np.vdot(psi, phi))
+
+
+def dense_cj(j: SpinQuantum) -> float:
+    """C_J as ``compute_cj`` found it before its solves went through
+    ``_tridiagonal_eigh``: the even block of H(a) assembled as dense matrices,
+    base - a (2 Jx), and handed to ``numpy.linalg.eigh`` for each stack of a."""
+    half = (j.dim + 1) // 2
+    lowering = _lowering(j)
+    off = lowering[: half - 1]
+    if j.dim % 2:
+        off[-1] *= math.sqrt(2)
+    corner = 0.0 if j.dim % 2 else lowering[half - 1]
+    two_jx = np.diag(off, 1) + np.diag(off, -1)
+    two_jx[-1, -1] = corner
+    base = np.diag(j.j * (j.j + 1) - j.m_values()[:half] ** 2)
+
+    def lowest(a):
+        a = np.asarray(a)
+        w, v = np.linalg.eigh(base - a[..., None, None] * two_jx)
+        x = v[..., 0]
+        two_jx_x = 2 * np.sum(off * x[..., :-1] * x[..., 1:], axis=-1) + corner * x[..., -1] ** 2
+        return w[..., 0] + a * a, 2 * a - two_jx_x
+
+    _, floor = minimize_on_interval(lowest, 0.0, j.j)
+    return floor - _cj_allowance(j)

@@ -14,6 +14,7 @@ from spinmoments.states import (
     GeneralizedGHZ,
     SpinOneR,
     UniformMax,
+    _logsumexp,
     make_state,
 )
 
@@ -352,23 +353,27 @@ def _row_by_row(state, kind, c_j):
 _AMPLITUDES = st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.5]) | st.floats(-3, 3, allow_subnormal=False)
 
 
-@st.composite
-def sweeps(draw):
-    tj = draw(st.integers(1, 12))
+def _family(draw, tj):
+    """A state family of spin tj/2: custom vectors carry signs and exact zeros."""
     label = draw(
         st.sampled_from(
             ["uniform-max", "bosonic", "custom"] + ["ghz"] * (tj == 1) + ["spin1r"] * (tj == 2)
         )
     )
     if label == "ghz":  # theta = 0 is a product state; theta = 2 a negative amplitude
-        family = GeneralizedGHZ(draw(st.sampled_from([0.0, 0.3, math.pi / 4, 2.0])))
-    elif label == "spin1r":
-        family = SpinOneR(draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])))
-    elif label == "custom":
+        return GeneralizedGHZ(draw(st.sampled_from([0.0, 0.3, math.pi / 4, 2.0])))
+    if label == "spin1r":
+        return SpinOneR(draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])))
+    if label == "custom":
         amplitudes = st.lists(_AMPLITUDES, min_size=tj + 1, max_size=tj + 1)
-        family = Custom(tuple(draw(amplitudes.filter(lambda r: any(r)))))
-    else:
-        family = {"uniform-max": UniformMax(), "bosonic": Bosonic()}[label]
+        return Custom(tuple(draw(amplitudes.filter(lambda r: any(r)))))
+    return {"uniform-max": UniformMax(), "bosonic": Bosonic()}[label]
+
+
+@st.composite
+def sweeps(draw):
+    tj = draw(st.integers(1, 12))
+    family = _family(draw, tj)
     n_values = draw(st.lists(st.integers(2, 300), min_size=1, max_size=6))
     tokens = draw(st.lists(st.sampled_from(["bell", "ent-hz", "ent-cj", "epr", "epr-hz"]), min_size=1, max_size=4))
     for i, token in enumerate(tokens):
@@ -402,6 +407,34 @@ def test_sweep_rows_equal_one_state_closed_forms(case):
                 assert all(type(v) is float for v in analytic.log_lhs_rhs(state, kind))
             assert all(type(v) is float for v in row + one)
             assert row == one == _row_by_row(state, kind, c_j)
+
+
+@st.composite
+def mixed_sweeps(draw):
+    """States of one spin, d <= 12, each of its own family and N, and a kind list."""
+    tj = draw(st.integers(1, 11))
+    states = [
+        make_state(_family(draw, tj), SpinQuantum(tj), draw(st.integers(2, 300)))
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    tokens = draw(st.lists(st.sampled_from(["bell", "ent-hz", "ent-cj", "epr1", "epr2-hz"]), min_size=1, max_size=4))
+    return states, [kinds.parse_kind(token) for token in tokens]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_sweeps())
+@example(([make_state(Custom((1.0, 0.0, -0.5, 2.0)), SpinQuantum(3), 5), make_state(Bosonic(), SpinQuantum(3), 40)],
+          [Bell(), EntanglementHZ()]))
+def test_sweep_takes_log_n_as_the_states_store_it(case):
+    # each state's stored log n is bit for bit the log-sum-exp over the stacked
+    # amplitudes, so the sweep equals the closed forms with log n recomputed
+    states, kind_list = case
+    log_a = np.array([s.log_amplitudes for s in states])
+    log_n = _logsumexp(2 * log_a)
+    assert log_n.tolist() == [s.log_norm_sq for s in states]
+    n_sites, signs = np.array([float(s.n_sites) for s in states]), np.array([s.signs for s in states])
+    log_l, log_r = analytic.log_moments(states[0].j, n_sites, log_a, signs, log_n, kind_list)
+    assert analytic.log_sweep(states, kind_list) == (log_l.tolist(), log_r.tolist())
 
 
 def test_weights_broadcast_over_n():

@@ -385,7 +385,8 @@ def test_scan_family_rows_equal_state_by_state_evaluation(capsys, spin, family, 
     assert out == render(RunConfig("scan"), columns, rows)
 
 
-def test_scan_family_builds_each_state_once_and_scores_each_kind_once(capsys, monkeypatch):
+def test_scan_family_builds_each_state_once_and_scores_each_spin_once(capsys, monkeypatch):
+    # one log_moments call per 2J scores every kind of every N at that spin
     from spinmoments import analytic, optimizer
 
     calls = {"make_state": 0, "log_moments": 0}
@@ -407,7 +408,34 @@ def test_scan_family_builds_each_state_once_and_scores_each_kind_once(capsys, mo
     )
     assert rc == 0
     assert len(parse_csv(out)) == 796
-    assert calls == {"make_state": 199, "log_moments": 4}
+    assert calls == {"make_state": 199, "log_moments": 1}
+    calls.update(make_state=0, log_moments=0)
+    rc, out, _ = run_cli(
+        capsys, "scan", "--axis", "d", "--d", "2..9", "--n", "4", "--family", "uniform-max",
+        "--kinds", "bell,epr1,epr2,ent-cj,ent-hz,epr2-hz",
+    )
+    assert rc == 0
+    assert len(parse_csv(out)) == 48
+    assert calls == {"make_state": 8, "log_moments": 8}
+
+
+def test_scan_curve_rows_follow_point_order():
+    # a spin may repeat out of order among the points: each point's rows keep
+    # its place and carry its own closed forms, bit for bit
+    from spinmoments import analytic, criteria
+    from spinmoments.kinds import Bell, Steering
+    from spinmoments.optimizer import scan_curve
+    from spinmoments.spin_algebra import SpinQuantum
+    from spinmoments.states import UniformMax, make_state
+
+    points, kind_list = [(2, 3), (4, 3), (2, 4)], [Bell(), Steering(1)]
+    rows = scan_curve(kind_list, UniformMax(), points)
+    assert [(row["twice_j"], row["n"]) for row in rows] == [p for p in points for _ in kind_list]
+    for row, ((tj, n), kind) in zip(rows, [(p, k) for p in points for k in kind_list]):
+        log_l, log_r = analytic.log_lhs_rhs(make_state(UniformMax(), SpinQuantum(tj), n), kind)
+        assert row["L"] == analytic.exp_or_inf(log_l) and row["R"] == analytic.exp_or_inf(log_r)
+        assert row["B"] == analytic.b_from_logs(log_l, log_r)
+        assert row["violated"] == criteria.violated(log_l, log_r)
 
 
 def test_scan_reports_the_first_bad_row(capsys):
@@ -429,7 +457,7 @@ def test_verify_scores_each_family_and_spin_once(capsys, monkeypatch):
     original, calls = analytic.log_moments, []
 
     def counting(*args, **kwargs):
-        calls.append((args[1], args[4]))  # the N values and the kinds of one (family, 2J) sweep
+        calls.append((args[1], args[5]))  # the N values and the kinds of one (family, 2J) sweep
         return original(*args, **kwargs)
 
     monkeypatch.setattr(analytic, "log_moments", counting)

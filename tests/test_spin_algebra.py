@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from dense_reference import dense_cj
+
 from spinmoments import spin_algebra
 from spinmoments.spin_algebra import (
     BoundSource,
@@ -11,6 +13,7 @@ from spinmoments.spin_algebra import (
     _CJ_TABLE,
     _cj_allowance,
     _lowering,
+    _tridiagonal_eigh,
     build_spin_matrices,
     cj_bound,
     compute_cj,
@@ -169,6 +172,33 @@ def test_compute_cj_solves_its_grid_in_one_stacked_call(eigen_solves, twice_j):
     assert eigen_solves.count((65,)) == 1
     assert all(shape in ((65,), ()) for shape in eigen_solves)
     assert len(eigen_solves) <= 15
+
+
+@pytest.mark.parametrize("stack", [(), (3,), (65,)])
+def test_tridiagonal_eigh_equals_dense_eigh(stack):
+    # eigenvalues and eigenvectors bit for bit as eigh of the np.diag-built
+    # matrices, k = 1 (no off-diagonal) to 40, and each row as its single solve
+    rng = np.random.default_rng(sum(stack))
+    for k in range(1, 41):
+        diag, off = rng.standard_normal(stack + (k,)), rng.standard_normal(stack + (k - 1,))
+        w, v = _tridiagonal_eigh(diag, off)
+        dense = np.zeros(stack + (k, k))
+        for i in np.ndindex(stack):
+            dense[i] = np.diag(diag[i]) + np.diag(off[i], 1) + np.diag(off[i], -1)
+        dense_w, dense_v = np.linalg.eigh(dense)
+        assert w.shape == stack + (k,) and v.shape == stack + (k, k)
+        assert np.array_equal(w, dense_w) and np.array_equal(v, dense_v)
+        for i in np.ndindex(stack):
+            one_w, one_v = _tridiagonal_eigh(diag[i], off[i])
+            assert np.array_equal(one_w, w[i]) and np.array_equal(one_v, v[i])
+
+
+def test_compute_cj_equals_the_dense_assembly():
+    # the kernel hands eigh the same matrices the dense d x d assembly built,
+    # +0.0 off the band included, so C_J does not move in any bit
+    for twice_j in range(1, 65):
+        j = SpinQuantum(twice_j)
+        assert compute_cj.__wrapped__(j).c_j == dense_cj(j)
 
 
 def _cj_searches(monkeypatch, twice_js):
