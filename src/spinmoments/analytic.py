@@ -17,11 +17,13 @@ R's site layout comes from ``kinds.bound_runs``: each tag's factor is raised to
 its run length.  Every sum sum_m w_m prod(base^power) is reduced by factoring
 out the largest log term, so k^N factors cannot overflow: spin 10 with 30 sites
 is routine.  log n is the state's ``log_norm_sq``.  The weights and moments
-broadcast over N: one ``log_moments`` call scores a sweep of one J's states, a
-row per N (a list of kinds gives log L once and a log R row per kind); one
-state is its one-row call.  C_J is ``cj_bound(j).c_j``, subtracted from q
-before exponentiation; ``log_sweep``'s ``c_j`` overrides it in the weights, for
-``verify --corrupt-cj`` to offset the closed forms against the oracle.
+broadcast over N: one ``log_moments`` call scores states of one J, a row per
+state, with log L once and a log R row per kind.  ``log_sweep`` is the one
+batching entry: it takes states of any spins, in any order, and makes one
+``log_moments`` call per spin; ``log_lhs_rhs`` is the one-state, one-kind call.
+C_J is ``cj_bound(j).c_j``, subtracted from q before exponentiation;
+``log_sweep``'s ``cj_offset`` is added to it, for ``verify --corrupt-cj`` to
+offset the closed forms against the oracle.  R takes the canonical l-pattern.
 
 All eigenvalue factors are quarter-integers assembled from integer
 arithmetic on twice_j, so the bases are exact floats.
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -80,13 +81,12 @@ def log_bound_weights(
     kind: kinds.CriterionKind,
     *,
     c_j: float | None = None,
-    l_signs: Sequence[int] | None = None,
 ) -> np.ndarray:
     """log of the per-m bound weights D_m, R = sum_m r_m^2 D_m / n (-inf where
     an HZ ladder factor vanishes): per run of ``kinds.bound_runs``, its length
-    times the log of its tag's factor, per N.  Only the number of plus l-signs matters.
+    times the log of its tag's factor, per N.
     """
-    runs = [kinds.bound_runs(kind, int(n), l_signs) for n in np.ravel(n_sites).tolist()]
+    runs = [kinds.bound_runs(kind, int(n)) for n in np.ravel(n_sites).tolist()]
     powers = {tag: [sum(k for t, k in row if t is tag) for row in runs] for tag in _SUM_ORDER}
     fac = _eigenvalue_factors(j)
     if any(powers[SiteOp.CJ_SHIFTED]):
@@ -107,36 +107,38 @@ def log_bound_weights(
     return log_d.reshape(np.shape(n_sites) + (j.dim,))
 
 
-def log_moments(j, n_sites, log_amplitudes, signs, log_norm_sq, kind, *, c_j=None, l_signs=None):
+def log_moments(j, n_sites, log_amplitudes, signs, log_norm_sq, kind_list, *, c_j=None):
     """(log L, log R) of the states of spin j with log|r_m| and signs along the
     last axis, log n = log_norm_sq and N = n_sites (an int, or an array with a row
-    per N): floats for one state, arrays for a sweep; a list of kinds stacks their
-    log D, so log R gains a leading row per kind.  ``log_lhs_rhs`` and every sweep run here.
+    per state); log R has a leading row per kind of kind_list.
     """
     log_terms = log_amplitudes[..., :-1] + log_amplitudes[..., 1:] + log_ladder_weights(j, n_sites)
     log_l = 2 * (_logsumexp(log_terms, signs[..., :-1] * signs[..., 1:]) - log_norm_sq)
-    many = isinstance(kind, list)
-    log_d = [log_bound_weights(j, n_sites, k, c_j=c_j, l_signs=l_signs) for k in (kind if many else [kind])]
-    return log_l, _logsumexp(2 * log_amplitudes + (np.stack(log_d) if many else log_d[0])) - log_norm_sq
+    log_d = np.array([log_bound_weights(j, n_sites, kind, c_j=c_j) for kind in kind_list])
+    return log_l, _logsumexp(2 * log_amplitudes + log_d) - log_norm_sq
 
 
-def log_sweep(states, kind_list, *, c_j=None) -> tuple[list[float], list[list[float]]]:
-    """log L of each of states (one J) and a log R list per kind, by one ``log_moments``
-    call.  N goes in as floats: an int-to-float array cast would take a 64 KiB buffer."""
-    rows = [(float(s.n_sites), s.log_amplitudes, s.signs, s.log_norm_sq) for s in states]
-    log_l, log_r = log_moments(states[0].j, *map(np.array, zip(*rows)), list(kind_list), c_j=c_j)
+def log_sweep(states, kind_list, *, cj_offset=None) -> tuple[list[float], list[list[float]]]:
+    """log L of each state and a log R list per kind, both in the order of states,
+    which may mix spins: one ``log_moments`` call per spin, in the order the spins
+    first appear.  cj_offset is added to each spin's ``cj_bound(j).c_j``.  N goes
+    in as floats: an int-to-float array cast would take a 64 KiB buffer."""
+    log_l, log_r = np.empty(len(states)), np.empty((len(kind_list), len(states)))
+    by_spin = {}
+    for i, s in enumerate(states):
+        by_spin.setdefault(s.j, []).append((i, float(s.n_sites), s.log_amplitudes, s.signs, s.log_norm_sq))
+    for j, rows in by_spin.items():
+        index, *columns = map(np.array, zip(*rows))
+        c_j = None if cj_offset is None else cj_bound(j).c_j + cj_offset
+        log_l[index], log_r[:, index] = log_moments(j, *columns, kind_list, c_j=c_j)
     return log_l.tolist(), log_r.tolist()
 
 
-def log_lhs_rhs(
-    state: SymmetricCorrelatedState,
-    kind: kinds.CriterionKind,
-    *,
-    l_signs: Sequence[int] | None = None,
-) -> tuple[float, float]:
-    """(log L, log R) of one state: the one-row ``log_moments`` call."""
+def log_lhs_rhs(state: SymmetricCorrelatedState, kind: kinds.CriterionKind) -> tuple[float, float]:
+    """(log L, log R) of one state: the one-row, one-kind ``log_moments`` call."""
     args = (state.j, state.n_sites, state.log_amplitudes, state.signs, state.log_norm_sq)
-    return log_moments(*args, kind, l_signs=l_signs)
+    log_l, (log_r,) = log_moments(*args, [kind])
+    return log_l, float(log_r)
 
 
 def exp_or_inf(log_x: float) -> float:

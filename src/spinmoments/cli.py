@@ -90,24 +90,25 @@ def _parse_spin(j_text: str | None, twice_j: int | None) -> int:
         raise UsageError("give exactly one of --j and --twice-j")
     if twice_j is not None:
         return twice_j
-    text = j_text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        if den.strip() != "2":
-            raise UsageError(f"spin must be an integer or a half like 3/2, got {j_text!r}")
-        return int(num)
-    return 2 * int(text)
+    num, slash, den = j_text.partition("/")
+    try:
+        if not slash or den.strip() == "2":
+            return int(num) if slash else 2 * int(num)
+    except ValueError:
+        pass
+    raise UsageError(f"spin must be an integer or a half like 3/2, got {j_text!r}")
 
 
 def _parse_range(text: str) -> list[int]:
     """'3' -> [3]; '2..10' -> [2, ..., 10]."""
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise UsageError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    lo, dots, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise UsageError(f"a range must read N or LO..HI, got {text!r}") from None
+    if hi < lo:
+        raise UsageError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _parse_amplitudes(text: str) -> list[float]:
@@ -377,40 +378,35 @@ def _verify_points(cfg: RunConfig):
 def cmd_verify(cfg: RunConfig) -> int:
     kind_list = [kinds.Bell(), kinds.EntanglementHZ(), kinds.EntanglementCJ(), kinds.Steering(1, "cj")]
     columns = ["family", "twice_j", "n", "kind", "b_oracle", "b_analytic", "rel_discrepancy"]
-    rows, skipped, sweeps = [], [], {}
-    for family, tj, n in _verify_points(cfg):
-        sweeps.setdefault((family, tj), []).append(n)
-    for (family, tj), n_values in sweeps.items():  # closed forms first: a bad C_J stops the run
-        j = SpinQuantum(tj)
-        states = [make_state(family, j, n) for n in n_values]
-        c_j = None if cfg.corrupt_cj is None else cj_bound(j).c_j + cfg.corrupt_cj  # kinds without C_J ignore it
-        log_l, log_r = analytic.log_sweep(states, kind_list, c_j=c_j)  # log R: a list per kind
+    rows, skipped, points = [], [], list(_verify_points(cfg))
+    states = [make_state(family, SpinQuantum(tj), n) for family, tj, n in points]
+    # closed forms first, log R a list per kind: a bad C_J stops the run
+    log_l, log_r = analytic.log_sweep(states, kind_list, cj_offset=cfg.corrupt_cj)
+    for (family, tj, n), state, state_log_l, *state_log_r in zip(points, states, log_l, *log_r):
         label, name = family_label(family), _family_name(family)
-        for state, state_log_l, *state_log_r in zip(states, log_l, *log_r):
-            n = state.n_sites
-            signs, _ = kinds.canonical_signs(kinds.Bell(), n)  # one ladder moment serves every kind
-            try:
-                vec = support_vector(state)
-                lhs = abs(oracle.expect_product(vec, kinds.ladder_tags(signs), j)) ** 2
-            except CapExceededError as exc:  # past the oracle's limits: counted, reported after the rows
-                skipped.append(f"family {name}, 2J = {tj}, N = {n} ({exc})")
-                continue
-            rhs = oracle.bound_rows(vec, [kinds.bound_tags(kind, n) for kind in kind_list], j).tolist()
-            for kind, kind_rhs, kind_log_r in zip(kind_list, rhs, state_log_r):
-                b_oracle = oracle.b_from_moments(lhs, kind_rhs)
-                b_analytic = analytic.b_from_logs(state_log_l, kind_log_r)
-                rows.append(
-                    {
-                        "family": label,
-                        "family_name": name,  # stderr only
-                        "twice_j": tj,
-                        "n": n,
-                        "kind": kinds.kind_token(kind),
-                        "b_oracle": b_oracle,
-                        "b_analytic": b_analytic,
-                        "rel_discrepancy": _rel_diff(b_oracle, b_analytic),
-                    }
-                )
+        signs, _ = kinds.canonical_signs(kinds.Bell(), n)  # one ladder moment serves every kind
+        try:
+            vec = support_vector(state)
+            lhs = abs(oracle.expect_product(vec, kinds.ladder_tags(signs), state.j)) ** 2
+        except CapExceededError as exc:  # past the oracle's limits: counted, reported after the rows
+            skipped.append(f"family {name}, 2J = {tj}, N = {n} ({exc})")
+            continue
+        rhs = oracle.bound_rows(vec, [kinds.bound_tags(kind, n) for kind in kind_list], state.j).tolist()
+        for kind, kind_rhs, kind_log_r in zip(kind_list, rhs, state_log_r):
+            b_oracle = oracle.b_from_moments(lhs, kind_rhs)
+            b_analytic = analytic.b_from_logs(state_log_l, kind_log_r)
+            rows.append(
+                {
+                    "family": label,
+                    "family_name": name,  # stderr only
+                    "twice_j": tj,
+                    "n": n,
+                    "kind": kinds.kind_token(kind),
+                    "b_oracle": b_oracle,
+                    "b_analytic": b_analytic,
+                    "rel_discrepancy": _rel_diff(b_oracle, b_analytic),
+                }
+            )
     if not rows:  # else a point is checked: the grid starts at 2J = 1, N = 2, inside the oracle's limits
         print("verify: empty grid (--max-size excludes every point)", file=sys.stderr)
         return 2

@@ -210,31 +210,28 @@ def scan_curve(
     state_source is a states family instance, or the string "optimized" to
     re-optimise the amplitudes at every point and kind.  Rows carry the
     CLI's scan columns.  A family's rows are scored by one ``analytic.log_sweep``
-    per twice_j over all kinds, once every state is built and t checked in row order.
+    over all its states and kinds, once every state is built and t checked in row order.
     """
     optimized = isinstance(state_source, str)
     if optimized and state_source != "optimized":
         raise ValueError(f"unknown state source {state_source!r}")
 
-    rows, logs, sweeps = [], [], {}
+    rows, logs, states = [], [], []
     for tj, n in points:
         j = SpinQuantum(tj)
         if kinds_list and not optimized:
-            state = make_state(state_source, j, n)
-            source, r_vec = family_label(state_source), tuple(float(v) for v in state.unit_amplitudes)
-            sweeps.setdefault(tj, []).append((len(rows), state))
+            states.append(make_state(state_source, j, n))
+            source, r_vec = family_label(state_source), tuple(float(v) for v in states[-1].unit_amplitudes)
         for kind in kinds_list:
             if optimized:
                 report = optimize_amplitudes(j, n, kind)
                 source, r_vec = "optimized", tuple(float(v) for v in report.best_r)
-            logs.append((report.log_l, report.log_r) if optimized else None)
+                logs.append((report.log_l, report.log_r))
             token, t = kinds.kind_token(kind), kinds.quantum_sites(kind, n)
             rows.append({"twice_j": tj, "n": n, "t": t, "family": source, "kind": token, "r_vector": r_vec})
-    for members in sweeps.values():  # a point's rows are its kinds, from its first row's index on
-        index, states = zip(*members)
+    if not optimized:  # kinds innermost, as in rows: each state's log L with its log R per kind
         log_l, log_r = analytic.log_sweep(states, kinds_list)
-        for s, first in enumerate(index):
-            logs[first : first + len(kinds_list)] = [(log_l[s], row[s]) for row in log_r]
+        logs = [(state_l, kind_r) for state_l, *state_r in zip(log_l, *log_r) for kind_r in state_r]
     for row, (log_l, log_r) in zip(rows, logs):
         row.update(
             L=analytic.exp_or_inf(log_l),

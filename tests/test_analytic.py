@@ -196,13 +196,6 @@ def test_b_nondecreasing_in_t():
         assert all(b2 >= b1 for b1, b2 in zip(values, values[1:]))
 
 
-def test_hz_l_sign_count_only_matters():
-    st = make_state(Bosonic(), ONE, 4)
-    a = analytic.log_lhs_rhs(st, EntanglementHZ(), l_signs=(1, -1, -1, -1))[1]
-    b = analytic.log_lhs_rhs(st, EntanglementHZ(), l_signs=(-1, -1, 1, -1))[1]
-    assert a == pytest.approx(b, abs=1e-13)
-
-
 def test_negative_custom_amplitudes_signed_sum():
     # direct float evaluation of the ladder sum as a cross-check on the
     # signed log-domain reduction
@@ -246,14 +239,14 @@ def test_eigenvalue_factors_built_once_per_j():
 def test_bad_cj_rejected():
     st = make_state(UniformMax(), ONE, 3)
     with pytest.raises(ValueError, match="spectrum floor"):
-        analytic.log_sweep([st], [EntanglementCJ()], c_j=1.5)  # above q_min = J = 1
+        analytic.log_sweep([st], [EntanglementCJ()], cj_offset=1.0625)  # C_J = 1.5, above q_min = J = 1
 
 
 def test_nan_cj_rejected():
     # NaN compares False both ways, so the floor check must ask for shifted > 0
     st = make_state(UniformMax(), ONE, 3)
     with pytest.raises(ValueError, match="C_J = nan .* spectrum floor"):
-        analytic.log_sweep([st], [EntanglementCJ()], c_j=math.nan)
+        analytic.log_sweep([st], [EntanglementCJ()], cj_offset=math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -307,17 +300,17 @@ def test_log_domain_matches_exact_rationals(tj, n, t):
 
 
 def test_large_spin_large_n_finite():
-    # C_J supplied directly (see test_spin_algebra for its computation); the
-    # point here is that 5^60-scale power sums stay in the log domain
+    # C_J offset below cj_bound's (see test_spin_algebra for its computation);
+    # the point here is that 5^60-scale power sums stay in the log domain
     st = make_state(Bosonic(), SpinQuantum(20), 30)
     for kind in (Bell(), EntanglementCJ(), Steering(3)):
-        log_l, (log_r,) = analytic.log_sweep([st], [kind], c_j=2.4453176)
+        log_l, (log_r,) = analytic.log_sweep([st], [kind], cj_offset=-1e-3)
         b = analytic.b_from_logs(log_l[0], log_r[0])
         assert math.isfinite(b) and b > 0
 
 
 # ---------------------------------------------------------------------------
-# sweeps: one array pass per (2J, kind) equals the state-by-state closed forms
+# sweeps: one array pass per 2J equals the state-by-state closed forms
 
 
 def _row_by_row(state, kind, c_j):
@@ -380,29 +373,31 @@ def sweeps(draw):
         if token.startswith("epr"):
             t = draw(st.integers(0, min(n_values)))
             tokens[i] = token.replace("epr", f"epr{t}")
-    # the C_J override ranges over values below the floor J of Jx^2 + Jy^2
-    c_j = draw(st.none() | st.floats(-0.5, 0.49 * tj, allow_subnormal=False))
-    return SpinQuantum(tj), family, n_values, [kinds.parse_kind(token) for token in tokens], c_j
+    # the C_J offset ranges over values that keep C_J below the floor J of Jx^2 + Jy^2
+    top = 0.49 * tj - cj_bound(SpinQuantum(tj)).c_j
+    cj_offset = draw(st.none() | st.floats(-0.5, top, allow_subnormal=False))
+    return SpinQuantum(tj), family, n_values, [kinds.parse_kind(token) for token in tokens], cj_offset
 
 
 @settings(max_examples=300, deadline=None)
 @given(sweeps())
 # always run: a zero J+ J- factor at 2J = 1 under an override, and a custom
 # vector with a zero and a negative amplitude against eprT-hz with T = N
-@example((HALF, GeneralizedGHZ(0.3), [2, 3, 300], [EntanglementHZ()], 0.1))
+@example((HALF, GeneralizedGHZ(0.3), [2, 3, 300], [EntanglementHZ()], -0.15))
 @example((SpinQuantum(3), Custom((1.0, 0.0, -0.5, 2.0)), [4, 7, 40], [Steering(4, "hz"), Bell()], None))
-@example((ONE, SpinOneR(0.0), [2, 5, 9], [Steering(2), EntanglementCJ(), EntanglementHZ()], 0.3))
+@example((ONE, SpinOneR(0.0), [2, 5, 9], [Steering(2), EntanglementCJ(), EntanglementHZ()], -0.125))
 def test_sweep_rows_equal_one_state_closed_forms(case):
-    j, family, n_values, kind_list, c_j = case
+    j, family, n_values, kind_list, cj_offset = case
+    c_j = None if cj_offset is None else cj_bound(j).c_j + cj_offset
     states = [make_state(family, j, n) for n in n_values]
-    log_l, log_r_lists = analytic.log_sweep(states, kind_list, c_j=c_j)
+    log_l, log_r_lists = analytic.log_sweep(states, kind_list, cj_offset=cj_offset)
     assert len(log_r_lists) == len(kind_list)
     for kind, log_r in zip(kind_list, log_r_lists):
         assert len(log_l) == len(log_r) == len(states)
         for state, row in zip(states, zip(log_l, log_r)):
-            one_l, (one_r,) = analytic.log_sweep([state], [kind], c_j=c_j)
+            one_l, (one_r,) = analytic.log_sweep([state], [kind], cj_offset=cj_offset)
             one = (one_l[0], one_r[0])
-            if c_j is None:  # the one-state closed form, which takes no override
+            if cj_offset is None:  # the one-state closed form, which takes no offset
                 assert analytic.log_lhs_rhs(state, kind) == one
                 assert all(type(v) is float for v in analytic.log_lhs_rhs(state, kind))
             assert all(type(v) is float for v in row + one)
@@ -411,30 +406,73 @@ def test_sweep_rows_equal_one_state_closed_forms(case):
 
 @st.composite
 def mixed_sweeps(draw):
-    """States of one spin, d <= 12, each of its own family and N, and a kind list."""
-    tj = draw(st.integers(1, 11))
-    states = [
-        make_state(_family(draw, tj), SpinQuantum(tj), draw(st.integers(2, 300)))
-        for _ in range(draw(st.integers(1, 6)))
-    ]
+    """States of 1-3 spins, d <= 12, interleaved, each of its own family and N;
+    a kind list; and a C_J offset."""
+    spins = draw(st.lists(st.integers(1, 11), min_size=1, max_size=3, unique=True))
+    states = []
+    for _ in range(draw(st.integers(1, 8))):
+        tj = draw(st.sampled_from(spins))
+        states.append(make_state(_family(draw, tj), SpinQuantum(tj), draw(st.integers(2, 300))))
     tokens = draw(st.lists(st.sampled_from(["bell", "ent-hz", "ent-cj", "epr1", "epr2-hz"]), min_size=1, max_size=4))
-    return states, [kinds.parse_kind(token) for token in tokens]
+    return states, [kinds.parse_kind(token) for token in tokens], draw(st.sampled_from([None, 0.0, -1e-3]))
+
+
+_MIXED = [
+    make_state(Custom((1.0, 0.0, -0.5, 2.0)), SpinQuantum(3), 5),
+    make_state(GeneralizedGHZ(2.0), HALF, 7),
+    make_state(Bosonic(), SpinQuantum(3), 40),
+    make_state(SpinOneR(0.0), ONE, 3),
+    make_state(UniformMax(), HALF, 300),
+]
 
 
 @settings(max_examples=300, deadline=None)
 @given(mixed_sweeps())
-@example(([make_state(Custom((1.0, 0.0, -0.5, 2.0)), SpinQuantum(3), 5), make_state(Bosonic(), SpinQuantum(3), 40)],
-          [Bell(), EntanglementHZ()]))
+@example((_MIXED[:3:2], [Bell(), EntanglementHZ()], None))
+@example((_MIXED, [EntanglementCJ(), Steering(1), Steering(2, "hz")], -1e-3))
 def test_sweep_takes_log_n_as_the_states_store_it(case):
-    # each state's stored log n is bit for bit the log-sum-exp over the stacked
-    # amplitudes, so the sweep equals the closed forms with log n recomputed
-    states, kind_list = case
-    log_a = np.array([s.log_amplitudes for s in states])
-    log_n = _logsumexp(2 * log_a)
-    assert log_n.tolist() == [s.log_norm_sq for s in states]
-    n_sites, signs = np.array([float(s.n_sites) for s in states]), np.array([s.signs for s in states])
-    log_l, log_r = analytic.log_moments(states[0].j, n_sites, log_a, signs, log_n, kind_list)
-    assert analytic.log_sweep(states, kind_list) == (log_l.tolist(), log_r.tolist())
+    # each state's stored log n is bit for bit the log-sum-exp over its spin's
+    # stacked amplitudes, so the sweep equals the closed forms with log n
+    # recomputed, one spin at a time
+    states, kind_list, _ = case
+    log_l, log_r = analytic.log_sweep(states, kind_list)
+    for j in {s.j for s in states}:
+        index = [i for i, s in enumerate(states) if s.j == j]
+        log_a = np.array([states[i].log_amplitudes for i in index])
+        log_n = _logsumexp(2 * log_a)
+        assert log_n.tolist() == [states[i].log_norm_sq for i in index]
+        n_sites = np.array([float(states[i].n_sites) for i in index])
+        signs = np.array([states[i].signs for i in index])
+        one_l, one_r = analytic.log_moments(j, n_sites, log_a, signs, log_n, kind_list)
+        assert [log_l[i] for i in index] == one_l.tolist()
+        assert [[row[i] for i in index] for row in log_r] == one_r.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_sweeps())
+@example((_MIXED, [Bell(), EntanglementCJ(), Steering(1), Steering(2, "hz")], -1e-3))
+@example((_MIXED[::-1], [EntanglementHZ(), Steering(1)], 0.0))
+def test_mixed_spin_sweep_rows_equal_one_state_closed_forms(case):
+    # any spins in any order: row s is state s, bit for bit, with each spin's
+    # C_J offset as verify --corrupt-cj offsets it, and offset 0.0 is no offset
+    states, kind_list, cj_offset = case
+    log_l, log_r = analytic.log_sweep(states, kind_list, cj_offset=cj_offset)
+    assert len(log_l) == len(states) and [len(row) for row in log_r] == [len(states)] * len(kind_list)
+    for s, state in enumerate(states):
+        args = (state.j, state.n_sites, state.log_amplitudes, state.signs, state.log_norm_sq)
+        for kind, row in zip(kind_list, log_r):
+            if cj_offset is None:
+                one = analytic.log_lhs_rhs(state, kind)
+            else:
+                one_l, (one_r,) = analytic.log_moments(*args, [kind], c_j=cj_bound(state.j).c_j + cj_offset)
+                one = (one_l, float(one_r))
+            assert (log_l[s], row[s]) == one
+    assert analytic.log_sweep(states, kind_list, cj_offset=0.0) == analytic.log_sweep(states, kind_list)
+
+
+def test_sweep_of_no_states_is_empty():
+    for cj_offset in (None, 0.0, -1e-3):
+        assert analytic.log_sweep([], [Bell(), EntanglementCJ()], cj_offset=cj_offset) == ([], [[], []])
 
 
 def test_weights_broadcast_over_n():
@@ -457,6 +495,6 @@ def test_sweep_raises_what_the_first_row_raises():
         with pytest.raises(ValueError, match="t_sites = 3 exceeds n_sites = 2"):
             analytic.log_sweep(states, others + [Steering(3)])
         with pytest.raises(ValueError, match="not below the Jx\\^2 \\+ Jy\\^2 spectrum floor"):
-            analytic.log_sweep(states, others + [Steering(1)], c_j=1.5)
-        free = others + [Bell(), EntanglementHZ()]  # no C_J factor: the override is ignored
-        assert analytic.log_sweep(states, free, c_j=1.5) == analytic.log_sweep(states, free)
+            analytic.log_sweep(states, others + [Steering(1)], cj_offset=1.0625)
+        free = others + [Bell(), EntanglementHZ()]  # no C_J factor: the offset is ignored
+        assert analytic.log_sweep(states, free, cj_offset=1.0625) == analytic.log_sweep(states, free)

@@ -451,20 +451,22 @@ def test_scan_reports_the_first_bad_row(capsys):
 VERIFY_KINDS = ["bell", "ent-hz", "ent-cj", "epr1"]
 
 
-def test_verify_scores_each_family_and_spin_once(capsys, monkeypatch):
+def test_verify_scores_each_spin_once(capsys, monkeypatch):
     from spinmoments import analytic, kinds
 
     original, calls = analytic.log_moments, []
 
     def counting(*args, **kwargs):
-        calls.append((args[1], args[5]))  # the N values and the kinds of one (family, 2J) sweep
+        calls.append((args[1], args[5]))  # the N values and the kinds of one 2J's sweep
         return original(*args, **kwargs)
 
     monkeypatch.setattr(analytic, "log_moments", counting)
     rc, out, _ = run_cli(capsys, "verify", "--max-twice-j", "2", "--max-size", "64")
     assert rc == 0
-    # uniform-max and bosonic at 2J = 1, 2; two ghz at 2J = 1; three spin1r at 2J = 2
-    assert len(calls) == 9
+    # every family at 2J = 1 (uniform-max, bosonic, two ghz) in one call; at 2J = 2
+    # (uniform-max, bosonic, three spin1r) in another
+    assert len(calls) == 2
+    assert sum(len(n_values) for n_values, _ in calls) == 30
     assert sum(len(n_values) for n_values, _ in calls) * 4 == len(parse_csv(out)) == 120
     for _, kind_list in calls:  # all four kinds in one call, in row order
         assert [kinds.kind_token(kind) for kind in kind_list] == VERIFY_KINDS
@@ -591,6 +593,32 @@ def test_usage_errors_exit_2(capsys):
     # family/spin mismatch is also a config error
     assert run_cli(capsys, "eval", "--j", "1", "--n", "3", "--family", "ghz",
                    "--theta", "0.5", "--kind", "bell")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "spin,n_range,message",
+    [
+        ("1.5", "2..5", "spin must be an integer or a half like 3/2, got '1.5'"),
+        ("3/4", "2..5", "spin must be an integer or a half like 3/2, got '3/4'"),
+        ("x/2", "2..5", "spin must be an integer or a half like 3/2, got 'x/2'"),
+        ("1", "2..", "a range must read N or LO..HI, got '2..'"),
+        ("1", "two", "a range must read N or LO..HI, got 'two'"),
+        ("1", "5..2", "empty range '5..2'"),
+    ],
+)
+def test_spin_and_range_usage_messages_name_the_option(capsys, spin, n_range, message):
+    rc, out, err = run_cli(
+        capsys, "scan", "--axis", "n", "--j", spin, "--n", n_range, "--family", "uniform-max", "--kinds", "bell"
+    )
+    assert (rc, out, err) == (2, "", f"spinmoments: {message}\n")
+
+
+def test_spin_and_range_parse_every_accepted_spelling():
+    from spinmoments.cli import _parse_range, _parse_spin
+
+    assert [_parse_spin(text, None) for text in ("1", "3/2", " 3 / 2 ", "-1/2", "+2")] == [2, 3, 3, -1, 4]
+    assert _parse_spin(None, 5) == 5
+    assert _parse_range("3") == [3] and _parse_range("2..5") == [2, 3, 4, 5] and _parse_range(" 2 .. 3") == [2, 3]
 
 
 def test_oracle_runs_beyond_d_1024(capsys):

@@ -281,7 +281,8 @@ def test_compute_cj_validates_arguments():
 
 def test_cj_override_only_on_the_closed_form_chain():
     # every verdict and the oracle read C_J from cj_bound: a c_j= keyword is
-    # refused everywhere but analytic.log_sweep, the route of verify --corrupt-cj
+    # refused everywhere, and analytic.log_sweep's cj_offset=, the route of
+    # verify --corrupt-cj, is the one override
     from spinmoments import analytic, criteria, optimizer, oracle, spin_algebra
     from spinmoments.kinds import EntanglementCJ
     from spinmoments.states import UniformMax, make_state, support_vector
@@ -309,8 +310,10 @@ def test_cj_override_only_on_the_closed_form_chain():
             call(c_j=0.1)
     assert not hasattr(spin_algebra, "cj_value")
     assert "c_j" not in optimizer.OptimizationReport.__dataclass_fields__
-    log_l, (log_r,) = analytic.log_sweep([st], [EntanglementCJ()], c_j=0.1)
+    log_l, (log_r,) = analytic.log_sweep([st], [EntanglementCJ()], cj_offset=0.1)
     assert analytic.b_from_logs(log_l[0], log_r[0]) != analytic.b_ent_cj(st)
+    with pytest.raises(TypeError):
+        analytic.log_sweep([st], [EntanglementCJ()], c_j=0.1)
 
 
 def test_cj_bound_beyond_table_flagged_computed():
