@@ -31,7 +31,6 @@ arithmetic on twice_j, so the bases are exact floats.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -40,8 +39,6 @@ from . import kinds
 from .kinds import SiteOp
 from .spin_algebra import SpinQuantum, cj_bound
 from .states import SymmetricCorrelatedState, _logsumexp
-
-_LOG_ZERO = -math.inf
 
 # The order the bound factors' logs are summed in: the free factor first.
 _SUM_ORDER = (SiteOp.X2_PLUS_Y2, SiteOp.CJ_SHIFTED, SiteOp.PLUS_MINUS, SiteOp.MINUS_PLUS)
@@ -86,8 +83,11 @@ def log_bound_weights(
     an HZ ladder factor vanishes): per run of ``kinds.bound_runs``, its length
     times the log of its tag's factor, per N.
     """
-    runs = [kinds.bound_runs(kind, int(n)) for n in np.ravel(n_sites).tolist()]
-    powers = {tag: [sum(k for t, k in row if t is tag) for row in runs] for tag in _SUM_ORDER}
+    n_list = np.ravel(n_sites).tolist()
+    powers = {tag: [0] * len(n_list) for tag in _SUM_ORDER}
+    for i, n in enumerate(n_list):
+        for tag, k in kinds.bound_runs(kind, int(n)):
+            powers[tag][i] += k
     fac = _eigenvalue_factors(j)
     if any(powers[SiteOp.CJ_SHIFTED]):
         cj = cj_bound(j).c_j if c_j is None else float(c_j)
@@ -98,7 +98,7 @@ def log_bound_weights(
                 f"{fac[SiteOp.X2_PLUS_Y2].min()} for twice_j = {j.twice_j}"
             )
 
-    log_d = np.zeros((len(runs), j.dim))
+    log_d = np.zeros((len(n_list), j.dim))
     for tag, power in powers.items():
         if any(power):  # a zero power must not meet a log of zero, so its rows are skipped
             rows = slice(None) if all(power) else np.flatnonzero(power)
@@ -141,11 +141,12 @@ def log_lhs_rhs(state: SymmetricCorrelatedState, kind: kinds.CriterionKind) -> t
     return log_l, float(log_r)
 
 
-def exp_or_inf(log_x: float) -> float:
-    if log_x == _LOG_ZERO:
-        return 0.0
+def exp_or_inf(log_x):
+    """exp of a float, or elementwise of an array (a float for a float): 0 at
+    log x = -inf, and inf for values too large for a double."""
     with np.errstate(over="ignore"):
-        return float(np.exp(log_x))
+        x = np.exp(log_x)
+    return x if isinstance(x, np.ndarray) else float(x)
 
 
 def lhs_rhs(state, kind) -> tuple[float, float]:
@@ -154,11 +155,11 @@ def lhs_rhs(state, kind) -> tuple[float, float]:
     return exp_or_inf(log_l), exp_or_inf(log_r)
 
 
-def b_from_logs(log_l: float, log_r: float) -> float:
-    """sqrt(L/R): +inf when R = 0 < L, nan (undefined) when L = R = 0."""
-    if log_r == _LOG_ZERO:
-        return math.nan if log_l == _LOG_ZERO else math.inf
-    return exp_or_inf(0.5 * (log_l - log_r))
+def b_from_logs(log_l, log_r):
+    """sqrt(L/R) of floats, or elementwise of arrays: +inf when R = 0 < L, nan
+    (undefined) when L = R = 0, where log L - log R is -inf - -inf."""
+    with np.errstate(invalid="ignore"):
+        return exp_or_inf(0.5 * np.subtract(log_l, log_r))
 
 
 def b_ratio(state, kind) -> float:

@@ -42,6 +42,7 @@ from .states import (
     UniformMax,
     family_label,
     make_state,
+    make_states,
     support_vector,
 )
 
@@ -271,10 +272,20 @@ def _json_value(value):
 
 
 def render(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
+    fmt = _json_value if cfg.fmt == "json" else _fmt_value
+    texts = {}  # id -> formatted tuple: the rows of one state share its r_vector, formatted once
+
+    def cell(value):
+        if not isinstance(value, tuple):
+            return fmt(value)
+        if id(value) not in texts:
+            texts[id(value)] = fmt(value)
+        return texts[id(value)]
+
     if cfg.fmt == "json":
         doc = {
             "config": cfg.to_dict(),
-            "rows": [{c: _json_value(row[c]) for c in columns} for row in rows],
+            "rows": [{c: cell(row[c]) for c in columns} for row in rows],
             "tool_version": __version__,
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -282,7 +293,7 @@ def render(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_fmt_value(row[c]) for c in columns])
+        writer.writerow([cell(row[c]) for c in columns])
     return buf.getvalue()
 
 
@@ -379,10 +390,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     kind_list = [kinds.Bell(), kinds.EntanglementHZ(), kinds.EntanglementCJ(), kinds.Steering(1, "cj")]
     columns = ["family", "twice_j", "n", "kind", "b_oracle", "b_analytic", "rel_discrepancy"]
     rows, skipped, points = [], [], list(_verify_points(cfg))
-    states = [make_state(family, SpinQuantum(tj), n) for family, tj, n in points]
-    # closed forms first, log R a list per kind: a bad C_J stops the run
-    log_l, log_r = analytic.log_sweep(states, kind_list, cj_offset=cfg.corrupt_cj)
-    for (family, tj, n), state, state_log_l, *state_log_r in zip(points, states, log_l, *log_r):
+    n_lists = {}  # the points come by family, then by spin: one pass per (family, spin)
+    for family, tj, n in points:
+        n_lists.setdefault((family, SpinQuantum(tj)), []).append(n)
+    states = [state for (family, j), n_list in n_lists.items() for state in make_states(family, j, n_list)]
+    # closed forms first, B a list per kind: a bad C_J stops the run
+    b_analytic = analytic.b_from_logs(*analytic.log_sweep(states, kind_list, cj_offset=cfg.corrupt_cj)).tolist()
+    for (family, tj, n), state, *state_b in zip(points, states, *b_analytic):
         label, name = family_label(family), _family_name(family)
         signs, _ = kinds.canonical_signs(kinds.Bell(), n)  # one ladder moment serves every kind
         try:
@@ -392,9 +406,8 @@ def cmd_verify(cfg: RunConfig) -> int:
             skipped.append(f"family {name}, 2J = {tj}, N = {n} ({exc})")
             continue
         rhs = oracle.bound_rows(vec, [kinds.bound_tags(kind, n) for kind in kind_list], state.j).tolist()
-        for kind, kind_rhs, kind_log_r in zip(kind_list, rhs, state_log_r):
+        for kind, kind_rhs, kind_b in zip(kind_list, rhs, state_b):
             b_oracle = oracle.b_from_moments(lhs, kind_rhs)
-            b_analytic = analytic.b_from_logs(state_log_l, kind_log_r)
             rows.append(
                 {
                     "family": label,
@@ -403,8 +416,8 @@ def cmd_verify(cfg: RunConfig) -> int:
                     "n": n,
                     "kind": kinds.kind_token(kind),
                     "b_oracle": b_oracle,
-                    "b_analytic": b_analytic,
-                    "rel_discrepancy": _rel_diff(b_oracle, b_analytic),
+                    "b_analytic": kind_b,
+                    "rel_discrepancy": _rel_diff(b_oracle, kind_b),
                 }
             )
     if not rows:  # else a point is checked: the grid starts at 2J = 1, N = 2, inside the oracle's limits

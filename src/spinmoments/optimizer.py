@@ -52,7 +52,7 @@ import numpy as np
 
 from . import analytic, criteria, kinds
 from .spin_algebra import SpinQuantum, _tridiagonal_eigh, minimize_on_interval
-from .states import SymmetricCorrelatedState, family_label, make_state, _from_logs
+from .states import SymmetricCorrelatedState, check_state, family_label, make_states, _from_logs
 
 # Bracket padding in log c: a supremum approached only as c -> 0 (a zero HZ
 # bound weight) is missed by ~e^-40 relative at the lower end.
@@ -170,7 +170,7 @@ def optimize_amplitudes(
     r.setflags(write=False)
     with np.errstate(divide="ignore"):  # log|r| from r where r is a normal float, else from log r
         log_unit = np.where(r >= sys.float_info.min, np.log(r), log_r - math.log(norm))
-    state = _from_logs(j, n_sites, np.isfinite(log_unit), log_unit)
+    (state,) = _from_logs(j, [n_sites], np.isfinite(log_unit), log_unit)
     log_l, log_r = analytic.log_lhs_rhs(state, kind)
     b, verdict = analytic.b_from_logs(log_l, log_r), criteria.violated(log_l, log_r)
     return OptimizationReport(j, n_sites, kind, r, state, b, verdict, log_l, log_r)
@@ -209,34 +209,38 @@ def scan_curve(
 
     state_source is a states family instance, or the string "optimized" to
     re-optimise the amplitudes at every point and kind.  Rows carry the
-    CLI's scan columns.  A family's rows are scored by one ``analytic.log_sweep``
-    over all its states and kinds, once every state is built and t checked in row order.
+    CLI's scan columns.  Once each point's state and t are checked in point order,
+    a family builds each spin's states in one ``states.make_states`` pass and
+    scores them all with one ``analytic.log_sweep``; the rows are finished as arrays.
     """
     optimized = isinstance(state_source, str)
     if optimized and state_source != "optimized":
         raise ValueError(f"unknown state source {state_source!r}")
 
-    rows, logs, states = [], [], []
-    for tj, n in points:
+    tokens, k = [kinds.kind_token(kind) for kind in kinds_list], len(kinds_list)
+    heads, reports, n_lists = [], [], {}
+    for tj, n in points:  # in point order: the point's state check, then each kind's t
         j = SpinQuantum(tj)
         if kinds_list and not optimized:
-            states.append(make_state(state_source, j, n))
-            source, r_vec = family_label(state_source), tuple(float(v) for v in states[-1].unit_amplitudes)
-        for kind in kinds_list:
+            check_state(state_source, j, n)
+            n_lists.setdefault(j, []).append(n)
+        for kind, token in zip(kinds_list, tokens):
             if optimized:
-                report = optimize_amplitudes(j, n, kind)
-                source, r_vec = "optimized", tuple(float(v) for v in report.best_r)
-                logs.append((report.log_l, report.log_r))
-            token, t = kinds.kind_token(kind), kinds.quantum_sites(kind, n)
-            rows.append({"twice_j": tj, "n": n, "t": t, "family": source, "kind": token, "r_vector": r_vec})
-    if not optimized:  # kinds innermost, as in rows: each state's log L with its log R per kind
-        log_l, log_r = analytic.log_sweep(states, kinds_list)
-        logs = [(state_l, kind_r) for state_l, *state_r in zip(log_l, *log_r) for kind_r in state_r]
-    for row, (log_l, log_r) in zip(rows, logs):
-        row.update(
-            L=analytic.exp_or_inf(log_l),
-            R=analytic.exp_or_inf(log_r),
-            B=analytic.b_from_logs(log_l, log_r),
-            violated=criteria.violated(log_l, log_r),
-        )
-    return rows
+                reports.append(optimize_amplitudes(j, n, kind))
+            heads.append((tj, n, kinds.quantum_sites(kind, n), token))
+    sources = [("optimized", tuple(report.best_r.tolist())) for report in reports]
+    log_l, log_r = [report.log_l for report in reports], [report.log_r for report in reports]
+    if n_lists:  # the states back in point order; the rows of a state share its r_vector
+        built = {j: iter(make_states(state_source, j, n_list)) for j, n_list in n_lists.items()}
+        states, label = [next(built[SpinQuantum(tj)]) for tj, _ in points], family_label(state_source)
+        sources = [source for state in states for source in [(label, tuple(state.unit_amplitudes.tolist()))] * k]
+        state_l, kind_r = analytic.log_sweep(states, kinds_list)
+        log_l, log_r = np.repeat(state_l, k), np.transpose(kind_r).ravel()
+    log_l, log_r = np.asarray(log_l, dtype=float), np.asarray(log_r, dtype=float)
+    lhs, rhs = analytic.exp_or_inf(log_l), analytic.exp_or_inf(log_r)
+    finished = lhs, rhs, analytic.b_from_logs(log_l, log_r), criteria.violated(log_l, log_r)
+    columns = ("twice_j", "n", "t", "kind", "family", "r_vector", "L", "R", "B", "violated")
+    return [
+        dict(zip(columns, (*head, *source, *values)))
+        for head, source, *values in zip(heads, sources, *(a.tolist() for a in finished))
+    ]

@@ -111,18 +111,24 @@ class SymmetricCorrelatedState:
         return self.signs * np.exp(self.log_amplitudes - 0.5 * self.log_norm_sq)
 
 
-def _from_logs(j: SpinQuantum, n_sites: int, signs, log_amplitudes) -> SymmetricCorrelatedState:
-    """The state with sign r_m = signs and log|r_m| = log_amplitudes (-inf where r_m = 0)."""
-    if n_sites < 2:
-        raise ValueError(f"n_sites must be >= 2, got {n_sites}")
+def _from_logs(j: SpinQuantum, n_sites: list[int], signs, log_amplitudes) -> list[SymmetricCorrelatedState]:
+    """The states of spin j on each N of n_sites, with sign r_m = signs and log|r_m| =
+    log_amplitudes (-inf where r_m = 0): one (d,) pair that every N shares, or log|r_m| a
+    row per N.  The arrays are read-only, and log n takes one log-sum-exp per pass."""
+    for n in n_sites:
+        _check_sites(n)
     signs, log_r = (np.array(v, dtype=float) for v in (signs, log_amplitudes))
-    if log_r.shape != (j.dim,) or signs.shape != log_r.shape:
-        raise ValueError(f"amplitude vector must have length d = {j.dim}, got shape {log_r.shape}")
-    if np.all(np.isneginf(log_r)):
-        raise ValueError("amplitude vector must not be all zero")
     signs.setflags(write=False)
     log_r.setflags(write=False)
-    return SymmetricCorrelatedState(j, int(n_sites), signs, log_r, _logsumexp(2 * log_r))
+    log_n = _logsumexp(2 * log_r)
+    if log_r.ndim == 1:
+        return [SymmetricCorrelatedState(j, int(n), signs, log_r, log_n) for n in n_sites]
+    return [SymmetricCorrelatedState(j, int(n), signs, *row) for n, *row in zip(n_sites, log_r, log_n.tolist())]
+
+
+def _check_sites(n_sites: int) -> None:
+    if n_sites < 2:
+        raise ValueError(f"n_sites must be >= 2, got {n_sites}")
 
 
 def _logsumexp(log_terms: np.ndarray, signs: np.ndarray | None = None):
@@ -137,36 +143,60 @@ def _logsumexp(log_terms: np.ndarray, signs: np.ndarray | None = None):
     return float(log_sum) if log_sum.ndim == 0 else log_sum
 
 
-def make_state(family: StateFamily, j: SpinQuantum, n_sites: int) -> SymmetricCorrelatedState:
-    """Build the amplitude vector of a state family for spin j on n_sites sites."""
-    d = j.dim
+def _amplitudes(family: StateFamily, j: SpinQuantum) -> np.ndarray | None:
+    """The amplitude vector r of family at spin j (None for Bosonic, whose r depends on
+    N); ValueError where the family has no state of spin j."""
     if isinstance(family, Bosonic):
-        # log r_m = (N-2)/2 * log((J-m)! (J+m)!); J -/+ m are the integers 2J-k, k
-        log_fact = np.array([math.lgamma(v + 1) for v in range(d)])
-        return _from_logs(j, n_sites, np.ones(d), 0.5 * (n_sites - 2) * (log_fact[::-1] + log_fact))
+        return None
     if isinstance(family, UniformMax):
-        r = np.ones(d)
-    elif isinstance(family, GeneralizedGHZ):
+        return np.ones(j.dim)
+    if isinstance(family, GeneralizedGHZ):
         if j.twice_j != 1:
             raise ValueError("GeneralizedGHZ requires spin 1/2 (twice_j = 1)")
         if not math.isfinite(family.theta):
             raise ValueError(f"GeneralizedGHZ theta must be finite, got {family.theta}")
         r = np.array([math.cos(family.theta), math.sin(family.theta)])
         r[np.abs(r) < 1e-15] = 0.0  # theta at 0 or pi/2 is an exact product state
-    elif isinstance(family, SpinOneR):
+        return r
+    if isinstance(family, SpinOneR):
         if j.twice_j != 2:
             raise ValueError("SpinOneR requires spin 1 (twice_j = 2)")
         if not (family.r >= 0 and math.isfinite(family.r)):
             raise ValueError(f"SpinOneR amplitude must be finite and >= 0, got {family.r}")
-        r = np.array([1.0, family.r, 1.0])
-    elif isinstance(family, Custom):
-        r = np.array(family.amplitudes, dtype=float)
-    else:
+        return np.array([1.0, family.r, 1.0])
+    if not isinstance(family, Custom):
         raise TypeError(f"unknown state family: {family!r}")
+    r = np.array(family.amplitudes, dtype=float)
     if not np.all(np.isfinite(r)):
         raise ValueError("amplitudes must be finite")
+    if r.shape != (j.dim,):
+        raise ValueError(f"amplitude vector must have length d = {j.dim}, got shape {r.shape}")
+    if not r.any():
+        raise ValueError("amplitude vector must not be all zero")
+    return r
+
+
+def check_state(family: StateFamily, j: SpinQuantum, n_sites: int) -> None:
+    """Raise what ``make_states`` raises for this N: family fits spin j, then N >= 2."""
+    _amplitudes(family, j)
+    _check_sites(n_sites)
+
+
+def make_states(family: StateFamily, j: SpinQuantum, n_sites: list[int]) -> list[SymmetricCorrelatedState]:
+    """The states of a family for spin j, one per N of n_sites, built in one pass: a
+    family whose r does not depend on N gives them one shared signs/log|r| pair."""
+    r = _amplitudes(family, j)
+    if r is None:  # Bosonic: log r_m = (N-2)/2 * log((J-m)! (J+m)!); J -/+ m are the integers 2J-k, k
+        log_fact = np.array([math.lgamma(v + 1) for v in range(j.dim)])
+        half_n = 0.5 * (np.array(n_sites, dtype=float) - 2)
+        return _from_logs(j, n_sites, np.ones(j.dim), half_n[:, None] * (log_fact[::-1] + log_fact))
     with np.errstate(divide="ignore"):
         return _from_logs(j, n_sites, np.sign(r), np.log(np.abs(r)))
+
+
+def make_state(family: StateFamily, j: SpinQuantum, n_sites: int) -> SymmetricCorrelatedState:
+    """Build the amplitude vector of a state family for spin j on n_sites sites."""
+    return make_states(family, j, [n_sites])[0]
 
 
 @dataclass(frozen=True)

@@ -498,3 +498,27 @@ def test_sweep_raises_what_the_first_row_raises():
             analytic.log_sweep(states, others + [Steering(1)], cj_offset=1.0625)
         free = others + [Bell(), EntanglementHZ()]  # no C_J factor: the offset is ignored
         assert analytic.log_sweep(states, free, cj_offset=1.0625) == analytic.log_sweep(states, free)
+
+
+@pytest.mark.filterwarnings("error")
+def test_array_forms_equal_the_scalar_forms_elementwise():
+    # a family scan finishes its rows as arrays, log L a row per state and log R
+    # a row per kind; each cell equals the scalar call, and -inf - -inf (L = R = 0)
+    # or an exp past the double range warns of nothing
+    from spinmoments import criteria
+
+    inf = math.inf
+    values = [-inf, -800.0, -1.0, 0.0, 1.5 - 1e-12, 1.5, 709.0, 800.0]
+    log_l, log_r = np.array(values), np.array(values)[:, None]
+    b, verdict = analytic.b_from_logs(log_l, log_r), criteria.violated(log_l, log_r)
+    assert analytic.exp_or_inf(log_l).tolist() == [analytic.exp_or_inf(v) for v in values]
+    assert {type(v) for v in b.tolist()[3] + verdict.tolist()[3]} == {float, bool}
+    for i, r in enumerate(values):
+        for k, l in enumerate(values):
+            one = analytic.b_from_logs(l, r)
+            assert type(one) is float and (b[i, k] == one or math.isnan(b[i, k]) and math.isnan(one))
+            assert verdict[i, k] == criteria.violated(l, r)
+    assert math.isnan(b[0, 0]) and not verdict[0, 0]  # L = R = 0: undefined, no violation
+    assert b[0, 5] == inf and verdict[0, 5]  # R = 0 < L
+    assert b[5, 0] == analytic.exp_or_inf(-inf) == 0.0  # L = 0
+    assert b[1, 7] == analytic.exp_or_inf(800.0) == inf  # past the double range

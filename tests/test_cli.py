@@ -386,10 +386,11 @@ def test_scan_family_rows_equal_state_by_state_evaluation(capsys, spin, family, 
 
 
 def test_scan_family_builds_each_state_once_and_scores_each_spin_once(capsys, monkeypatch):
-    # one log_moments call per 2J scores every kind of every N at that spin
+    # one make_states call per 2J builds every N's state at that spin, and one
+    # log_moments call per 2J scores every kind of every N there
     from spinmoments import analytic, optimizer
 
-    calls = {"make_state": 0, "log_moments": 0}
+    calls = {"make_states": 0, "log_moments": 0}
 
     def spy(module, name):
         original = getattr(module, name)
@@ -400,7 +401,7 @@ def test_scan_family_builds_each_state_once_and_scores_each_spin_once(capsys, mo
 
         monkeypatch.setattr(module, name, counting)
 
-    spy(optimizer, "make_state")
+    spy(optimizer, "make_states")
     spy(analytic, "log_moments")
     rc, out, _ = run_cli(
         capsys, "scan", "--axis", "n", "--twice-j", "9", "--family", "bosonic",
@@ -408,15 +409,15 @@ def test_scan_family_builds_each_state_once_and_scores_each_spin_once(capsys, mo
     )
     assert rc == 0
     assert len(parse_csv(out)) == 796
-    assert calls == {"make_state": 199, "log_moments": 1}
-    calls.update(make_state=0, log_moments=0)
+    assert calls == {"make_states": 1, "log_moments": 1}
+    calls.update(make_states=0, log_moments=0)
     rc, out, _ = run_cli(
         capsys, "scan", "--axis", "d", "--d", "2..9", "--n", "4", "--family", "uniform-max",
         "--kinds", "bell,epr1,epr2,ent-cj,ent-hz,epr2-hz",
     )
     assert rc == 0
     assert len(parse_csv(out)) == 48
-    assert calls == {"make_state": 8, "log_moments": 8}
+    assert calls == {"make_states": 8, "log_moments": 8}
 
 
 def test_scan_curve_rows_follow_point_order():

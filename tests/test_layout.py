@@ -1,11 +1,14 @@
-"""Code layout that the package relies on: one eigen solver, one closed-form batch.
+"""Code layout that the package relies on: one eigen solver, one closed-form batch,
+one state constructor.
 
 Every eigen solve goes through ``spin_algebra._tridiagonal_eigh``, so a
 ``numpy.linalg`` reference anywhere else in the package is a second solver
 route.  Every batch of closed forms goes through ``analytic.log_sweep``, so a
-``log_moments`` reference outside ``analytic`` is a second batching route.  The
-source is parsed, not searched, so docstrings and comments may still name
-``numpy.linalg.eigh`` or ``log_moments``.
+``log_moments`` reference outside ``analytic`` is a second batching route.  Every
+state is built by ``states._from_logs``, so a ``SymmetricCorrelatedState`` call
+anywhere else is a second constructor.  The source is parsed, not searched, so
+docstrings and comments may still name ``numpy.linalg.eigh``, ``log_moments`` or
+``SymmetricCorrelatedState(``.
 """
 
 import ast
@@ -59,6 +62,18 @@ def _log_moments_uses(tree: ast.AST):
     return _uses(tree, matches)
 
 
+def _state_constructions(tree: ast.AST):
+    """Every call of ``SymmetricCorrelatedState``, by name or as an attribute."""
+
+    def matches(node):
+        if not isinstance(node, ast.Call):
+            return False
+        name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        return name == "SymmetricCorrelatedState"
+
+    return _uses(tree, matches)
+
+
 def _package_uses(find):
     return {path.name: find(ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -100,3 +115,22 @@ def score(states):
     return analytic.log_moments(states), log_moments(states)
 '''
     assert _log_moments_uses(ast.parse(source)) == [(None, 2), ("score", 7), ("score", 7)]
+
+
+def test_states_are_constructed_only_inside_from_logs():
+    uses = _package_uses(_state_constructions)
+    assert {function for function, _ in uses.pop("states.py")} == {"_from_logs"}
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_the_constructor_check_sees_every_spelling():
+    source = '''
+from .states import SymmetricCorrelatedState
+from . import states
+
+def build(j, signs, log_r):
+    """SymmetricCorrelatedState(j) in a docstring is no call."""
+    one = states.SymmetricCorrelatedState(j, 2, signs, log_r, 0.0)
+    return one, SymmetricCorrelatedState(j, 3, signs, log_r, 0.0)
+'''
+    assert _state_constructions(ast.parse(source)) == [("build", 7), ("build", 8)]

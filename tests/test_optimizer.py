@@ -137,7 +137,7 @@ def test_best_state_keeps_an_amplitude_that_the_unit_vector_rounds_to_zero():
     assert -math.inf < state.log_amplitudes[1] < math.log(1e-308)
     # the normal-float amplitudes take log|r| from r itself
     assert state.log_amplitudes[[0, 2]].tolist() == np.log(report.best_r[[0, 2]]).tolist()
-    rebuilt = _from_logs(ONE, 5000, state.signs, state.log_amplitudes)
+    (rebuilt,) = _from_logs(ONE, [5000], state.signs, state.log_amplitudes)
     assert np.array_equal(rebuilt.signs, state.signs)
     assert np.array_equal(rebuilt.log_amplitudes, state.log_amplitudes)
     assert rebuilt.log_norm_sq == state.log_norm_sq

@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinmoments.spin_algebra import SpinQuantum
 from spinmoments.states import (
@@ -19,6 +20,7 @@ from spinmoments.states import (
     dense_vector,
     family_label,
     make_state,
+    make_states,
     support_vector,
 )
 
@@ -120,6 +122,39 @@ def test_custom_validation():
         make_state(Custom((1.0, 1.0)), HALF, 1)  # n_sites < 2
     st = make_state(Custom((1.0, -2.0, 0.5)), ONE, 3)
     assert np.array_equal(st.signs, [1.0, -1.0, 1.0])
+
+
+@st.composite
+def family_sweeps(draw):
+    """(family, j, N list): a family that fits its spin, 2J = 1..12, N unsorted with repeats."""
+    tj = draw(st.integers(1, 12))
+    amplitude = st.floats(-1e3, 1e3, allow_nan=False) | st.just(0.0)
+    custom = st.lists(amplitude, min_size=tj + 1, max_size=tj + 1).filter(any).map(lambda a: Custom(tuple(a)))
+    choices = [st.just(UniformMax()), st.just(Bosonic()), custom]
+    if tj == 1:
+        choices.append(st.floats(-10, 10, allow_nan=False).map(GeneralizedGHZ))
+    if tj == 2:
+        choices.append(st.floats(0, 1e3, allow_nan=False).map(SpinOneR))
+    n_list = draw(st.lists(st.integers(2, 400), min_size=1, max_size=12))
+    return draw(st.one_of(choices)), SpinQuantum(tj), n_list
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_sweeps())
+def test_batched_states_equal_one_at_a_time_states(sweep):
+    # bit for bit, row by row; log n equals a 1-D log-sum-exp of the state's own row
+    family, j, n_list = sweep
+    batch = make_states(family, j, n_list)
+    assert [state.n_sites for state in batch] == n_list
+    for state, n in zip(batch, n_list):
+        one = make_state(family, j, n)
+        assert state.signs.tolist() == one.signs.tolist()
+        assert state.log_amplitudes.tolist() == one.log_amplitudes.tolist()
+        assert state.log_norm_sq == one.log_norm_sq == _logsumexp(2 * one.log_amplitudes)
+        assert type(state.log_norm_sq) is float
+        assert not (state.signs.flags.writeable or state.log_amplitudes.flags.writeable)
+    if not isinstance(family, Bosonic):  # r does not depend on N: one shared pair
+        assert all(s.signs is batch[0].signs and s.log_amplitudes is batch[0].log_amplitudes for s in batch)
 
 
 def test_log_amplitudes_consistent():
