@@ -13,8 +13,8 @@ sums over m with per-site eigenvalue factors
     f+(m)       = (J+m)(J-m+1)          (J+ J-)
     f-(m)       = (J-m)(J+m+1)          (J- J+)
 
-R's site layout comes from ``kinds.bound_runs``: each tag's factor is raised to
-its run length.  Every sum sum_m w_m prod(base^power) is reduced by factoring
+R's site layout comes from ``kinds.bound_counts``: each tag's factor is raised
+to its count.  Every sum sum_m w_m prod(base^power) is reduced by factoring
 out the largest log term, so k^N factors cannot overflow: spin 10 with 30 sites
 is routine.  log n is the state's ``log_norm_sq``.  The weights and moments
 broadcast over N: one ``log_moments`` call scores states of one J, a row per
@@ -80,16 +80,12 @@ def log_bound_weights(
     c_j: float | None = None,
 ) -> np.ndarray:
     """log of the per-m bound weights D_m, R = sum_m r_m^2 D_m / n (-inf where
-    an HZ ladder factor vanishes): per run of ``kinds.bound_runs``, its length
-    times the log of its tag's factor, per N.
+    an HZ ladder factor vanishes): per tag of ``kinds.bound_counts``, its count
+    times the log of its factor, read once over the whole N array.
     """
-    n_list = np.ravel(n_sites).tolist()
-    powers = {tag: [0] * len(n_list) for tag in _SUM_ORDER}
-    for i, n in enumerate(n_list):
-        for tag, k in kinds.bound_runs(kind, int(n)):
-            powers[tag][i] += k
+    counts = kinds.bound_counts(kind, n_sites)
     fac = _eigenvalue_factors(j)
-    if any(powers[SiteOp.CJ_SHIFTED]):
+    if np.any(counts.get(SiteOp.CJ_SHIFTED, 0)):
         cj = cj_bound(j).c_j if c_j is None else float(c_j)
         shifted = fac[SiteOp.X2_PLUS_Y2] - cj
         if not np.all(shifted > 0):  # a NaN C_J fails too
@@ -98,13 +94,13 @@ def log_bound_weights(
                 f"{fac[SiteOp.X2_PLUS_Y2].min()} for twice_j = {j.twice_j}"
             )
 
-    log_d = np.zeros((len(n_list), j.dim))
-    for tag, power in powers.items():
-        if any(power):  # a zero power must not meet a log of zero, so its rows are skipped
-            rows = slice(None) if all(power) else np.flatnonzero(power)
+    log_d = np.zeros(np.shape(n_sites) + (j.dim,))
+    for tag in _SUM_ORDER:
+        count = np.asarray(counts.get(tag, 0), dtype=float)[..., None]
+        if count.any():  # a zero count adds an exact 0.0, never 0 * log 0 = nan
             log_f = _log(shifted if tag is SiteOp.CJ_SHIFTED else fac[tag])
-            log_d[rows] += np.array(power, dtype=float)[rows, None] * log_f
-    return log_d.reshape(np.shape(n_sites) + (j.dim,))
+            log_d += count * np.where(count > 0, log_f, 0.0)
+    return log_d
 
 
 def log_moments(j, n_sites, log_amplitudes, signs, log_norm_sq, kind_list, *, c_j=None):

@@ -30,6 +30,7 @@ import os
 import sys
 import traceback
 from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache
 
 from . import __version__, analytic, criteria, kinds, optimizer, oracle
 from .spin_algebra import SpinQuantum, cj_bound
@@ -113,15 +114,21 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _parse_amplitudes(text: str) -> list[float]:
-    text = text.strip()
-    parts = json.loads(text) if text.startswith("[") else text.split(",")
-    values = [float(p) for p in parts]
+    """'1,0.5,1' or '[1, 0.5, 1]' -> [1.0, 0.5, 1.0]."""
+    stripped = text.strip()
+    try:
+        parts = json.loads(stripped) if stripped.startswith("[") else stripped.split(",")
+        values = [float(p) for p in parts]
+    except (ValueError, TypeError):  # a JSON error is a ValueError; a nested list a TypeError
+        raise UsageError(f"amplitudes must read R,R,... or [R,R,...] with decimal R, got {text!r}") from None
     if not all(math.isfinite(v) for v in values):
         raise UsageError("amplitudes must be finite decimals")
     return values
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing reads it and never writes it."""
     parser = argparse.ArgumentParser(prog="spinmoments", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -137,7 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
     def family_params(p: argparse.ArgumentParser) -> None:
         p.add_argument("--theta", type=float, help="GHZ angle, radians")
         p.add_argument("--r", type=float, help="spin1r middle amplitude")
-        p.add_argument("--amplitudes", help="custom amplitudes: 1,0.5,1 or [1,0.5,1]")
+        p.add_argument(
+            "--amplitudes",
+            help="custom amplitudes: 1,0.5,1 or [1,0.5,1]; a leading minus needs --amplitudes=-1,1 or [-1,1]",
+        )
 
     p_eval = sub.add_parser("eval", parents=[common, spin], help="evaluate one criterion")
     p_eval.add_argument("--n", required=True, type=int)

@@ -12,18 +12,19 @@ per-site factors encode the local model ruled out (Cavalcanti et al., PRL 99,
                      Bell, T = N to the matching entanglement kind; strict
                      steering semantics need 1 <= T <= N-1.
 
-Both backends take the canonical signs (``canonical_signs``) and R's site
-layout (``bound_runs``) from here: the oracle expands the runs into per-site
-tags, the closed forms raise each tag's eigenvalue factor to its run length.
+R's canonical site layout is defined once, as ``bound_counts`` (sites per tag);
+``canonical_signs`` and the oracle's per-site ``bound_tags`` are read off it, and
+the closed forms raise each tag's eigenvalue factor to its count, over N arrays.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
+
+import numpy as np
 
 
 class SiteOp(Enum):
@@ -68,16 +69,19 @@ class Steering:
 CriterionKind = Union[Bell, EntanglementHZ, EntanglementCJ, Steering]
 
 
-def quantum_sites(kind: CriterionKind, n_sites: int) -> int:
-    """Number T of quantum-bounded sites for this kind on n_sites sites."""
+def quantum_sites(kind: CriterionKind, n_sites: int | np.ndarray) -> int | np.ndarray:
+    """Number T of quantum-bounded sites for this kind on n_sites sites (an int,
+    or elementwise over an array of N; T > N names the array's first such N)."""
     if isinstance(kind, Bell):
         return 0
     if isinstance(kind, (EntanglementHZ, EntanglementCJ)):
         return n_sites
     if isinstance(kind, Steering):
-        if kind.t_sites > n_sites:
-            raise ValueError(f"t_sites = {kind.t_sites} exceeds n_sites = {n_sites}")
-        return kind.t_sites
+        t = kind.t_sites
+        short = n_sites[n_sites < t] if isinstance(n_sites, np.ndarray) else [n_sites] * bool(n_sites < t)
+        if len(short):
+            raise ValueError(f"t_sites = {t} exceeds n_sites = {int(short[0])}")
+        return t
     raise TypeError(f"unknown criterion kind: {kind!r}")
 
 
@@ -85,41 +89,38 @@ def _hz_bound(kind: CriterionKind) -> bool:
     return isinstance(kind, EntanglementHZ) or (isinstance(kind, Steering) and kind.bound == "hz")
 
 
-def canonical_signs(kind: CriterionKind, n_sites: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The canonical (s, l): all-minus ladder signs s; for HZ-type bounds, l is
-    plus on the first quantum site and minus on the rest (empty otherwise)."""
+def bound_counts(kind: CriterionKind, n_sites: int | np.ndarray) -> dict:
+    """R's canonical layout: {tag: number of sites carrying it}, quantum tags first,
+    for an int N or elementwise over an array of N.  HZ-type bounds put J+J- on
+    the first quantum site (the one plus sign of the canonical l) and J-J+ on the
+    rest; the other N - T sites carry Jx^2 + Jy^2.  A count may be 0."""
     t = quantum_sites(kind, n_sites)
-    l = (1,) + (-1,) * (t - 1) if t and _hz_bound(kind) else ()
+    if _hz_bound(kind):
+        plus = 1 * (t > 0)
+        return {SiteOp.PLUS_MINUS: plus, SiteOp.MINUS_PLUS: t - plus, SiteOp.X2_PLUS_Y2: n_sites - t}
+    return {SiteOp.CJ_SHIFTED: t, SiteOp.X2_PLUS_Y2: n_sites - t}
+
+
+def canonical_signs(kind: CriterionKind, n_sites: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The canonical (s, l): all-minus ladder signs s; l is read off ``bound_counts``,
+    plus on its J+J- sites and minus on its J-J+ sites, plus first (empty unless
+    the bound is HZ-type)."""
+    counts = bound_counts(kind, n_sites)
+    l = (1,) * counts.get(SiteOp.PLUS_MINUS, 0) + (-1,) * counts.get(SiteOp.MINUS_PLUS, 0)
     return (-1,) * n_sites, l
 
 
-def bound_runs(
-    kind: CriterionKind, n_sites: int, l_signs: Sequence[int] | None = None
-) -> list[tuple[SiteOp, int]]:
-    """R's site layout as ordered runs (tag, number of sites), quantum sites first.
-
-    HZ-type bounds turn the l-signs into J+J- (plus) / J-J+ (minus) tags; the
-    default is the canonical l, kept as runs so the list stays O(1) in N.  Other
-    kinds ignore l_signs.
-    """
-    t = quantum_sites(kind, n_sites)
-    if not _hz_bound(kind):
-        quantum = [(SiteOp.CJ_SHIFTED, t)]
-    elif l_signs is None:
-        quantum = [(SiteOp.PLUS_MINUS, min(t, 1)), (SiteOp.MINUS_PLUS, t - 1)]
-    else:
-        if len(l_signs) != t:
-            raise ValueError(f"l_signs must have length {t}, got {len(l_signs)}")
-        tags = (SiteOp.PLUS_MINUS if s > 0 else SiteOp.MINUS_PLUS for s in l_signs)
-        quantum = [(tag, len(list(run))) for tag, run in itertools.groupby(tags)]
-    return [(tag, k) for tag, k in quantum + [(SiteOp.X2_PLUS_Y2, n_sites - t)] if k > 0]
-
-
-def bound_tags(
-    kind: CriterionKind, n_sites: int, l_signs: Sequence[int] | None = None
-) -> list[SiteOp]:
-    """Per-site tags of the bound moment R: ``bound_runs`` expanded."""
-    return [tag for tag, k in bound_runs(kind, n_sites, l_signs) for _ in range(k)]
+def bound_tags(kind: CriterionKind, n_sites: int, l_signs: Sequence[int] | None = None) -> list[SiteOp]:
+    """Per-site tags of the bound moment R: ``bound_counts`` expanded.  Given l_signs,
+    an HZ-type bound tags its quantum sites J+J- (plus) or J-J+ (minus) by them
+    instead; other kinds ignore l_signs."""
+    counts = bound_counts(kind, n_sites)
+    if l_signs is None or not _hz_bound(kind):
+        return [tag for tag, k in counts.items() for _ in range(k)]
+    free = counts[SiteOp.X2_PLUS_Y2]
+    if len(l_signs) != n_sites - free:
+        raise ValueError(f"l_signs must have length {n_sites - free}, got {len(l_signs)}")
+    return [SiteOp.PLUS_MINUS if s > 0 else SiteOp.MINUS_PLUS for s in l_signs] + [SiteOp.X2_PLUS_Y2] * free
 
 
 def ladder_tags(signs: Sequence[int]) -> list[SiteOp]:

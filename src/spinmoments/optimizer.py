@@ -15,7 +15,7 @@ log x - log M / 2 is the optimal r.  The state is built from log r, so an
 r_m below 1e-308 of the largest is kept (``best_r`` rounds it to 0); x
 itself still underflows to 0 where the scaled tridiagonal spans more than
 1e308 (2J = 3, N = 10^4, ``ent-hz``).  It folds r_m = r_-m exactly when
-``kinds.bound_runs`` has as many J+J- sites as J-J+ sites (every non-HZ
+``kinds.bound_counts`` has as many J+J- sites as J-J+ sites (every non-HZ
 kind, and HZ bounds with T = 2): q(m) is even in m and f+(m) = f-(-m), so
 D is then mirror symmetric like A, and so is the top eigenvector.  Other layouts are solved over the
 full d-vector (at d <= 3 their zero end weights can leave D symmetric; the
@@ -86,8 +86,8 @@ class MinSitesResult:
 
 def _mirror_symmetric(kind: kinds.CriterionKind, n_sites: int) -> bool:
     """Whether D_m = D_-m: R has as many J+J- sites as J-J+ sites."""
-    balance = {kinds.SiteOp.PLUS_MINUS: 1, kinds.SiteOp.MINUS_PLUS: -1}
-    return sum(balance.get(tag, 0) * k for tag, k in kinds.bound_runs(kind, n_sites)) == 0
+    counts = kinds.bound_counts(kind, n_sites)
+    return counts.get(kinds.SiteOp.PLUS_MINUS, 0) == counts.get(kinds.SiteOp.MINUS_PLUS, 0)
 
 
 def _fold(log_a: np.ndarray, log_d: np.ndarray, mirror: bool):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -330,12 +331,11 @@ def _row_by_row(state, kind, c_j):
     log_norm_sq = logsumexp(2 * log_r)
     ladder = log_r[:-1] + log_r[1:] + 0.5 * state.n_sites * np.log(fac[SiteOp.MINUS_PLUS][:-1])
     log_l = 2 * (logsumexp(ladder, signs[:-1] * signs[1:]) - log_norm_sq)
-    powers = dict.fromkeys(analytic._SUM_ORDER, 0)
-    for tag, sites in kinds.bound_runs(kind, state.n_sites):
-        powers[tag] += sites
+    powers = Counter(kinds.bound_tags(kind, state.n_sites))  # the per-site layout, counted
     cj = cj_bound(state.j).c_j if c_j is None else c_j
     log_d = np.zeros(state.dim)
-    for tag, power in powers.items():
+    for tag in analytic._SUM_ORDER:
+        power = powers[tag]
         if power:
             factor = fac[SiteOp.X2_PLUS_Y2] - cj if tag is SiteOp.CJ_SHIFTED else fac[tag]
             with np.errstate(divide="ignore"):
@@ -489,7 +489,30 @@ def test_weights_broadcast_over_n():
             assert np.array_equal(bound[i], analytic.log_bound_weights(j, n, kind))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tj", range(1, 13))
+def test_weights_over_an_n_array_stack_the_int_calls(tj):
+    # one bound_counts read over the whole array equals the int-N calls stacked,
+    # bit for bit, -inf included (ent-hz and HZ steering at 2J = 1), on shuffled
+    # N with repeats, given as ints and as floats
+    j, rng = SpinQuantum(tj), np.random.default_rng(tj)
+    tokens = ["bell", "ent-cj", "ent-hz"] + [f"epr{t}{hz}" for t in range(4) for hz in ("", "-hz")]
+    for kind in map(kinds.parse_kind, tokens):
+        low = max(1, getattr(kind, "t_sites", 1))
+        n_values = rng.permutation(list(range(low, low + 5)) * 2 + [low, 60, 200])
+        stacked = np.array([analytic.log_bound_weights(j, int(n), kind) for n in n_values])
+        for n_array in (n_values, n_values.astype(float)):
+            assert np.array_equal(analytic.log_bound_weights(j, n_array, kind), stacked), (tj, kind)
+        if tj == 1 and isinstance(kind, EntanglementHZ):
+            assert np.isneginf(stacked).any()
+
+
 def test_sweep_raises_what_the_first_row_raises():
+    # N goes in as floats, in the states' order; the message names the first N too small
+    states = [make_state(UniformMax(), ONE, n) for n in (3, 2)]
+    with pytest.raises(ValueError, match="^t_sites = 4 exceeds n_sites = 3$"):
+        analytic.log_sweep(states, [Steering(4)])
+
     states = [make_state(UniformMax(), ONE, n) for n in (2, 5)]
     for others in ([], [Bell()], [Bell(), EntanglementHZ()]):  # the bad kind alone or after good ones
         with pytest.raises(ValueError, match="t_sites = 3 exceeds n_sites = 2"):

@@ -82,6 +82,51 @@ def test_eval_rejects_nan_amplitudes(capsys):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("text", ["1,,2", "[1, 2", "[[1],2]", "abc"])
+def test_bad_amplitudes_name_the_accepted_forms(capsys, text):
+    rc, out, err = run_cli(
+        capsys, "eval", "--j", "1", "--n", "3", "--family", "custom", "--amplitudes", text, "--kind", "bell"
+    )
+    message = f"amplitudes must read R,R,... or [R,R,...] with decimal R, got {text!r}"
+    assert (rc, out, err) == (2, "", f"spinmoments: {message}\n")
+
+
+def test_amplitudes_with_a_leading_minus(capsys):
+    argv = ["eval", "--j", "1", "--n", "3", "--family", "custom", "--kind", "bell"]
+    rc, out, err = run_cli(capsys, *argv, "--amplitudes", "-1,1,1")  # argparse takes -1,1,1 for an option
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1].endswith("error: argument --amplitudes: expected one argument")
+    spellings = (["--amplitudes=-1,1,1"], ["--amplitudes", "[-1,1,1]"], ["--amplitudes", "[-1, 1, 1]"])
+    ((rc, out, err),) = {run_cli(capsys, *argv, *spelling) for spelling in spellings}
+    assert (rc, err) == (0, "")
+    assert parse_csv(out)[0]["L"] == "0"  # r = (-1, 1, 1): the two ladder terms cancel
+
+
+def test_main_reuses_one_parser_with_the_bytes_of_a_fresh_one(capsys):
+    from spinmoments import cli
+
+    argvs = [
+        ["eval", "--j", "1", "--n", "3", "--family", "custom", "--amplitudes", "1,0.5,1", "--kind", "ent-cj"],
+        ["scan", "--axis", "n", "--j", "1", "--n", "2..4", "--family", "bosonic", "--kinds", "bell,epr1"],
+        ["eval", "--j", "1", "--n", "3", "--family", "bosonic", "--kind", "bell", "--bogus"],  # argparse: exit 2
+        ["scan", "--axis", "d", "--d", "2..3", "--n", "3", "--optimized", "--kinds", "bell", "--format", "json"],
+        ["min-sites", "--kind", "bell", "--max-d", "3", "--n-max", "6"],
+        ["cj-table", "--max-twice-j", "3"],
+        ["eval", "--j", "1", "--n", "3", "--family", "ghz", "--kind", "bell"],  # a config error: exit 2
+        ["eval", "--j", "1", "--n", "3", "--family", "custom", "--amplitudes", "1,0.5,1", "--kind", "ent-cj"],
+    ]
+    cli.build_parser.cache_clear()
+    shared = [run_cli(capsys, *argv) for argv in argvs]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [0, 0, 2, 0, 0, 0, 2, 0]
+    assert shared[0] == shared[-1]
+
+
 def test_csv_and_json_carry_identical_values(capsys):
     argv = ["eval", "--j", "1/2", "--n", "4", "--family", "ghz", "--theta", "0.6", "--kind", "epr1"]
     rc, out_csv, _ = run_cli(capsys, *argv)
