@@ -68,7 +68,7 @@ class RunConfig:
     family: str | None = None
     theta: float | None = None
     r: float | None = None
-    amplitudes: list[float] | None = None
+    amplitudes: tuple[float, ...] | None = None
     kind_tokens: list[str] = field(default_factory=list)
     strategy: str = "canonical"
     backend: str | None = None
@@ -113,13 +113,18 @@ def _parse_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _parse_amplitudes(text: str) -> list[float]:
-    """'1,0.5,1' or '[1, 0.5, 1]' -> [1.0, 0.5, 1.0]."""
+def _parse_amplitudes(text: str) -> tuple[float, ...]:
+    """'1,0.5,1' or '[1, 0.5, 1]' -> (1.0, 0.5, 1.0); the JSON form holds numbers only, at least one."""
     stripped = text.strip()
     try:
-        parts = json.loads(stripped) if stripped.startswith("[") else stripped.split(",")
-        values = [float(p) for p in parts]
-    except (ValueError, TypeError):  # a JSON error is a ValueError; a nested list a TypeError
+        if stripped.startswith("["):
+            parts = json.loads(stripped)  # a JSON error is a ValueError
+            if not parts or not all(type(p) in (int, float) for p in parts):  # no bool, str or list
+                raise ValueError
+        else:
+            parts = stripped.split(",")
+        values = tuple(float(p) for p in parts)
+    except ValueError:
         raise UsageError(f"amplitudes must read R,R,... or [R,R,...] with decimal R, got {text!r}") from None
     if not all(math.isfinite(v) for v in values):
         raise UsageError("amplitudes must be finite decimals")
@@ -189,6 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "max_twice_j", 1) < 1:  # verify and cj-table
         raise UsageError("--max-twice-j must be >= 1")
+    if getattr(args, "max_d", 2) < 2:  # min-sites
+        raise UsageError("--max-d must be >= 2")
     cfg = {"command": args.command, "fmt": args.format, "output": args.output}
     if args.command == "eval":
         cfg.update(
@@ -237,14 +244,17 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.update(kind_tokens=[args.kind], max_d=args.max_d, n_max=args.n_max)
     elif args.command == "cj-table":
         cfg.update(max_twice_j=args.max_twice_j)
-    if args.command in ("eval", "scan"):
+    if args.command in ("eval", "scan"):  # a family parameter's option is given exactly when the family reads it
         family = FAMILIES.get(cfg["family"])  # None for scan --optimized
-        read = {f.name for f in fields(family)} if family else set()
+        read = [f.name for f in fields(family)] if family else []
+        owner = f"family {cfg['family']}" if family else "scan --optimized"
         for name in ("theta", "r", "amplitudes"):
             if getattr(args, name) is not None and name not in read:
-                owner = f"family {cfg['family']}" if family else "scan --optimized"
                 raise UsageError(f"{owner} reads no --{name}")
-        amplitudes = _parse_amplitudes(args.amplitudes) if args.amplitudes else None
+        for name in read:
+            if getattr(args, name) is None:
+                raise UsageError(f"{owner} needs --{name}")
+        amplitudes = None if args.amplitudes is None else _parse_amplitudes(args.amplitudes)
         cfg.update(theta=args.theta, r=args.r, amplitudes=amplitudes)
     return RunConfig(**cfg)
 
@@ -270,18 +280,16 @@ def _fmt_value(value) -> str:
 
 
 def _json_value(value):
-    if isinstance(value, float):
-        if math.isnan(value):
-            return None
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return float(f"{value:.12g}")
+    if isinstance(value, float):  # _fmt_value's digits; inf keeps its text, nan ("") becomes null
+        text = _fmt_value(value)
+        return float(text) if math.isfinite(value) else text or None
     if isinstance(value, tuple):
         return [_json_value(v) for v in value]
     return value
 
 
-def render(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
+def render(cfg: RunConfig, rows: list[dict]) -> str:
+    """The rows as CSV or JSON; each row's keys are the columns in output order, the first row's the header."""
     fmt = _json_value if cfg.fmt == "json" else _fmt_value
     texts = {}  # id -> formatted tuple: the rows of one state share its r_vector, formatted once
 
@@ -295,20 +303,20 @@ def render(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
     if cfg.fmt == "json":
         doc = {
             "config": cfg.to_dict(),
-            "rows": [{c: cell(row[c]) for c in columns} for row in rows],
+            "rows": [{c: cell(v) for c, v in row.items()} for row in rows],
             "tool_version": __version__,
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+    writer.writerow(rows[0].keys())
     for row in rows:
-        writer.writerow([cell(row[c]) for c in columns])
+        writer.writerow([cell(v) for v in row.values()])
     return buf.getvalue()
 
 
-def emit(cfg: RunConfig, columns: list[str], rows: list[dict]) -> None:
-    text = render(cfg, columns, rows)
+def emit(cfg: RunConfig, rows: list[dict]) -> None:
+    text = render(cfg, rows)
     if cfg.output == "-":
         sys.stdout.write(text)
         return
@@ -325,16 +333,8 @@ def emit(cfg: RunConfig, columns: list[str], rows: list[dict]) -> None:
 
 def _build_family(cfg: RunConfig):
     """The family named by cfg; each of its fields comes from the option of that name."""
-    if cfg.family not in FAMILIES:
-        raise UsageError(f"unknown family {cfg.family!r}")
     cls = FAMILIES[cfg.family]
-    params = {}
-    for f in fields(cls):
-        value = getattr(cfg, f.name)
-        if value is None or value == []:
-            raise UsageError(f"family {cfg.family} needs --{f.name}")
-        params[f.name] = tuple(value) if isinstance(value, list) else value
-    return cls(**params)
+    return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
 
 
 def _family_name(family) -> str:
@@ -349,7 +349,6 @@ def cmd_eval(cfg: RunConfig) -> int:
     kind = kinds.parse_kind(cfg.kind_tokens[0])
     backend = None if cfg.backend is None else criteria.Backend(cfg.backend)
     result = criteria.evaluate(state, kind, cfg.strategy, backend=backend)
-    columns = ["twice_j", "n", "family", "kind", "t", "L", "R", "B", "violated", "s_signs", "l_signs", "backend"]
     rows = [
         {
             "twice_j": cfg.twice_j,
@@ -366,7 +365,7 @@ def cmd_eval(cfg: RunConfig) -> int:
             "backend": result.backend.value,
         }
     ]
-    emit(cfg, columns, rows)
+    emit(cfg, rows)
     return 0
 
 
@@ -398,8 +397,7 @@ def _verify_points(cfg: RunConfig):
 
 def cmd_verify(cfg: RunConfig) -> int:
     kind_list = [kinds.Bell(), kinds.EntanglementHZ(), kinds.EntanglementCJ(), kinds.Steering(1, "cj")]
-    columns = ["family", "twice_j", "n", "kind", "b_oracle", "b_analytic", "rel_discrepancy"]
-    rows, skipped, points = [], [], list(_verify_points(cfg))
+    rows, names, skipped, points = [], [], [], list(_verify_points(cfg))  # names: stderr only
     n_lists = {}  # the points come by family, then by spin: one pass per (family, spin)
     for family, tj, n in points:
         n_lists.setdefault((family, SpinQuantum(tj)), []).append(n)
@@ -421,7 +419,6 @@ def cmd_verify(cfg: RunConfig) -> int:
             rows.append(
                 {
                     "family": label,
-                    "family_name": name,  # stderr only
                     "twice_j": tj,
                     "n": n,
                     "kind": kinds.kind_token(kind),
@@ -430,13 +427,14 @@ def cmd_verify(cfg: RunConfig) -> int:
                     "rel_discrepancy": _rel_diff(b_oracle, kind_b),
                 }
             )
+            names.append(name)
     if not rows:  # else a point is checked: the grid starts at 2J = 1, N = 2, inside the oracle's limits
         print("verify: empty grid (--max-size excludes every point)", file=sys.stderr)
         return 2
-    emit(cfg, columns, rows)
-    top = max(rows, key=lambda row: row["rel_discrepancy"])  # the first of any tie
+    emit(cfg, rows)
+    top, name = max(zip(rows, names), key=lambda pair: pair[0]["rel_discrepancy"])  # the first of any tie
     worst = top["rel_discrepancy"]
-    where = "family {family_name}, 2J = {twice_j}, N = {n}, kind {kind}".format(**top)
+    where = f"family {name}, 2J = {top['twice_j']}, N = {top['n']}, kind {top['kind']}"
     print(f"verify: {len(rows)} points, max relative discrepancy {worst:.3e} at {where}", file=sys.stderr)
     if skipped:
         print(f"verify: skipped {len(skipped)} states beyond the oracle, the first at {skipped[0]}", file=sys.stderr)
@@ -448,33 +446,28 @@ def cmd_scan(cfg: RunConfig) -> int:
     source = "optimized" if cfg.family == "optimized" else _build_family(cfg)
     twice_js = [cfg.twice_j] if cfg.axis == "n" else [d - 1 for d in cfg.d_values]
     points = [(tj, n) for tj in twice_js for n in cfg.n_values]
-    columns = ["twice_j", "n", "t", "family", "kind", "L", "R", "B", "violated", "r_vector"]
-    emit(cfg, columns, optimizer.scan_curve(kind_list, source, points))
+    emit(cfg, optimizer.scan_curve(kind_list, source, points))
     return 0
 
 
 def cmd_min_sites(cfg: RunConfig) -> int:
     kind = kinds.parse_kind(cfg.kind_tokens[0])
-    if cfg.max_d < 2:
-        raise UsageError("--max-d must be >= 2")
-    columns = ["d", "kind", "min_n", "b_at_min_n"]
     rows = []
     for d in range(2, cfg.max_d + 1):
         res = optimizer.min_sites_for_violation(SpinQuantum(d - 1), kind, cfg.n_max)
         rows.append(
             {"d": d, "kind": kinds.kind_token(kind), "min_n": res.min_n, "b_at_min_n": res.b_at_min_n}
         )
-    emit(cfg, columns, rows)
+    emit(cfg, rows)
     return 0
 
 
 def cmd_cj_table(cfg: RunConfig) -> int:
-    columns = ["twice_j", "c_j", "source"]
     rows = []
     for tj in range(1, cfg.max_twice_j + 1):
         bound = cj_bound(SpinQuantum(tj))
         rows.append({"twice_j": tj, "c_j": bound.c_j, "source": bound.source.value})
-    emit(cfg, columns, rows)
+    emit(cfg, rows)
     return 0
 
 
@@ -496,7 +489,7 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         return _COMMANDS[cfg.command](cfg)
-    except (CapExceededError, criteria.ExhaustiveSearchError) as exc:
+    except CapExceededError as exc:
         print(f"spinmoments: {exc}", file=sys.stderr)
         return 3
     except (UsageError, ValueError, TypeError) as exc:

@@ -41,14 +41,10 @@ from enum import Enum
 import numpy as np
 
 from . import analytic, kinds, oracle
-from .states import SymmetricCorrelatedState, support_vector
+from .states import CapExceededError, SymmetricCorrelatedState, support_vector
 
 EXHAUSTIVE_MAX_SITES = 16
 VERDICT_BAND = 1e-11
-
-
-class ExhaustiveSearchError(ValueError):
-    """Exhaustive sign search asked for beyond its site bound."""
 
 
 def violated(log_l: float, log_r: float) -> bool:
@@ -102,8 +98,8 @@ def evaluate(
 
     canonical defaults to the analytic backend (exact for every correlated
     state); pass backend=Backend.ORACLE to force the brute-force oracle.
-    exhaustive always runs on the oracle and needs N <= 16.  The oracle
-    refuses d^N > 2^62 (``states.CapExceededError``).
+    exhaustive always runs on the oracle and needs N <= 16.  Beyond either
+    limit, N > 16 or the oracle's d^N > 2^62, it raises ``states.CapExceededError``.
     """
     n = state.n_sites
     signs = SignChoice(*kinds.canonical_signs(kind, n))  # validates t_sites <= N
@@ -118,7 +114,7 @@ def evaluate(
         if backend is Backend.ANALYTIC:
             raise ValueError("exhaustive search runs on the oracle backend only")
         if n > EXHAUSTIVE_MAX_SITES:
-            raise ExhaustiveSearchError(
+            raise CapExceededError(
                 f"exhaustive sign search is capped at N <= {EXHAUSTIVE_MAX_SITES} sites, got N = {n}"
             )
         s_alts = [(1,) * n, (-1,) * n]

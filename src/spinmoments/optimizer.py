@@ -209,9 +209,10 @@ def scan_curve(
 
     state_source is a states family instance, or the string "optimized" to
     re-optimise the amplitudes at every point and kind.  Rows carry the
-    CLI's scan columns.  Once each point's state and t are checked in point order,
-    a family builds each spin's states in one ``states.make_states`` pass and
-    scores them all with one ``analytic.log_sweep``; the rows are finished as arrays.
+    CLI's scan columns, keyed in output order.  Once each point's state and t
+    are checked in point order, a family builds each spin's states in one
+    ``states.make_states`` pass and scores them all with one
+    ``analytic.log_sweep``; the rows are finished as arrays.
     """
     optimized = isinstance(state_source, str)
     if optimized and state_source != "optimized":
@@ -239,8 +240,8 @@ def scan_curve(
     log_l, log_r = np.asarray(log_l, dtype=float), np.asarray(log_r, dtype=float)
     lhs, rhs = analytic.exp_or_inf(log_l), analytic.exp_or_inf(log_r)
     finished = lhs, rhs, analytic.b_from_logs(log_l, log_r), criteria.violated(log_l, log_r)
-    columns = ("twice_j", "n", "t", "kind", "family", "r_vector", "L", "R", "B", "violated")
+    columns = ("twice_j", "n", "t", "family", "kind", "L", "R", "B", "violated", "r_vector")
     return [
-        dict(zip(columns, (*head, *source, *values)))
-        for head, source, *values in zip(heads, sources, *(a.tolist() for a in finished))
+        dict(zip(columns, (tj, n, t, label, token, *values, r_vector)))
+        for (tj, n, t, token), (label, r_vector), *values in zip(heads, sources, *(a.tolist() for a in finished))
     ]

@@ -27,7 +27,7 @@ INDEX_RANGE = 2**62  # flat int64 indices: an index plus a bra - ket shift must 
 
 
 class CapExceededError(ValueError):
-    """A state beyond what a route can hold: d^N above its bound."""
+    """A state beyond what a route can hold: d^N above its bound, or N above the exhaustive search's."""
 
 
 def _refuse_above(d: int, n: int, bound: int, name: str) -> None:

@@ -82,7 +82,7 @@ def test_eval_rejects_nan_amplitudes(capsys):
     assert "finite" in err
 
 
-@pytest.mark.parametrize("text", ["1,,2", "[1, 2", "[[1],2]", "abc"])
+@pytest.mark.parametrize("text", ["1,,2", "[1, 2", "[[1],2]", "abc", "[true,1,1]", '["1","2","3"]', "[]"])
 def test_bad_amplitudes_name_the_accepted_forms(capsys, text):
     rc, out, err = run_cli(
         capsys, "eval", "--j", "1", "--n", "3", "--family", "custom", "--amplitudes", text, "--kind", "bell"
@@ -249,8 +249,24 @@ def test_scan_axis_d_needs_a_single_n(capsys):
           "--kinds", "bell"), "scan --axis d reads no --j or --twice-j: each d sets the spin"),
         (("scan", "--axis", "d", "--twice-j", "2", "--d", "2..3", "--n", "3", "--family", "uniform-max",
           "--kinds", "bell"), "scan --axis d reads no --j or --twice-j: each d sets the spin"),
+        # the other direction: a family without its parameter's option, and the other usage messages
+        (("eval", "--j", "1/2", "--n", "2", "--family", "ghz", "--kind", "bell"), "family ghz needs --theta"),
+        (("scan", "--axis", "n", "--j", "1", "--n", "2..3", "--family", "spin1r", "--kinds", "bell"),
+         "family spin1r needs --r"),
+        (("eval", "--j", "1", "--n", "2", "--family", "custom", "--kind", "bell"), "family custom needs --amplitudes"),
+        (("scan", "--axis", "n", "--j", "1", "--family", "uniform-max", "--kinds", "bell"),
+         "scan --axis n needs --n with a range"),
+        (("scan", "--axis", "d", "--d", "2..3", "--family", "uniform-max", "--kinds", "bell"),
+         "scan --axis d needs --d with a range and a fixed --n"),
+        (("scan", "--axis", "d", "--d", "1..3", "--n", "3", "--family", "uniform-max", "--kinds", "bell"),
+         "dimensions must be >= 2"),
+        (("scan", "--axis", "n", "--j", "1", "--n", "2..3", "--family", "uniform-max", "--optimized",
+          "--kinds", "bell"), "give exactly one of --family and --optimized"),
+        (("min-sites", "--kind", "bell", "--max-d", "1", "--n-max", "3"), "--max-d must be >= 2"),
     ],
-    ids=["eval-theta", "eval-r", "eval-amplitudes", "scan-optimized", "scan-n-d", "scan-d-j", "scan-d-twice-j"],
+    ids=["eval-theta", "eval-r", "eval-amplitudes", "scan-optimized", "scan-n-d", "scan-d-j", "scan-d-twice-j",
+         "needs-theta", "needs-r", "needs-amplitudes", "scan-n-no-n", "scan-d-no-n", "scan-d-below-2",
+         "scan-family-and-optimized", "min-sites-max-d-1"],
 )
 def test_an_option_no_computation_reads_exits_2(capsys, argv, message):
     rc, out, err = run_cli(capsys, *argv)
@@ -380,8 +396,8 @@ def test_scan_optimized_scores_each_row_once(capsys, monkeypatch):
     assert rc == 0
     assert len(parse_csv(out)) == len(calls) == 40
 
-    # the bytes are those of rows scored by criteria.evaluate on the report's state
-    columns = ["twice_j", "n", "t", "family", "kind", "L", "R", "B", "violated", "r_vector"]
+    # the bytes are those of rows scored by criteria.evaluate on the report's state,
+    # each row's keys in column order
     rows = []
     for d in range(2, 10):
         for token in argv[-1].split(","):
@@ -394,7 +410,7 @@ def test_scan_optimized_scores_each_row_once(capsys, monkeypatch):
                 "L": res.lhs, "R": res.rhs, "B": res.b, "violated": res.violated,
                 "r_vector": tuple(float(v) for v in report.best_r),
             })
-    assert out == render(RunConfig("scan"), columns, rows)
+    assert out == render(RunConfig("scan"), rows)
 
 
 @pytest.mark.parametrize(
@@ -415,7 +431,6 @@ def test_scan_family_rows_equal_state_by_state_evaluation(capsys, spin, family, 
     j = SpinQuantum(int(spin[1]) if spin[0] == "--twice-j" else 1)
     source = Bosonic() if family[1] == "bosonic" else GeneralizedGHZ(float(family[3]))
     lo, _, hi = n_range.partition("..")
-    columns = ["twice_j", "n", "t", "family", "kind", "L", "R", "B", "violated", "r_vector"]
     rows = []
     for n in range(int(lo), int(hi) + 1):
         for token in kind_tokens.split(","):
@@ -427,7 +442,7 @@ def test_scan_family_rows_equal_state_by_state_evaluation(capsys, spin, family, 
                 "L": res.lhs, "R": res.rhs, "B": res.b, "violated": res.violated,
                 "r_vector": tuple(float(v) for v in state.unit_amplitudes),
             })
-    assert out == render(RunConfig("scan"), columns, rows)
+    assert out == render(RunConfig("scan"), rows)
 
 
 def test_scan_family_builds_each_state_once_and_scores_each_spin_once(capsys, monkeypatch):
@@ -678,12 +693,33 @@ def test_oracle_runs_beyond_d_1024(capsys):
 
 
 def test_infeasible_oracle_exits_3(capsys):
-    rc, _, err = run_cli(
+    rc, out, err = run_cli(
         capsys, "eval", "--j", "1/2", "--n", "17", "--family", "ghz", "--theta", "0.5",
         "--kind", "bell", "--strategy", "exhaustive",
     )
-    assert rc == 3
-    assert "capped" in err
+    assert (rc, out) == (3, "")
+    assert err == "spinmoments: exhaustive sign search is capped at N <= 16 sites, got N = 17\n"
+
+
+@pytest.mark.parametrize(
+    "theta, csv_row, b_json",
+    [
+        ("0", "1,3,ghz,ent-hz,3,0,0,,false,---,+--,analytic", None),
+        ("0.785", "1,3,ghz,ent-hz,3,0.249999841466,0,inf,true,---,+--,analytic", "inf"),
+    ],
+    ids=["L=R=0", "R=0<L"],
+)
+def test_undefined_and_infinite_b_cells(capsys, theta, csv_row, b_json):
+    # spin-1/2 ent-hz has R = 0: B is undefined (nan) at L = 0 and infinite at L > 0
+    argv = ("eval", "--j", "1/2", "--n", "3", "--family", "ghz", "--theta", theta, "--kind", "ent-hz")
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[1] == csv_row
+    rc, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (rc, err) == (0, "")
+    (row,) = json.loads(out)["rows"]
+    assert row["B"] == b_json and row["R"] == 0.0
+    assert f'"B": {json.dumps(b_json)},' in out
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,16 @@ from spinmoments import kinds, oracle
 from spinmoments.criteria import VERDICT_BAND, Backend, SignChoice, evaluate, nested_verdicts
 from spinmoments.kinds import Bell, EntanglementCJ, EntanglementHZ, SiteOp, Steering
 from spinmoments.spin_algebra import SpinQuantum
-from spinmoments.states import Bosonic, Custom, GeneralizedGHZ, SpinOneR, UniformMax, make_state, support_vector
+from spinmoments.states import (
+    Bosonic,
+    CapExceededError,
+    Custom,
+    GeneralizedGHZ,
+    SpinOneR,
+    UniformMax,
+    make_state,
+    support_vector,
+)
 
 HALF = SpinQuantum(1)
 ONE = SpinQuantum(2)
@@ -233,7 +242,7 @@ def test_exhaustive_memory_stays_near_the_state_size():
 
 def test_exhaustive_guards():
     st = GHZ(17)
-    with pytest.raises(ValueError, match="capped"):
+    with pytest.raises(CapExceededError, match="capped"):  # exit 3 on the command line
         evaluate(st, Bell(), "exhaustive")
     with pytest.raises(ValueError, match="oracle"):
         evaluate(GHZ(3), Bell(), "exhaustive", backend=Backend.ANALYTIC)
