@@ -16,11 +16,10 @@ sums over m with per-site eigenvalue factors
 R's site layout comes from ``kinds.bound_counts``: each tag's factor is raised
 to its count.  Every sum sum_m w_m prod(base^power) is reduced by factoring
 out the largest log term, so k^N factors cannot overflow: spin 10 with 30 sites
-is routine.  log n is the state's ``log_norm_sq``.  The weights and moments
-broadcast over N: one ``log_moments`` call scores states of one J, a row per
-state, with log L once and a log R row per kind.  ``log_sweep`` is the one
-batching entry: it takes states of any spins, in any order, and makes one
-``log_moments`` call per spin; ``log_lhs_rhs`` is the one-state, one-kind call.
+is routine.  log n is the state's ``log_norm_sq``.  The weights broadcast over
+N.  ``log_sweep`` is the one scorer: it takes states of any spins, in any order,
+and sums each spin's states in one array pass, a row per state, with log L once
+and a log R row per kind; ``log_lhs_rhs`` is its one-state, one-kind call.
 C_J is ``cj_bound(j).c_j``, subtracted from q before exponentiation;
 ``log_sweep``'s ``cj_offset`` is added to it, for ``verify --corrupt-cj`` to
 offset the closed forms against the oracle.  R takes the canonical l-pattern.
@@ -103,38 +102,29 @@ def log_bound_weights(
     return log_d
 
 
-def log_moments(j, n_sites, log_amplitudes, signs, log_norm_sq, kind_list, *, c_j=None):
-    """(log L, log R) of the states of spin j with log|r_m| and signs along the
-    last axis, log n = log_norm_sq and N = n_sites (an int, or an array with a row
-    per state); log R has a leading row per kind of kind_list.
-    """
-    log_terms = log_amplitudes[..., :-1] + log_amplitudes[..., 1:] + log_ladder_weights(j, n_sites)
-    log_l = 2 * (_logsumexp(log_terms, signs[..., :-1] * signs[..., 1:]) - log_norm_sq)
-    log_d = np.array([log_bound_weights(j, n_sites, kind, c_j=c_j) for kind in kind_list])
-    return log_l, _logsumexp(2 * log_amplitudes + log_d) - log_norm_sq
-
-
 def log_sweep(states, kind_list, *, cj_offset=None) -> tuple[list[float], list[list[float]]]:
     """log L of each state and a log R list per kind, both in the order of states,
-    which may mix spins: one ``log_moments`` call per spin, in the order the spins
-    first appear.  cj_offset is added to each spin's ``cj_bound(j).c_j``.  N goes
-    in as floats: an int-to-float array cast would take a 64 KiB buffer."""
+    which may mix spins: one array pass per spin, in the order the spins first
+    appear.  cj_offset is added to each spin's ``cj_bound(j).c_j``.  N goes in as
+    floats: an int-to-float array cast would take a 64 KiB buffer."""
     log_l, log_r = np.empty(len(states)), np.empty((len(kind_list), len(states)))
     by_spin = {}
     for i, s in enumerate(states):
         by_spin.setdefault(s.j, []).append((i, float(s.n_sites), s.log_amplitudes, s.signs, s.log_norm_sq))
     for j, rows in by_spin.items():
-        index, *columns = map(np.array, zip(*rows))
+        index, n_sites, log_a, signs, log_n = map(np.array, zip(*rows))
         c_j = None if cj_offset is None else cj_bound(j).c_j + cj_offset
-        log_l[index], log_r[:, index] = log_moments(j, *columns, kind_list, c_j=c_j)
+        log_terms = log_a[:, :-1] + log_a[:, 1:] + log_ladder_weights(j, n_sites)
+        log_l[index] = 2 * (_logsumexp(log_terms, signs[:, :-1] * signs[:, 1:]) - log_n)
+        log_d = np.array([log_bound_weights(j, n_sites, kind, c_j=c_j) for kind in kind_list])
+        log_r[:, index] = _logsumexp(2 * log_a + log_d) - log_n
     return log_l.tolist(), log_r.tolist()
 
 
 def log_lhs_rhs(state: SymmetricCorrelatedState, kind: kinds.CriterionKind) -> tuple[float, float]:
-    """(log L, log R) of one state: the one-row, one-kind ``log_moments`` call."""
-    args = (state.j, state.n_sites, state.log_amplitudes, state.signs, state.log_norm_sq)
-    log_l, (log_r,) = log_moments(*args, [kind])
-    return log_l, float(log_r)
+    """(log L, log R) of one state: the one-state, one-kind ``log_sweep`` call."""
+    (log_l,), ((log_r,),) = log_sweep([state], [kind])
+    return log_l, log_r
 
 
 def exp_or_inf(log_x):

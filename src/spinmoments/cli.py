@@ -87,13 +87,29 @@ class RunConfig:
 # argument parsing
 
 
+def _plain(text: str) -> str:
+    """Every numeric option's token rule: no '_' and no non-ASCII character, which int() and
+    float() would read as digit separators, digits or spaces (ValueError)."""
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return text
+
+
+def _plain_number(convert):
+    """An argparse type: convert of a ``_plain`` token, named as convert in argparse's exit-2 message."""
+    def parse(text: str):
+        return convert(_plain(text))
+    parse.__name__ = convert.__name__
+    return parse
+
+
 def _parse_spin(j_text: str | None, twice_j: int | None) -> int:
     if (j_text is None) == (twice_j is None):
         raise UsageError("give exactly one of --j and --twice-j")
     if twice_j is not None:
         return twice_j
-    num, slash, den = j_text.partition("/")
     try:
+        num, slash, den = _plain(j_text).partition("/")
         if not slash or den.strip() == "2":
             return int(num) if slash else 2 * int(num)
     except ValueError:
@@ -103,8 +119,8 @@ def _parse_spin(j_text: str | None, twice_j: int | None) -> int:
 
 def _parse_range(text: str) -> list[int]:
     """'3' -> [3]; '2..10' -> [2, ..., 10]."""
-    lo, dots, hi = text.partition("..")
     try:
+        lo, dots, hi = _plain(text).partition("..")
         lo, hi = int(lo), int(hi if dots else lo)
     except ValueError:
         raise UsageError(f"a range must read N or LO..HI, got {text!r}") from None
@@ -115,8 +131,8 @@ def _parse_range(text: str) -> list[int]:
 
 def _parse_amplitudes(text: str) -> tuple[float, ...]:
     """'1,0.5,1' or '[1, 0.5, 1]' -> (1.0, 0.5, 1.0); the JSON form holds numbers only, at least one."""
-    stripped = text.strip()
     try:
+        stripped = _plain(text).strip()
         if stripped.startswith("["):
             parts = json.loads(stripped)  # a JSON error is a ValueError
             if not parts or not all(type(p) in (int, float) for p in parts):  # no bool, str or list
@@ -135,27 +151,28 @@ def _parse_amplitudes(text: str) -> tuple[float, ...]:
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing reads it and never writes it."""
     parser = argparse.ArgumentParser(prog="spinmoments", description=__doc__.splitlines()[0])
+    plain_int, plain_float = _plain_number(int), _plain_number(float)
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--output", default="-", help="output path, - for stdout")
-    common.add_argument("--seed", type=int, help="ignored (the optimiser is exact); kept for old command lines")
+    common.add_argument("--seed", type=plain_int, help="ignored (the optimiser is exact); kept for old command lines")
 
     spin = argparse.ArgumentParser(add_help=False)
     spin.add_argument("--j", help="spin as 1/2, 1, 3/2, ...")
-    spin.add_argument("--twice-j", type=int, dest="twice_j")
+    spin.add_argument("--twice-j", type=plain_int, dest="twice_j")
 
     def family_params(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--theta", type=float, help="GHZ angle, radians")
-        p.add_argument("--r", type=float, help="spin1r middle amplitude")
+        p.add_argument("--theta", type=plain_float, help="GHZ angle, radians")
+        p.add_argument("--r", type=plain_float, help="spin1r middle amplitude")
         p.add_argument(
             "--amplitudes",
             help="custom amplitudes: 1,0.5,1 or [1,0.5,1]; a leading minus needs --amplitudes=-1,1 or [-1,1]",
         )
 
     p_eval = sub.add_parser("eval", parents=[common, spin], help="evaluate one criterion")
-    p_eval.add_argument("--n", required=True, type=int)
+    p_eval.add_argument("--n", required=True, type=plain_int)
     p_eval.add_argument("--family", required=True, choices=tuple(FAMILIES))
     family_params(p_eval)
     p_eval.add_argument("--kind", required=True)
@@ -163,11 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--backend", choices=("analytic", "oracle"))
 
     p_verify = sub.add_parser("verify", parents=[common], help="oracle vs closed forms")
-    p_verify.add_argument("--max-twice-j", type=int, default=9)
-    p_verify.add_argument("--max-size", type=int, help="d^N grid bound (default: 2^20)")
+    p_verify.add_argument("--max-twice-j", type=plain_int, default=9)
+    p_verify.add_argument("--max-size", type=plain_int, help="d^N grid bound (default: 2^20)")
     p_verify.add_argument(
         "--corrupt-cj",
-        type=float,
+        type=plain_float,
         help="testing hook: offset the closed forms' C_J to confirm failures are caught",
     )
 
@@ -182,11 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_min = sub.add_parser("min-sites", parents=[common], help="min N for violation per d")
     p_min.add_argument("--kind", required=True)
-    p_min.add_argument("--max-d", type=int, required=True)
-    p_min.add_argument("--n-max", type=int, required=True)
+    p_min.add_argument("--max-d", type=plain_int, required=True)
+    p_min.add_argument("--n-max", type=plain_int, required=True)
 
     p_cj = sub.add_parser("cj-table", parents=[common], help="C_J per spin")
-    p_cj.add_argument("--max-twice-j", type=int, required=True)
+    p_cj.add_argument("--max-twice-j", type=plain_int, required=True)
 
     return parser
 
@@ -378,34 +395,28 @@ def _rel_diff(a: float, b: float) -> float:
 
 
 def _verify_points(cfg: RunConfig):
-    """Deterministic sweep grid: (family, twice_j, n) for every feasible N."""
+    """Deterministic sweep grid: (family, spin, N list) per family and spin, every N with d^N <= --max-size."""
     max_size = VERIFY_MAX_SIZE if cfg.max_size is None else cfg.max_size
-    spins = list(range(1, cfg.max_twice_j + 1))
-    specs = [(UniformMax(), spins), (Bosonic(), spins)]
-    if 1 in spins:
-        specs += [(GeneralizedGHZ(math.pi / 4), [1]), (GeneralizedGHZ(0.7), [1])]
-    if 2 in spins:
-        specs += [(SpinOneR(0.5), [2]), (SpinOneR(1.0), [2]), (SpinOneR(2.0), [2])]
-    for family, tj_list in specs:
-        for tj in tj_list:
-            d = tj + 1
-            n = 2
-            while d**n <= max_size:
-                yield family, tj, n
-                n += 1
+    specs = [(family, tj) for family in (UniformMax(), Bosonic()) for tj in range(1, cfg.max_twice_j + 1)]
+    specs += [(GeneralizedGHZ(math.pi / 4), 1), (GeneralizedGHZ(0.7), 1)]  # --max-twice-j is >= 1
+    if cfg.max_twice_j >= 2:
+        specs += [(SpinOneR(r), 2) for r in (0.5, 1.0, 2.0)]
+    for family, tj in specs:
+        n = 2
+        while (tj + 1) ** n <= max_size:
+            n += 1
+        yield family, SpinQuantum(tj), list(range(2, n))
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     kind_list = [kinds.Bell(), kinds.EntanglementHZ(), kinds.EntanglementCJ(), kinds.Steering(1, "cj")]
-    rows, names, skipped, points = [], [], [], list(_verify_points(cfg))  # names: stderr only
-    n_lists = {}  # the points come by family, then by spin: one pass per (family, spin)
-    for family, tj, n in points:
-        n_lists.setdefault((family, SpinQuantum(tj)), []).append(n)
-    states = [state for (family, j), n_list in n_lists.items() for state in make_states(family, j, n_list)]
+    rows, names, skipped = [], [], []  # names: stderr only
+    grid = [(family, state) for family, j, n_list in _verify_points(cfg) for state in make_states(family, j, n_list)]
+    states = [state for _, state in grid]
     # closed forms first, B a list per kind: a bad C_J stops the run
     b_analytic = analytic.b_from_logs(*analytic.log_sweep(states, kind_list, cj_offset=cfg.corrupt_cj)).tolist()
-    for (family, tj, n), state, *state_b in zip(points, states, *b_analytic):
-        label, name = family_label(family), _family_name(family)
+    for (family, state), *state_b in zip(grid, *b_analytic):
+        label, name, tj, n = family_label(family), _family_name(family), state.j.twice_j, state.n_sites
         signs, _ = kinds.canonical_signs(kinds.Bell(), n)  # one ladder moment serves every kind
         try:
             vec = support_vector(state)

@@ -150,12 +150,10 @@ def _first_tied(tied: np.ndarray) -> tuple[int, ...]:
     return tuple(1 - 2 * int(a) for a, size in zip(index, tied.shape) if size == 2)
 
 
-def nested_verdicts(
-    state: SymmetricCorrelatedState, t_max: int, *, backend: Backend | None = None
-) -> list[CriterionResult]:
-    """The C_J-bound LHS(T,N) results for T = 0..t_max (canonical signs): T = 0 is
-    the Bell inequality, T = N the fixed-J entanglement criterion.  The verdicts
-    are monotone in T, as each C_J subtraction shrinks the bound moment termwise."""
+def nested_verdicts(state: SymmetricCorrelatedState, t_max: int) -> list[CriterionResult]:
+    """The C_J-bound LHS(T,N) results on the closed forms for T = 0..t_max (canonical
+    signs): T = 0 is the Bell inequality, T = N the fixed-J entanglement criterion.
+    The verdicts are monotone in T, as each C_J subtraction shrinks R termwise."""
     if t_max > state.n_sites:
         raise ValueError(f"t_max = {t_max} exceeds n_sites = {state.n_sites}")
-    return [evaluate(state, kinds.Steering(t), backend=backend) for t in range(t_max + 1)]
+    return [evaluate(state, kinds.Steering(t)) for t in range(t_max + 1)]

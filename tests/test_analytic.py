@@ -433,19 +433,16 @@ _MIXED = [
 def test_sweep_takes_log_n_as_the_states_store_it(case):
     # each state's stored log n is bit for bit the log-sum-exp over its spin's
     # stacked amplitudes, so the sweep equals the closed forms with log n
-    # recomputed, one spin at a time
+    # recomputed, one state at a time
     states, kind_list, _ = case
     log_l, log_r = analytic.log_sweep(states, kind_list)
     for j in {s.j for s in states}:
         index = [i for i, s in enumerate(states) if s.j == j]
-        log_a = np.array([states[i].log_amplitudes for i in index])
-        log_n = _logsumexp(2 * log_a)
+        log_n = _logsumexp(2 * np.array([states[i].log_amplitudes for i in index]))
         assert log_n.tolist() == [states[i].log_norm_sq for i in index]
-        n_sites = np.array([float(states[i].n_sites) for i in index])
-        signs = np.array([states[i].signs for i in index])
-        one_l, one_r = analytic.log_moments(j, n_sites, log_a, signs, log_n, kind_list)
-        assert [log_l[i] for i in index] == one_l.tolist()
-        assert [[row[i] for i in index] for row in log_r] == one_r.tolist()
+    for s, state in enumerate(states):
+        for kind, row in zip(kind_list, log_r):
+            assert (log_l[s], row[s]) == _row_by_row(state, kind, None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -459,14 +456,11 @@ def test_mixed_spin_sweep_rows_equal_one_state_closed_forms(case):
     log_l, log_r = analytic.log_sweep(states, kind_list, cj_offset=cj_offset)
     assert len(log_l) == len(states) and [len(row) for row in log_r] == [len(states)] * len(kind_list)
     for s, state in enumerate(states):
-        args = (state.j, state.n_sites, state.log_amplitudes, state.signs, state.log_norm_sq)
+        c_j = None if cj_offset is None else cj_bound(state.j).c_j + cj_offset
         for kind, row in zip(kind_list, log_r):
+            assert (log_l[s], row[s]) == _row_by_row(state, kind, c_j)
             if cj_offset is None:
-                one = analytic.log_lhs_rhs(state, kind)
-            else:
-                one_l, (one_r,) = analytic.log_moments(*args, [kind], c_j=cj_bound(state.j).c_j + cj_offset)
-                one = (one_l, float(one_r))
-            assert (log_l[s], row[s]) == one
+                assert (log_l[s], row[s]) == analytic.log_lhs_rhs(state, kind)
     assert analytic.log_sweep(states, kind_list, cj_offset=0.0) == analytic.log_sweep(states, kind_list)
 
 

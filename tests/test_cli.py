@@ -15,6 +15,9 @@ import spinmoments
 from spinmoments.cli import RunConfig, main
 
 
+VERIFY_KINDS = ["bell", "ent-hz", "ent-cj", "epr1"]
+
+
 def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
@@ -61,16 +64,16 @@ def test_eval_spin1r_zero_r(capsys):
 
 
 def test_eval_custom_amplitudes_both_syntaxes(capsys):
-    rc1, out1, _ = run_cli(
-        capsys, "eval", "--j", "1", "--n", "3", "--family", "custom",
-        "--amplitudes", "1,0.5,1", "--kind", "ent-cj",
-    )
-    rc2, out2, _ = run_cli(
-        capsys, "eval", "--j", "1", "--n", "3", "--family", "custom",
-        "--amplitudes", "[1, 0.5, 1]", "--kind", "ent-cj",
-    )
-    assert rc1 == rc2 == 0
-    assert parse_csv(out1)[0]["B"] == parse_csv(out2)[0]["B"]
+    outputs = {
+        run_cli(
+            capsys, "eval", "--j", "1", "--n", "3", "--family", "custom",
+            "--amplitudes", text, "--kind", "ent-cj",
+        )
+        for text in ("1,0.5,1", "[1, 0.5, 1]", "1, 0.5, 1", " 1 ,0.5, 1 ", "[1,0.5,1.0]", "1e0,5e-1,1")
+    }
+    ((rc, out, err),) = outputs
+    assert (rc, err) == (0, "")
+    assert parse_csv(out)[0]["B"] == "1.64770402838"
 
 
 def test_eval_rejects_nan_amplitudes(capsys):
@@ -82,7 +85,9 @@ def test_eval_rejects_nan_amplitudes(capsys):
     assert "finite" in err
 
 
-@pytest.mark.parametrize("text", ["1,,2", "[1, 2", "[[1],2]", "abc", "[true,1,1]", '["1","2","3"]', "[]"])
+@pytest.mark.parametrize(
+    "text", ["1,,2", "[1, 2", "[[1],2]", "abc", "[true,1,1]", '["1","2","3"]', "[]", "1_0,1,1", "1,\u0660.5,1"]
+)
 def test_bad_amplitudes_name_the_accepted_forms(capsys, text):
     rc, out, err = run_cli(
         capsys, "eval", "--j", "1", "--n", "3", "--family", "custom", "--amplitudes", text, "--kind", "bell"
@@ -100,6 +105,22 @@ def test_amplitudes_with_a_leading_minus(capsys):
     ((rc, out, err),) = {run_cli(capsys, *argv, *spelling) for spelling in spellings}
     assert (rc, err) == (0, "")
     assert parse_csv(out)[0]["L"] == "0"  # r = (-1, 1, 1): the two ladder terms cancel
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["cj-table", "--max-twice-j", "2"], 0), (["cj-table", "--max-twice-j", "0"], 2)],
+    ids=["success", "usage"],
+)
+def test_console_main_exits_with_main_s_code(capsys, monkeypatch, argv, code):
+    # the installed script's entry point reads sys.argv and exits with main's code
+    from spinmoments import cli
+
+    monkeypatch.setattr(sys, "argv", ["spinmoments", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.console_main()
+    assert exc.value.code == code
+    assert capsys.readouterr() == run_cli(capsys, *argv)[1:]
 
 
 def test_main_reuses_one_parser_with_the_bytes_of_a_fresh_one(capsys):
@@ -342,9 +363,14 @@ def test_verify_ok_and_corrupted(capsys):
 
 def test_verify_names_its_worst_point(capsys):
     # stderr names the (family with its parameters, 2J, N, kind) of exactly one row,
-    # and that row has the largest rel_discrepancy
-    from spinmoments.cli import _verify_points
+    # and that row has the largest rel_discrepancy; the grid runs by family, then
+    # by spin, then by N, with d^N <= 64
+    from spinmoments.states import Bosonic, GeneralizedGHZ, SpinOneR, UniformMax, family_label
 
+    spans = [(UniformMax(), 1, 6), (UniformMax(), 2, 3), (Bosonic(), 1, 6), (Bosonic(), 2, 3)]
+    spans += [(GeneralizedGHZ(math.pi / 4), 1, 6), (GeneralizedGHZ(0.7), 1, 6)]
+    spans += [(SpinOneR(r), 2, 3) for r in (0.5, 1.0, 2.0)]
+    grid = [(family, tj, n, kind) for family, tj, n_max in spans for n in range(2, n_max + 1) for kind in VERIFY_KINDS]
     for corrupt, want_rc in (("0", 0), ("0.05", 1)):
         argv = ["verify", "--max-twice-j", "2", "--max-size", "64", "--corrupt-cj", corrupt]
         rc, out, err = run_cli(capsys, *argv)
@@ -360,12 +386,12 @@ def test_verify_names_its_worst_point(capsys):
         assert int(match[1]) == len(rows)
         assert float(match[2]) == pytest.approx(worst, rel=1e-3)
         label, param, value, twice_j, n, kind = match.groups()[2:]
-        cfg = RunConfig(command="verify", max_twice_j=2, max_size=64)
-        families = [family for family, _, _ in _verify_points(cfg) for _ in range(4)]
-        assert len(families) == len(rows)  # four kinds per point, in grid order
+        assert [(r["family"], int(r["twice_j"]), int(r["n"]), r["kind"]) for r in rows] == [
+            (family_label(family), *point) for family, *point in grid
+        ]
         named = [
             row
-            for row, family in zip(rows, families)
+            for row, (family, *_) in zip(rows, grid)
             if (row["family"], row["twice_j"], row["n"], row["kind"]) == (label, twice_j, n, kind)
             and (param is None) == (not vars(family))
             and (param is None or float(value) == pytest.approx(getattr(family, param), rel=1e-11))
@@ -447,10 +473,11 @@ def test_scan_family_rows_equal_state_by_state_evaluation(capsys, spin, family, 
 
 def test_scan_family_builds_each_state_once_and_scores_each_spin_once(capsys, monkeypatch):
     # one make_states call per 2J builds every N's state at that spin, and one
-    # log_moments call per 2J scores every kind of every N there
+    # array pass per 2J (one ladder weight array, then one bound weight array per
+    # kind) scores every kind of every N there
     from spinmoments import analytic, optimizer
 
-    calls = {"make_states": 0, "log_moments": 0}
+    calls = dict.fromkeys(["make_states", "log_ladder_weights", "log_bound_weights"], 0)
 
     def spy(module, name):
         original = getattr(module, name)
@@ -462,22 +489,23 @@ def test_scan_family_builds_each_state_once_and_scores_each_spin_once(capsys, mo
         monkeypatch.setattr(module, name, counting)
 
     spy(optimizer, "make_states")
-    spy(analytic, "log_moments")
+    spy(analytic, "log_ladder_weights")
+    spy(analytic, "log_bound_weights")
     rc, out, _ = run_cli(
         capsys, "scan", "--axis", "n", "--twice-j", "9", "--family", "bosonic",
         "--kinds", "bell,epr1,ent-cj,ent-hz", "--n", "2..200",
     )
     assert rc == 0
     assert len(parse_csv(out)) == 796
-    assert calls == {"make_states": 1, "log_moments": 1}
-    calls.update(make_states=0, log_moments=0)
+    assert calls == {"make_states": 1, "log_ladder_weights": 1, "log_bound_weights": 4}
+    calls.update(make_states=0, log_ladder_weights=0, log_bound_weights=0)
     rc, out, _ = run_cli(
         capsys, "scan", "--axis", "d", "--d", "2..9", "--n", "4", "--family", "uniform-max",
         "--kinds", "bell,epr1,epr2,ent-cj,ent-hz,epr2-hz",
     )
     assert rc == 0
     assert len(parse_csv(out)) == 48
-    assert calls == {"make_states": 8, "log_moments": 8}
+    assert calls == {"make_states": 8, "log_ladder_weights": 8, "log_bound_weights": 48}
 
 
 def test_scan_curve_rows_follow_point_order():
@@ -509,28 +537,32 @@ def test_scan_reports_the_first_bad_row(capsys):
     assert err == "spinmoments: t_sites = 3 exceeds n_sites = 2\n"
 
 
-VERIFY_KINDS = ["bell", "ent-hz", "ent-cj", "epr1"]
-
-
 def test_verify_scores_each_spin_once(capsys, monkeypatch):
+    # one array pass per 2J: one ladder weight array over all its N, then one
+    # bound weight array per kind over the same N, in row order
     from spinmoments import analytic, kinds
 
-    original, calls = analytic.log_moments, []
+    passes = []
+    ladder, bound = analytic.log_ladder_weights, analytic.log_bound_weights
 
-    def counting(*args, **kwargs):
-        calls.append((args[1], args[5]))  # the N values and the kinds of one 2J's sweep
-        return original(*args, **kwargs)
+    def counting_ladder(j, n_sites):
+        passes.append((j.twice_j, n_sites.tolist(), []))
+        return ladder(j, n_sites)
 
-    monkeypatch.setattr(analytic, "log_moments", counting)
+    def counting_bound(j, n_sites, kind, **kwargs):
+        assert (j.twice_j, n_sites.tolist()) == passes[-1][:2]
+        passes[-1][2].append(kinds.kind_token(kind))
+        return bound(j, n_sites, kind, **kwargs)
+
+    monkeypatch.setattr(analytic, "log_ladder_weights", counting_ladder)
+    monkeypatch.setattr(analytic, "log_bound_weights", counting_bound)
     rc, out, _ = run_cli(capsys, "verify", "--max-twice-j", "2", "--max-size", "64")
     assert rc == 0
-    # every family at 2J = 1 (uniform-max, bosonic, two ghz) in one call; at 2J = 2
-    # (uniform-max, bosonic, three spin1r) in another
-    assert len(calls) == 2
-    assert sum(len(n_values) for n_values, _ in calls) == 30
-    assert sum(len(n_values) for n_values, _ in calls) * 4 == len(parse_csv(out)) == 120
-    for _, kind_list in calls:  # all four kinds in one call, in row order
-        assert [kinds.kind_token(kind) for kind in kind_list] == VERIFY_KINDS
+    # every family at 2J = 1 (uniform-max, bosonic, two ghz: N = 2..6 each) in one
+    # pass; at 2J = 2 (uniform-max, bosonic, three spin1r: N = 2, 3 each) in another
+    assert [(tj, n_sites) for tj, n_sites, _ in passes] == [(1, [2, 3, 4, 5, 6] * 4), (2, [2, 3] * 5)]
+    assert [tokens for _, _, tokens in passes] == [VERIFY_KINDS] * 2
+    assert sum(len(n_sites) for _, n_sites, _ in passes) * 4 == len(parse_csv(out)) == 120
 
 
 def test_verify_makes_one_ladder_and_one_bound_call_per_state(capsys, monkeypatch):
@@ -665,6 +697,11 @@ def test_usage_errors_exit_2(capsys):
         ("1", "2..", "a range must read N or LO..HI, got '2..'"),
         ("1", "two", "a range must read N or LO..HI, got 'two'"),
         ("1", "5..2", "empty range '5..2'"),
+        # int() would read a '_' separator and non-ASCII digits: the token rule refuses them
+        ("1_0", "2..5", "spin must be an integer or a half like 3/2, got '1_0'"),
+        ("\uff13/2", "2..5", "spin must be an integer or a half like 3/2, got '\uff13/2'"),
+        ("1", "1_0", "a range must read N or LO..HI, got '1_0'"),
+        ("1", "2..\u0663", "a range must read N or LO..HI, got '2..\u0663'"),
     ],
 )
 def test_spin_and_range_usage_messages_name_the_option(capsys, spin, n_range, message):
@@ -672,6 +709,38 @@ def test_spin_and_range_usage_messages_name_the_option(capsys, spin, n_range, me
         capsys, "scan", "--axis", "n", "--j", spin, "--n", n_range, "--family", "uniform-max", "--kinds", "bell"
     )
     assert (rc, out, err) == (2, "", f"spinmoments: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, option, token, plain",
+    [
+        (("eval", "--j", "1", "--n", "1_0", "--family", "uniform-max", "--kind", "bell"), "--n", "1_0", "10"),
+        (("eval", "--j", "1", "--n", "\uff13", "--family", "uniform-max", "--kind", "bell"), "--n", "\uff13", "3"),
+        (("eval", "--twice-j", "1_0", "--n", "3", "--family", "uniform-max", "--kind", "bell"),
+         "--twice-j", "1_0", "10"),
+        (("eval", "--j", "1", "--n", "3", "--family", "spin1r", "--r", "1_0", "--kind", "bell"), "--r", "1_0", "10"),
+        (("eval", "--j", "1/2", "--n", "3", "--family", "ghz", "--theta", "0_7", "--kind", "bell"),
+         "--theta", "0_7", "07"),
+        (("min-sites", "--kind", "bell", "--max-d", "0_3", "--n-max", "5"), "--max-d", "0_3", "03"),
+        (("min-sites", "--kind", "bell", "--max-d", "3", "--n-max", "1_0"), "--n-max", "1_0", "10"),
+        (("verify", "--max-twice-j", "\u0663"), "--max-twice-j", "\u0663", "3"),
+        (("verify", "--max-size", "6_4"), "--max-size", "6_4", "64"),
+        (("verify", "--corrupt-cj", "0_1"), "--corrupt-cj", "0_1", "01"),
+        (("cj-table", "--max-twice-j", "1_0"), "--max-twice-j", "1_0", "10"),
+        (("cj-table", "--max-twice-j", "2", "--seed", "1_0"), "--seed", "1_0", "10"),
+    ],
+    ids=["eval-n", "eval-n-fullwidth", "twice-j", "r", "theta", "max-d", "n-max", "max-twice-j-arabic-indic",
+         "max-size", "corrupt-cj", "cj-table", "seed"],
+)
+def test_a_numeric_token_with_a_separator_or_non_ascii_exits_2(capsys, argv, option, token, plain):
+    # argparse's own message for a bad token; the plain spelling parses
+    from spinmoments import cli
+
+    rc, out, err = run_cli(capsys, *argv)
+    convert = "float" if option in ("--r", "--theta", "--corrupt-cj") else "int"
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1] == f"spinmoments {argv[0]}: error: argument {option}: invalid {convert} value: {token!r}"
+    cli.config_from_args(cli.build_parser().parse_args([plain if a == token else a for a in argv]))
 
 
 def test_spin_and_range_parse_every_accepted_spelling():

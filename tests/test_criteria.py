@@ -260,7 +260,6 @@ def test_no_state_path_takes_a_cap():
         lambda **kw: oracle.lhs_moment(st, (-1,) * 3, **kw),
         lambda **kw: oracle.rhs_moment(st, Bell(), **kw),
         lambda **kw: evaluate(st, Bell(), backend=Backend.ORACLE, **kw),
-        lambda **kw: nested_verdicts(st, 3, backend=Backend.ORACLE, **kw),
     ]
     for call in entry_points:
         call()
@@ -280,8 +279,9 @@ def test_retired_keywords_are_refused():
         lambda **kw: analytic.b_ratio(st, EntanglementHZ(), **kw),
         lambda **kw: analytic.b_ent_hz(st, **kw),
         lambda **kw: nested_verdicts(st, 2, **kw),
+        lambda **kw: nested_verdicts(st, 2, **kw),
     ]
-    keywords = [{"cap": 2**24}] + [{"l_signs": (1, -1, -1)}] * 3 + [{"bound": "hz"}]
+    keywords = [{"cap": 2**24}] + [{"l_signs": (1, -1, -1)}] * 3 + [{"bound": "hz"}, {"backend": Backend.ORACLE}]
     for call, kw in zip(retired, keywords, strict=True):
         call()
         with pytest.raises(TypeError):
@@ -380,6 +380,10 @@ def test_nested_verdicts_monotone_and_consistent():
         assert flags == sorted(flags)
         for r in results:
             assert r.violated == (r.lhs > r.rhs)
+        # the oracle-side hierarchy is evaluate's oracle backend, one T at a time
+        on_oracle = [evaluate(st, Steering(t), backend=Backend.ORACLE) for t in range(st.n_sites + 1)]
+        assert [r.violated for r in on_oracle] == flags
+        assert [r.b for r in on_oracle] == pytest.approx(bs, rel=1e-9)
     with pytest.raises(ValueError, match="t_max"):
         nested_verdicts(GHZ(3), 4)
 

@@ -1,13 +1,14 @@
-"""Code layout that the package relies on: one eigen solver, one closed-form batch,
+"""Code layout that the package relies on: one eigen solver, one closed-form scorer,
 one state constructor.
 
 Every eigen solve goes through ``spin_algebra._tridiagonal_eigh``, so a
 ``numpy.linalg`` reference anywhere else in the package is a second solver
-route.  Every batch of closed forms goes through ``analytic.log_sweep``, so a
-``log_moments`` reference outside ``analytic`` is a second batching route.  Every
-state is built by ``states._from_logs``, so a ``SymmetricCorrelatedState`` call
-anywhere else is a second constructor.  The source is parsed, not searched, so
-docstrings and comments may still name ``numpy.linalg.eigh``, ``log_moments`` or
+route.  The closed forms' power sums are summed only in ``analytic.log_sweep``,
+and a state's log n only in ``states._from_logs``, so a ``_logsumexp`` reference
+anywhere else is a second scorer.  Every state is built by
+``states._from_logs``, so a ``SymmetricCorrelatedState`` call anywhere else is a
+second constructor.  The source is parsed, not searched, so docstrings and
+comments may still name ``numpy.linalg.eigh``, ``_logsumexp`` or
 ``SymmetricCorrelatedState(``.
 """
 
@@ -51,13 +52,13 @@ def _linalg_uses(tree: ast.AST):
     return _uses(tree, matches)
 
 
-def _log_moments_uses(tree: ast.AST):
-    """Every name, attribute or import of ``log_moments``."""
+def _logsumexp_uses(tree: ast.AST):
+    """Every name, attribute or import of ``_logsumexp``."""
 
     def matches(node):
         if isinstance(node, (ast.Name, ast.Attribute)):
-            return (node.id if isinstance(node, ast.Name) else node.attr) == "log_moments"
-        return any(name.rpartition(".")[2] == "log_moments" for name in _imported(node))
+            return (node.id if isinstance(node, ast.Name) else node.attr) == "_logsumexp"
+        return any(name.rpartition(".")[2] == "_logsumexp" for name in _imported(node))
 
     return _uses(tree, matches)
 
@@ -99,22 +100,25 @@ def solve(t):
     assert {function for function, _ in _linalg_uses(ast.parse(source))} == {None, "solve"}
 
 
-def test_log_moments_only_inside_analytic():
-    uses = _package_uses(_log_moments_uses)
-    assert {function for function, _ in uses.pop("analytic.py")} == {"log_sweep", "log_lhs_rhs"}
+def test_logsumexp_only_in_the_sweep_and_the_state_norm():
+    # analytic imports it once and sums L and R in log_sweep; states sums log n
+    uses = _package_uses(_logsumexp_uses)
+    analytic = uses.pop("analytic.py")
+    assert [function for function, _ in analytic] == [None, "log_sweep", "log_sweep"]
+    assert {function for function, _ in uses.pop("states.py")} == {"_from_logs"}
     assert {name: found for name, found in uses.items() if found} == {}
 
 
 def test_the_batching_check_sees_every_spelling():
     source = '''
-from .analytic import log_moments
-from . import analytic
+from .states import _logsumexp
+from . import states
 
-def score(states):
-    """log_moments in a docstring is no call."""
-    return analytic.log_moments(states), log_moments(states)
+def score(log_terms):
+    """_logsumexp in a docstring is no call."""
+    return states._logsumexp(log_terms), _logsumexp(log_terms)
 '''
-    assert _log_moments_uses(ast.parse(source)) == [(None, 2), ("score", 7), ("score", 7)]
+    assert _logsumexp_uses(ast.parse(source)) == [(None, 2), ("score", 7), ("score", 7)]
 
 
 def test_states_are_constructed_only_inside_from_logs():

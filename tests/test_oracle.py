@@ -282,6 +282,13 @@ def test_vector_validation():
         expect_product(as_support(np.ones(1)), [], ONE)  # no sites
 
 
+def test_lhs_moment_refuses_signs_of_the_wrong_length():
+    st = make_state(UniformMax(), ONE, 3)
+    for signs in ((-1,) * 2, (-1,) * 4, ()):
+        with pytest.raises(ValueError, match=f"^signs must have length N = 3, got {len(signs)}$"):
+            lhs_moment(st, signs)
+
+
 def test_oracle_public_functions():
     # six, with no second input route or clamp wrapper beside expect_table
     import inspect
