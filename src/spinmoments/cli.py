@@ -51,13 +51,12 @@ VERIFY_TOL = 1e-9
 VERIFY_MAX_SIZE = 2**20  # verify's default d^N grid bound (--max-size)
 
 
-class UsageError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Normalised arguments of one CLI run; JSON output echoes it as ``config``."""
+    """Normalised arguments of one CLI run; JSON output echoes it as ``config``.
+
+    An option whose argparse dest names a field fills that field as parsed;
+    ``config_from_args`` sets the others from the options it normalises."""
 
     command: str
     fmt: str = "csv"
@@ -78,9 +77,6 @@ class RunConfig:
     max_twice_j: int | None = None
     max_size: int | None = None
     corrupt_cj: float | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +101,7 @@ def _plain_number(convert):
 
 def _parse_spin(j_text: str | None, twice_j: int | None) -> int:
     if (j_text is None) == (twice_j is None):
-        raise UsageError("give exactly one of --j and --twice-j")
+        raise ValueError("give exactly one of --j and --twice-j")
     if twice_j is not None:
         return twice_j
     try:
@@ -114,7 +110,7 @@ def _parse_spin(j_text: str | None, twice_j: int | None) -> int:
             return int(num) if slash else 2 * int(num)
     except ValueError:
         pass
-    raise UsageError(f"spin must be an integer or a half like 3/2, got {j_text!r}")
+    raise ValueError(f"spin must be an integer or a half like 3/2, got {j_text!r}")
 
 
 def _parse_range(text: str) -> list[int]:
@@ -123,9 +119,9 @@ def _parse_range(text: str) -> list[int]:
         lo, dots, hi = _plain(text).partition("..")
         lo, hi = int(lo), int(hi if dots else lo)
     except ValueError:
-        raise UsageError(f"a range must read N or LO..HI, got {text!r}") from None
+        raise ValueError(f"a range must read N or LO..HI, got {text!r}") from None
     if hi < lo:
-        raise UsageError(f"empty range {text!r}")
+        raise ValueError(f"empty range {text!r}")
     return list(range(lo, hi + 1))
 
 
@@ -141,9 +137,9 @@ def _parse_amplitudes(text: str) -> tuple[float, ...]:
             parts = stripped.split(",")
         values = tuple(float(p) for p in parts)
     except ValueError:
-        raise UsageError(f"amplitudes must read R,R,... or [R,R,...] with decimal R, got {text!r}") from None
+        raise ValueError(f"amplitudes must read R,R,... or [R,R,...] with decimal R, got {text!r}") from None
     if not all(math.isfinite(v) for v in values):
-        raise UsageError("amplitudes must be finite decimals")
+        raise ValueError("amplitudes must be finite decimals")
     return values
 
 
@@ -155,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    common.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     common.add_argument("--output", default="-", help="output path, - for stdout")
     common.add_argument("--seed", type=plain_int, help="ignored (the optimiser is exact); kept for old command lines")
 
@@ -208,71 +204,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_FAMILY_PARAMS = tuple(dict.fromkeys(f.name for cls in FAMILIES.values() for f in fields(cls)))  # theta, r, amplitudes
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "max_twice_j", 1) < 1:  # verify and cj-table
-        raise UsageError("--max-twice-j must be >= 1")
+        raise ValueError("--max-twice-j must be >= 1")
     if getattr(args, "max_d", 2) < 2:  # min-sites
-        raise UsageError("--max-d must be >= 2")
-    cfg = {"command": args.command, "fmt": args.format, "output": args.output}
+        raise ValueError("--max-d must be >= 2")
+    cfg = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    if args.command in ("eval", "min-sites"):
+        cfg.update(kind_tokens=[args.kind])
     if args.command == "eval":
-        cfg.update(
-            twice_j=_parse_spin(args.j, args.twice_j),
-            n_values=[args.n],
-            family=args.family,
-            kind_tokens=[args.kind],
-            strategy=args.strategy,
-            backend=args.backend,
-        )
-    elif args.command == "verify":
-        cfg.update(
-            max_twice_j=args.max_twice_j,
-            max_size=args.max_size,
-            corrupt_cj=args.corrupt_cj,
-        )
+        cfg.update(twice_j=_parse_spin(args.j, args.twice_j), n_values=[args.n])
     elif args.command == "scan":
         if args.axis == "n":
             if args.n is None:
-                raise UsageError("scan --axis n needs --n with a range")
+                raise ValueError("scan --axis n needs --n with a range")
             if args.d is not None:
-                raise UsageError("scan --axis n reads no --d")
+                raise ValueError("scan --axis n reads no --d")
             cfg.update(
                 twice_j=_parse_spin(args.j, args.twice_j), n_values=_parse_range(args.n)
             )
         else:
             if args.d is None or args.n is None:
-                raise UsageError("scan --axis d needs --d with a range and a fixed --n")
+                raise ValueError("scan --axis d needs --d with a range and a fixed --n")
             if args.j is not None or args.twice_j is not None:
-                raise UsageError("scan --axis d reads no --j or --twice-j: each d sets the spin")
+                raise ValueError("scan --axis d reads no --j or --twice-j: each d sets the spin")
             d_values = _parse_range(args.d)
             if min(d_values) < 2:
-                raise UsageError("dimensions must be >= 2")
+                raise ValueError("dimensions must be >= 2")
             n_values = _parse_range(args.n)
             if len(n_values) != 1:
-                raise UsageError("scan --axis d needs a single fixed --n")
+                raise ValueError("scan --axis d needs a single fixed --n")
             cfg.update(d_values=d_values, n_values=n_values)
         if args.optimized == (args.family is not None):
-            raise UsageError("give exactly one of --family and --optimized")
+            raise ValueError("give exactly one of --family and --optimized")
         kind_tokens = [t.strip() for t in args.kinds.split(",") if t.strip()]
         if not kind_tokens:
-            raise UsageError("--kinds must name at least one kind")
-        family = "optimized" if args.optimized else args.family
-        cfg.update(axis=args.axis, family=family, kind_tokens=kind_tokens)
-    elif args.command == "min-sites":
-        cfg.update(kind_tokens=[args.kind], max_d=args.max_d, n_max=args.n_max)
-    elif args.command == "cj-table":
-        cfg.update(max_twice_j=args.max_twice_j)
+            raise ValueError("--kinds must name at least one kind")
+        cfg.update(family="optimized" if args.optimized else args.family, kind_tokens=kind_tokens)
     if args.command in ("eval", "scan"):  # a family parameter's option is given exactly when the family reads it
         family = FAMILIES.get(cfg["family"])  # None for scan --optimized
         read = [f.name for f in fields(family)] if family else []
         owner = f"family {cfg['family']}" if family else "scan --optimized"
-        for name in ("theta", "r", "amplitudes"):
+        for name in _FAMILY_PARAMS:
             if getattr(args, name) is not None and name not in read:
-                raise UsageError(f"{owner} reads no --{name}")
+                raise ValueError(f"{owner} reads no --{name}")
         for name in read:
             if getattr(args, name) is None:
-                raise UsageError(f"{owner} needs --{name}")
-        amplitudes = None if args.amplitudes is None else _parse_amplitudes(args.amplitudes)
-        cfg.update(theta=args.theta, r=args.r, amplitudes=amplitudes)
+                raise ValueError(f"{owner} needs --{name}")
+        if args.amplitudes is not None:
+            cfg.update(amplitudes=_parse_amplitudes(args.amplitudes))
     return RunConfig(**cfg)
 
 
@@ -319,7 +302,7 @@ def render(cfg: RunConfig, rows: list[dict]) -> str:
 
     if cfg.fmt == "json":
         doc = {
-            "config": cfg.to_dict(),
+            "config": asdict(cfg),
             "rows": [{c: cell(v) for c, v in row.items()} for row in rows],
             "tool_version": __version__,
         }
@@ -341,7 +324,7 @@ def emit(cfg: RunConfig, rows: list[dict]) -> None:
         with open(cfg.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write --output {cfg.output}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write --output {cfg.output}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +380,8 @@ def _rel_diff(a: float, b: float) -> float:
 def _verify_points(cfg: RunConfig):
     """Deterministic sweep grid: (family, spin, N list) per family and spin, every N with d^N <= --max-size."""
     max_size = VERIFY_MAX_SIZE if cfg.max_size is None else cfg.max_size
-    specs = [(family, tj) for family in (UniformMax(), Bosonic()) for tj in range(1, cfg.max_twice_j + 1)]
+    top = min(cfg.max_twice_j, math.isqrt(max(max_size, 0)) - 1)  # a spin with d^2 > --max-size has no point
+    specs = [(family, tj) for family in (UniformMax(), Bosonic()) for tj in range(1, top + 1)]
     specs += [(GeneralizedGHZ(math.pi / 4), 1), (GeneralizedGHZ(0.7), 1)]  # --max-twice-j is >= 1
     if cfg.max_twice_j >= 2:
         specs += [(SpinOneR(r), 2) for r in (0.5, 1.0, 2.0)]
@@ -503,7 +487,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"spinmoments: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         print(f"spinmoments: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # keep exit 1 for "verification failed" only

@@ -130,7 +130,7 @@ def ladder_tags(signs: Sequence[int]) -> list[SiteOp]:
 
 _NAMED = {"bell": Bell, "ent-hz": EntanglementHZ, "ent-cj": EntanglementCJ}
 _TOKENS = {cls: token for token, cls in _NAMED.items()}
-_EPR_RE = re.compile(r"^epr(\d+)(-hz)?$")
+_EPR_RE = re.compile(r"^epr([0-9]+)(-hz)?$")  # T in ASCII digits: \d matches every script's digits
 
 
 def kind_token(kind: CriterionKind) -> str:

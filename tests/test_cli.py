@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -6,7 +7,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -284,10 +285,15 @@ def test_scan_axis_d_needs_a_single_n(capsys):
         (("scan", "--axis", "n", "--j", "1", "--n", "2..3", "--family", "uniform-max", "--optimized",
           "--kinds", "bell"), "give exactly one of --family and --optimized"),
         (("min-sites", "--kind", "bell", "--max-d", "1", "--n-max", "3"), "--max-d must be >= 2"),
+        # eprT's T is ASCII digits, as every numeric option's token is
+        (("eval", "--j", "1", "--n", "3", "--family", "uniform-max", "--kind", "epr\u0661"),
+         "unknown criterion kind 'epr\u0661'; expected bell, ent-hz, ent-cj, eprT or eprT-hz"),
+        (("scan", "--axis", "n", "--j", "1", "--n", "3", "--family", "uniform-max", "--kinds", "bell,EPR\uff11"),
+         "unknown criterion kind 'epr\uff11'; expected bell, ent-hz, ent-cj, eprT or eprT-hz"),
     ],
     ids=["eval-theta", "eval-r", "eval-amplitudes", "scan-optimized", "scan-n-d", "scan-d-j", "scan-d-twice-j",
          "needs-theta", "needs-r", "needs-amplitudes", "scan-n-no-n", "scan-d-no-n", "scan-d-below-2",
-         "scan-family-and-optimized", "min-sites-max-d-1"],
+         "scan-family-and-optimized", "min-sites-max-d-1", "eval-kind-arabic-indic", "scan-kinds-fullwidth"],
 )
 def test_an_option_no_computation_reads_exits_2(capsys, argv, message):
     rc, out, err = run_cli(capsys, *argv)
@@ -608,6 +614,26 @@ def test_verify_makes_one_ladder_and_one_bound_call_per_state(capsys, monkeypatc
         lhs = oracle.lhs_moment(state, signs)
         rhs = oracle.rhs_moment(state, kinds.parse_kind(token))
         assert row["b_oracle"] == cli._fmt_value(oracle.b_from_moments(lhs, rhs))
+
+
+def test_verify_builds_no_spin_beyond_max_size(capsys, monkeypatch):
+    # a spin with d^2 > --max-size has no grid point, so --max-twice-j past it builds nothing more
+    from spinmoments import cli
+
+    calls, runs = [], []
+    original = cli.make_states
+
+    def spy(family, j, n_list):
+        calls[-1].append((family, j.twice_j, list(n_list)))
+        return original(family, j, n_list)
+
+    monkeypatch.setattr(cli, "make_states", spy)
+    for top in ("3", "6000"):
+        calls.append([])
+        runs.append(run_cli(capsys, "verify", "--max-twice-j", top, "--max-size", "16"))
+    assert runs[0][0] == 0 and runs[1] == runs[0]
+    assert calls[1] == calls[0]
+    assert max(tj for _, tj, _ in calls[0]) == 3  # d = 4, N = 2: d^2 = 16
 
 
 def test_verify_reports_a_cj_above_the_floor_at_the_first_point(capsys):
@@ -952,7 +978,24 @@ def test_json_config_echoes_every_field(capsys):
         "backend": None, "axis": "n", "n_max": None, "max_d": None, "max_twice_j": None,
         "max_size": None, "corrupt_cj": None,
     }
-    assert RunConfig(**config).to_dict() == config
+    assert asdict(RunConfig(**config)) == config
+
+
+def test_every_option_dest_is_a_config_field_or_a_normalised_input():
+    # RunConfig takes each option's value under its dest; only these inputs are normalised first
+    from spinmoments.cli import build_parser
+
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {
+        action.dest
+        for p in (parser, *commands.choices.values())
+        for action in p._actions
+        if not isinstance(action, argparse._HelpAction)
+    }
+    config = {f.name for f in fields(RunConfig)}
+    assert dests - config <= {"j", "n", "d", "kind", "kinds", "optimized", "seed"}
+    assert config - dests <= {"n_values", "d_values", "kind_tokens"}
 
 
 def test_help_exits_zero(capsys):

@@ -80,6 +80,11 @@ def test_layout_rejects_a_wrong_l_length_and_too_many_quantum_sites():
                 reader(parse_kind("epr5-hz"), n_values)
 
 
+def test_quantum_sites_refuses_an_unknown_kind():
+    with pytest.raises(TypeError, match="^unknown criterion kind: <object object at "):
+        kinds.quantum_sites(object(), 3)
+
+
 def test_int_layouts_call_no_numpy(monkeypatch):
     # a numpy call on a Python int costs microseconds; the int paths are plain
     # arithmetic.  The profiler sees numpy's Python and C functions, not ufuncs,

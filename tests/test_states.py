@@ -105,6 +105,11 @@ def test_family_spin_compatibility():
         make_state(SpinOneR(-0.1), ONE, 2)
 
 
+def test_make_state_refuses_an_unknown_family():
+    with pytest.raises(TypeError, match="^unknown state family: <object object at "):
+        make_state(object(), HALF, 2)
+
+
 @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
 def test_ghz_refuses_a_non_finite_theta(theta):
     with pytest.raises(ValueError, match=f"theta must be finite, got {theta}"):
