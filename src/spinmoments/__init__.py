@@ -17,10 +17,8 @@ __version__ = "0.1.0"
 
 from .spin_algebra import (
     BoundSource,
-    SpinMatrices,
     SpinQuantum,
     UncertaintyBound,
-    build_spin_matrices,
     cj_bound,
     compute_cj,
 )
@@ -34,7 +32,6 @@ from .states import (
     SupportVector,
     SymmetricCorrelatedState,
     UniformMax,
-    dense_vector,
     make_state,
     support_vector,
 )
@@ -60,10 +57,8 @@ from .optimizer import (
 __all__ = [
     "__version__",
     "BoundSource",
-    "SpinMatrices",
     "SpinQuantum",
     "UncertaintyBound",
-    "build_spin_matrices",
     "cj_bound",
     "compute_cj",
     "Bosonic",
@@ -75,7 +70,6 @@ __all__ = [
     "SupportVector",
     "SymmetricCorrelatedState",
     "UniformMax",
-    "dense_vector",
     "make_state",
     "support_vector",
     "Bell",

@@ -20,9 +20,10 @@ is routine.  log n is the state's ``log_norm_sq``.  The weights broadcast over
 N.  ``log_sweep`` is the one scorer: it takes states of any spins, in any order,
 and sums each spin's states in one array pass, a row per state, with log L once
 and a log R row per kind; ``log_lhs_rhs`` is its one-state, one-kind call.
-C_J is ``cj_bound(j).c_j``, subtracted from q before exponentiation;
-``log_sweep``'s ``cj_offset`` is added to it, for ``verify --corrupt-cj`` to
-offset the closed forms against the oracle.  R takes the canonical l-pattern.
+C_J is ``cj_bound(j).c_j``, subtracted from q before exponentiation; the
+``cj_offset`` of ``log_sweep`` and ``log_bound_weights`` is added to it, for
+``verify --corrupt-cj`` to offset the closed forms against the oracle.  R
+takes the canonical l-pattern.
 
 All eigenvalue factors are quarter-integers assembled from integer
 arithmetic on twice_j, so the bases are exact floats.
@@ -76,16 +77,17 @@ def log_bound_weights(
     n_sites: int | np.ndarray,
     kind: kinds.CriterionKind,
     *,
-    c_j: float | None = None,
+    cj_offset: float = 0.0,
 ) -> np.ndarray:
     """log of the per-m bound weights D_m, R = sum_m r_m^2 D_m / n (-inf where
     an HZ ladder factor vanishes): per tag of ``kinds.bound_counts``, its count
-    times the log of its factor, read once over the whole N array.
+    times the log of its factor, read once over the whole N array.  C_J is
+    ``cj_bound(j).c_j + cj_offset``.
     """
     counts = kinds.bound_counts(kind, n_sites)
     fac = _eigenvalue_factors(j)
     if np.any(counts.get(SiteOp.CJ_SHIFTED, 0)):
-        cj = cj_bound(j).c_j if c_j is None else float(c_j)
+        cj = cj_bound(j).c_j + cj_offset
         shifted = fac[SiteOp.X2_PLUS_Y2] - cj
         if not np.all(shifted > 0):  # a NaN C_J fails too
             raise ValueError(
@@ -113,10 +115,9 @@ def log_sweep(states, kind_list, *, cj_offset=None) -> tuple[list[float], list[l
         by_spin.setdefault(s.j, []).append((i, float(s.n_sites), s.log_amplitudes, s.signs, s.log_norm_sq))
     for j, rows in by_spin.items():
         index, n_sites, log_a, signs, log_n = map(np.array, zip(*rows))
-        c_j = None if cj_offset is None else cj_bound(j).c_j + cj_offset
         log_terms = log_a[:, :-1] + log_a[:, 1:] + log_ladder_weights(j, n_sites)
         log_l[index] = 2 * (_logsumexp(log_terms, signs[:, :-1] * signs[:, 1:]) - log_n)
-        log_d = np.array([log_bound_weights(j, n_sites, kind, c_j=c_j) for kind in kind_list])
+        log_d = np.array([log_bound_weights(j, n_sites, kind, cj_offset=cj_offset or 0.0) for kind in kind_list])
         log_r[:, index] = _logsumexp(2 * log_a + log_d) - log_n
     return log_l.tolist(), log_r.tolist()
 

@@ -8,10 +8,10 @@ Subcommands
     cj-table   uncertainty bound C_J per spin
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (an unwritable
---output too), 3 infeasible (the oracle's d^N > 2^62, or the exhaustive
-search's N > 16), 4 internal error (any other exception, reported
-on one stderr line).  Output is CSV (default) or JSON with identical values;
-floats carry 12 significant digits and rows are emitted in a fixed order, so
+--output too, stdout - included), 3 infeasible (the oracle's d^N > 2^62, or
+the exhaustive search's N > 16), 4 internal error (any other exception,
+reported on one stderr line).  Output is CSV (default) or JSON with identical
+values; floats carry 12 significant digits and rows are emitted in a fixed order, so
 output bytes are reproducible for a fixed config.  The amplitude optimiser is
 an exact eigenvalue search, so --seed reaches no computation: it is kept for old
 command lines, the one option that no computation reads (any other exits 2).
@@ -317,12 +317,13 @@ def render(cfg: RunConfig, rows: list[dict]) -> str:
 
 def emit(cfg: RunConfig, rows: list[dict]) -> None:
     text = render(cfg, rows)
-    if cfg.output == "-":
-        sys.stdout.write(text)
-        return
     try:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        if cfg.output == "-":
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a buffered write fails here, not at exit
+        else:
+            with open(cfg.output, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write --output {cfg.output}: {exc.strerror or exc}") from exc
 

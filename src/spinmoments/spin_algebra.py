@@ -176,7 +176,7 @@ def _tridiagonal_eigh(diag, off):
 
 @lru_cache(maxsize=None)
 def cj_bound(j: SpinQuantum) -> UncertaintyBound:
-    """Return C_J: exact for J <= 1, otherwise the computed lower bound."""
+    """Return C_J: exact for J <= 1, otherwise the computed lower bound, computed once per J."""
     if j.twice_j in _EXACT_TWICE_J:
         return UncertaintyBound(j=j, c_j=_CJ_TABLE[j.twice_j], source=BoundSource.TABULATED)
     return compute_cj(j)
@@ -195,7 +195,6 @@ def _cj_allowance(j: SpinQuantum) -> float:
     return 1e-12 * max(1.0, j.j * (j.j + 1))
 
 
-@lru_cache(maxsize=None)
 def compute_cj(j: SpinQuantum) -> UncertaintyBound:
     """Certified lower bound on C_J = min over states of Var(Jx) + Var(Jy).
 

@@ -102,10 +102,6 @@ class SymmetricCorrelatedState:
     log_norm_sq: float  # log n, n = sum r_m^2
 
     @property
-    def dim(self) -> int:
-        return self.j.dim
-
-    @property
     def unit_amplitudes(self) -> np.ndarray:
         """r / sqrt(n), through the log domain: finite even where r overflows."""
         return self.signs * np.exp(self.log_amplitudes - 0.5 * self.log_norm_sq)
@@ -234,7 +230,7 @@ def support_vector(state: SymmetricCorrelatedState) -> SupportVector:
     the log domain, and exact zeros are dropped.  d^N above 2^62 is refused,
     so that the indices stay within int64.
     """
-    d, n = state.dim, state.n_sites
+    d, n = state.j.dim, state.n_sites
     _refuse_above(d, n, INDEX_RANGE, f"the oracle's int64 index range of 2^62 = {INDEX_RANGE}")
     amp = state.unit_amplitudes.astype(complex)
     keep = np.flatnonzero(amp)
@@ -243,7 +239,7 @@ def support_vector(state: SymmetricCorrelatedState) -> SupportVector:
 
 def dense_vector(state: SymmetricCorrelatedState) -> np.ndarray:
     """``support_vector`` scattered into the full complex d^N vector, of at most 2^20 amplitudes."""
-    _refuse_above(state.dim, state.n_sites, 2**20, f"the cap of {2**20} amplitudes")
+    _refuse_above(state.j.dim, state.n_sites, 2**20, f"the cap of {2**20} amplitudes")
     sup = support_vector(state)
     vec = np.zeros(sup.size, dtype=complex)
     vec[sup.index] = sup.values

@@ -333,7 +333,7 @@ def _row_by_row(state, kind, c_j):
     log_l = 2 * (logsumexp(ladder, signs[:-1] * signs[1:]) - log_norm_sq)
     powers = Counter(kinds.bound_tags(kind, state.n_sites))  # the per-site layout, counted
     cj = cj_bound(state.j).c_j if c_j is None else c_j
-    log_d = np.zeros(state.dim)
+    log_d = np.zeros(state.j.dim)
     for tag in analytic._SUM_ORDER:
         power = powers[tag]
         if power:

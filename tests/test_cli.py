@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -959,6 +960,39 @@ def test_unwritable_output_exits_2(capsys, tmp_path, where):
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"spinmoments: cannot write --output {target}: ")
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose ``failing`` method, write or flush, raises ``error``."""
+
+    def __init__(self, error, failing):
+        super().__init__()
+        self.error, self.failing = error, failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise self.error
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise self.error
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize(
+    "error, reason",
+    [(OSError(errno.ENOSPC, "No space left on device"), "No space left on device"),
+     (BrokenPipeError(errno.EPIPE, "Broken pipe"), "Broken pipe")],
+    ids=["disk-full", "broken-pipe"],
+)
+def test_unwritable_stdout_exits_2(capsys, monkeypatch, error, reason, failing):
+    # stdout is --output -, so a write that fails there, buffered until the
+    # flush or not, is a usage error too
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(error, failing))
+    rc = main(["cj-table", "--max-twice-j", "2"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"spinmoments: cannot write --output -: {reason}\n"
 
 
 def test_json_config_echoes_every_field(capsys):

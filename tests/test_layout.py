@@ -9,7 +9,9 @@ anywhere else is a second scorer.  Every state is built by
 ``states._from_logs``, so a ``SymmetricCorrelatedState`` call anywhere else is a
 second constructor.  The source is parsed, not searched, so docstrings and
 comments may still name ``numpy.linalg.eigh``, ``_logsumexp`` or
-``SymmetricCorrelatedState(``.
+``SymmetricCorrelatedState(``.  The dense references ``states.dense_vector``
+and ``spin_algebra.build_spin_matrices`` are reached only through their
+modules, not from the package root.
 """
 
 import ast
@@ -77,6 +79,15 @@ def _state_constructions(tree: ast.AST):
 
 def _package_uses(find):
     return {path.name: find(ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_dense_references_only_in_their_modules():
+    # the dense-era references are not re-exported at the package root
+    for name in ("dense_vector", "build_spin_matrices", "SpinMatrices"):
+        assert not hasattr(spinmoments, name) and name not in spinmoments.__all__
+    assert callable(spinmoments.states.dense_vector)
+    assert callable(spinmoments.spin_algebra.build_spin_matrices)
+    assert isinstance(spinmoments.spin_algebra.SpinMatrices, type)
 
 
 def test_numpy_linalg_only_inside_the_tridiagonal_kernel():

@@ -168,7 +168,7 @@ def test_minimize_on_interval_evaluates_the_grid_in_one_call():
 @pytest.mark.parametrize("twice_j", [3, 9, 40, 200])
 def test_compute_cj_solves_its_grid_in_one_stacked_call(eigen_solves, twice_j):
     # the most over 2J = 3..200 is 15: the grid and at most 14 zeroin steps
-    compute_cj.__wrapped__(SpinQuantum(twice_j))  # past the cache
+    compute_cj(SpinQuantum(twice_j))
     assert eigen_solves.count((65,)) == 1
     assert all(shape in ((65,), ()) for shape in eigen_solves)
     assert len(eigen_solves) <= 15
@@ -198,7 +198,7 @@ def test_compute_cj_equals_the_dense_assembly():
     # +0.0 off the band included, so C_J does not move in any bit
     for twice_j in range(1, 65):
         j = SpinQuantum(twice_j)
-        assert compute_cj.__wrapped__(j).c_j == dense_cj(j)
+        assert compute_cj(j).c_j == dense_cj(j)
 
 
 def _cj_searches(monkeypatch, twice_js):
@@ -211,7 +211,7 @@ def _cj_searches(monkeypatch, twice_js):
 
     monkeypatch.setattr(spin_algebra, "minimize_on_interval", spy)
     for twice_j in twice_js:
-        compute_cj.__wrapped__(SpinQuantum(twice_j))
+        compute_cj(SpinQuantum(twice_j))
     assert len(searches) == len(twice_js)
     return searches
 
@@ -281,8 +281,8 @@ def test_compute_cj_validates_arguments():
 
 def test_cj_override_only_on_the_closed_form_chain():
     # every verdict and the oracle read C_J from cj_bound: a c_j= keyword is
-    # refused everywhere, and analytic.log_sweep's cj_offset=, the route of
-    # verify --corrupt-cj, is the one override
+    # refused everywhere, and the cj_offset= of analytic.log_sweep, the route
+    # of verify --corrupt-cj, and of log_bound_weights is the one override
     from spinmoments import analytic, criteria, optimizer, oracle, spin_algebra
     from spinmoments.kinds import EntanglementCJ
     from spinmoments.states import UniformMax, make_state, support_vector
@@ -303,6 +303,7 @@ def test_cj_override_only_on_the_closed_form_chain():
         lambda **kw: analytic.b_ratio(st, EntanglementCJ(), **kw),
         lambda **kw: analytic.b_ent_cj(st, **kw),
         lambda **kw: analytic.b_steer_t(st, 1, **kw),
+        lambda **kw: analytic.log_bound_weights(j, 2, EntanglementCJ(), **kw),
     ]
     for call in entry_points:
         call()
@@ -314,6 +315,21 @@ def test_cj_override_only_on_the_closed_form_chain():
     assert analytic.b_from_logs(log_l[0], log_r[0]) != analytic.b_ent_cj(st)
     with pytest.raises(TypeError):
         analytic.log_sweep([st], [EntanglementCJ()], c_j=0.1)
+
+
+def test_cj_bound_is_the_one_cache_of_c_j(monkeypatch):
+    # compute_cj has no cache of its own: cj_bound computes C_J once per spin
+    calls = []
+
+    def counting(j):
+        calls.append(j)
+        return compute_cj(j)
+
+    cj_bound.cache_clear()
+    monkeypatch.setattr(spin_algebra, "compute_cj", counting)
+    assert not hasattr(compute_cj, "cache_info")
+    assert cj_bound(SpinQuantum(5)) == cj_bound(SpinQuantum(5))
+    assert calls == [SpinQuantum(5)]
 
 
 def test_cj_bound_beyond_table_flagged_computed():
